@@ -56,6 +56,11 @@ class LoewyTooSmall(NakayamaError):
     """Signed-triangulation dictionary needs every Loewy length >= n."""
 
 
+class InvalidPoset(NakayamaError):
+    """Down-set masks that are not a partial order, or an order that
+    disagrees with its definition."""
+
+
 class MismatchReport(NakayamaError):
     """Verification found disagreements; carries the failing reports."""
 

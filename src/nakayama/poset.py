@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 
 from . import modcat, tautilt
 from .algebra import components, projective_injectives, reject, socle_vertex_of_projective
-from .errors import NotProjectiveInjective
+from .errors import InvalidPoset, NotProjectiveInjective
 from .modcat import Indec
 from .tautilt import SttPair
 
@@ -24,9 +24,13 @@ def geq(alg, m, n):
     return all(modcat.in_fac(alg, s, m.module) for s in n.module)
 
 
-def leq(alg, m, n):
-    """Whether m <= n in the support tau-tilting order."""
-    return geq(alg, n, m)
+def _bits(mask):
+    """Indices of the set bits of a nonnegative mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 class Plus(NamedTuple):
@@ -45,30 +49,38 @@ class Poset:
     def __init__(self, elements, down):
         self.elements = list(elements)
         self.down = list(down)
-        self._check()
+        self._covers = self._check()
 
     def _check(self):
-        k = len(self.elements)
-        assert len(self.down) == k
-        for i in range(k):
-            assert self.down[i] >> i & 1, "not reflexive"
-            for j in range(k):
-                if i != j and self.down[i] >> j & 1:
-                    assert not self.down[j] >> i & 1, "not antisymmetric"
-                    assert self.down[j] | self.down[i] == self.down[i], "not transitive"
-
-    @staticmethod
-    def from_relation(elements, le):
-        """Build from a binary predicate le(x, y) meaning x <= y."""
-        elements = list(elements)
-        down = []
-        for y in elements:
-            mask = 0
-            for j, x in enumerate(elements):
-                if le(x, y):
-                    mask |= 1 << j
-            down.append(mask)
-        return Poset(elements, down)
+        """Raise InvalidPoset unless down is a partial order, and return
+        for each element the mask of the elements it covers: those strictly
+        below it and not strictly below another element strictly below it.
+        """
+        k, elements = len(self.elements), self.elements
+        if len(self.down) != k:
+            raise InvalidPoset(f"{len(self.down)} down-sets for {k} elements")
+        strict = []
+        for i, mask in enumerate(self.down):
+            if mask >> k:
+                raise InvalidPoset(f"down-set of {elements[i]!r} has bits outside the elements")
+            if not mask >> i & 1:
+                raise InvalidPoset(f"not reflexive at {elements[i]!r}")
+            strict.append(mask & ~(1 << i))
+        covers = []
+        for i, below in enumerate(strict):
+            not_covered = 0
+            for j in _bits(below):
+                not_covered |= strict[j]
+            if not_covered & ~self.down[i]:
+                raise InvalidPoset(f"not transitive below {elements[i]!r}")
+            covers.append(below & ~not_covered)
+        # given transitivity, x <= y <= x means equal down-sets
+        first = {}
+        for i, mask in enumerate(self.down):
+            j = first.setdefault(mask, i)
+            if j != i:
+                raise InvalidPoset(f"not antisymmetric: {elements[j]!r} and {elements[i]!r}")
+        return covers
 
     def index(self, x):
         return self.elements.index(x)
@@ -78,21 +90,8 @@ class Poset:
 
     def hasse(self):
         """Covering relations as a HasseQuiver (arrows point downward)."""
-        k = len(self.elements)
-        up = [0] * k
-        for i in range(k):
-            for j in range(k):
-                if i != j and self.down[i] >> j & 1:
-                    up[j] |= 1 << i
-        arrows = []
-        for i in range(k):
-            for j in range(k):
-                if i == j or not self.down[i] >> j & 1:
-                    continue
-                between = self.down[i] & up[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    arrows.append((i, j))
-        return HasseQuiver(tuple(self.elements), tuple(sorted(arrows)))
+        arrows = [(i, j) for i, mask in enumerate(self._covers) for j in _bits(mask)]
+        return HasseQuiver(tuple(self.elements), tuple(arrows))
 
 
 class HasseQuiver(NamedTuple):
@@ -127,15 +126,43 @@ class HasseQuiver(NamedTuple):
 
 
 def stt_poset(alg, pairs=None):
-    """The support tau-tilting poset (elements in canonical order)."""
+    """The support tau-tilting poset (elements in canonical order).
+
+    One pair lies below another when each of its summands is a quotient of
+    a summand of the other: same top, no greater length.
+    """
     if pairs is None:
         pairs = tautilt.enumerate_stt(alg)
-    return Poset.from_relation(pairs, lambda x, y: geq(alg, y, x))
+    contains = {}
+    for idx, pair in enumerate(pairs):
+        for s in pair.module:
+            contains[s] = contains.get(s, 0) | 1 << idx
+    # longer[t][l]: the pairs with a summand of top t and length > l
+    longer = {t: [0] * (alg.loewy[t] + 1) for t in alg.vertices}
+    for x, mask in contains.items():
+        for l in range(x.length):
+            longer[x.top][l] |= mask
+    full = (1 << len(pairs)) - 1
+    down = []
+    for pair in pairs:
+        reach = dict.fromkeys(alg.vertices, 0)
+        for s in pair.module:
+            reach[s.top] = max(reach[s.top], s.length)
+        outside = 0
+        for t, l in reach.items():
+            outside |= longer[t][l]
+        down.append(full & ~outside)
+    return Poset(pairs, down)
 
 
 def hasse_direct(alg):
-    """Hasse quiver from the enumeration and the Fac order."""
-    return stt_poset(alg).hasse()
+    """Hasse quiver from the enumeration and the Fac order.  Every arrow
+    is checked once more against geq, the order's definition."""
+    quiver = stt_poset(alg).hasse()
+    for a, b in quiver.arrows:
+        if not geq(alg, quiver.vertices[a], quiver.vertices[b]):
+            raise InvalidPoset(f"cover {a} -> {b} is not in the Fac order")
+    return quiver
 
 
 def mutations(alg, pair, universe=None):

@@ -1,13 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from poset_oracles import fac_order, transitive_reduction
 
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
     make_cyclic,
     make_linear,
+    quotient_by_idempotent,
     reject,
     rejection_chain,
 )
+from nakayama.errors import InvalidPoset
 from nakayama.modcat import Indec
 from nakayama.poset import (
     HasseQuiver,
@@ -26,7 +35,7 @@ from nakayama.poset import (
     stt_poset,
 )
 from nakayama.tautilt import enumerate_stt
-from nakayama.verify import valid_linear_series
+from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
 
@@ -83,6 +92,35 @@ def test_unique_top_and_bottom():
         assert len(tops) == 1 and len(bottoms) == 1
         assert p.elements[tops[0]].killed == ()
         assert p.elements[bottoms[0]].module == ()
+
+
+def _order_test_algebras():
+    algs = [make_cyclic(n, r) for n, r in ((4, 2), (5, 3), (3, 3), (4, 4), (2, 4), (3, 5))]
+    algs += [cyclic_algebra(ks) for ks in valid_cyclic_series(3, 4) if len(set(ks)) > 1]
+    algs += [make_linear(list(ks)) for ks in valid_linear_series(4, 4)]
+    algs.append(quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}))
+    algs.append(ZERO)
+    return algs
+
+
+def test_bitset_order_and_covers_match_definition():
+    for alg in _order_test_algebras():
+        pairs = enumerate_stt(alg)
+        poset = stt_poset(alg, pairs)
+        oracle = fac_order(alg, pairs)
+        assert poset.down == oracle.down, alg.loewy
+        assert poset.hasse() == transitive_reduction(oracle)
+
+
+def test_hasse_direct_rechecks_arrows_against_definition(monkeypatch):
+    # a chain in enumeration order is a valid poset but not the Fac order
+    def chain(alg):
+        pairs = enumerate_stt(alg)
+        return Poset(pairs, [(2 << i) - 1 for i in range(len(pairs))])
+
+    monkeypatch.setattr("nakayama.poset.stt_poset", chain)
+    with pytest.raises(InvalidPoset, match="not in the Fac order"):
+        hasse_direct(L33)
 
 
 def test_mutation_example():
@@ -186,6 +224,57 @@ def test_doubling_identity_on_random_posets():
         assert lhs.same_labelled_graph(rhs)
 
 
+def test_covers_match_transitive_reduction_on_random_posets():
+    rng = random.Random(2024)
+    for _ in range(200):
+        k = rng.randint(1, 12)
+        p = _random_poset(rng, k)
+        chosen = _convexify(p, {i for i in range(k) if rng.random() < 0.35})
+        for q in (p, double_poset(p, chosen)):
+            assert q.hasse() == transitive_reduction(q)
+
+
+@pytest.mark.parametrize(
+    "elements, down, message",
+    [
+        (["a", "b"], [0b01], "1 down-sets for 2 elements"),
+        (["a", "b"], [0b01, 0b01], "not reflexive at 'b'"),
+        (["a", "b"], [0b11, 0b11], "not antisymmetric: 'a' and 'b'"),
+        (["a", "b", "c"], [0b001, 0b011, 0b110], "not transitive below 'c'"),
+        (["a"], [0b11], "has bits outside the elements"),
+        (["a"], [-1], "has bits outside the elements"),
+    ],
+)
+def test_invalid_poset_is_a_typed_error(elements, down, message):
+    with pytest.raises(InvalidPoset, match=message):
+        Poset(elements, down)
+
+
+_OPTIMIZED_CHECK = """
+import sys
+from nakayama.errors import InvalidPoset
+from nakayama.poset import Poset
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    Poset(["a", "b"], [3, 3])
+except InvalidPoset:
+    sys.exit(0)
+sys.exit("accepted a relation that is not antisymmetric")
+"""
+
+
+def test_poset_invariants_hold_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    )
+
+
 def test_classify_semisimple_stage():
     # the 3-vertex stage with one arrow: rejecting its projective-injective
     # at the arrow source leaves the semisimple algebra, and exactly the
@@ -249,15 +338,11 @@ def test_rejection_equals_direct_small_grid():
 
 
 def test_rejection_on_disconnected():
-    from nakayama.algebra import quotient_by_idempotent
-
     alg = quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})
     assert hasse_by_rejection(alg) == hasse_direct(alg)
 
 
 def test_rejection_on_mixed_cyclic_series():
-    from nakayama.verify import cyclic_algebra
-
     for series in ((2, 3, 3), (3, 4, 4), (2, 2, 3, 3), (4, 5, 5, 5), (3, 4, 4, 4, 4)):
         alg = cyclic_algebra(series)
         assert hasse_by_rejection(alg) == hasse_direct(alg)
@@ -269,6 +354,14 @@ def test_rejection_matches_direct_at_scale():
     h = hasse_direct(alg)
     assert len(h.vertices) == 924 and len(h.arrows) == 2772
     assert set(h.degree_sequence()) == {6}
+    assert hasse_by_rejection(alg) == h
+
+
+def test_rejection_matches_direct_at_seven():
+    # seven vertices, Loewy length seven: 3432 pairs, 12012 covering arrows
+    alg = make_cyclic(7, 7)
+    h = hasse_direct(alg)
+    assert len(h.vertices) == 3432 and len(h.arrows) == 12012
     assert hasse_by_rejection(alg) == h
 
 
