@@ -10,6 +10,7 @@ from .algebra import (
     algebra_from_json,
     algebra_to_json,
     components,
+    cyclic_algebra,
     make_cyclic,
     make_gamma,
     make_linear,

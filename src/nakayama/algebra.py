@@ -105,10 +105,6 @@ class NakayamaAlgebra:
             return self.next_down.get(j)
         return None
 
-    def arrow_source(self, j):
-        """Source of the arrow into j, or None."""
-        return self._up.get(j)
-
     @cached_property
     def _up(self):
         return {
@@ -190,14 +186,22 @@ class NakayamaAlgebra:
         return sources[0]
 
 
-def make_cyclic(n, r):
-    """The cyclic Nakayama algebra on vertices 1..n with constant Kupisch
-    series r (quiver a single oriented cycle, next_down(j) = j-1)."""
-    if n < 1 or r < 1:
-        raise InvalidKupisch("need n >= 1 and r >= 1")
+def cyclic_algebra(kupisch):
+    """Cyclic Nakayama algebra on vertices 1..n with the given Kupisch
+    series (loewy(1), ..., loewy(n)): the quiver is a single oriented
+    cycle, next_down(j) = j-1 and next_down(1) = n."""
+    n = len(kupisch)
+    if n < 1:
+        raise InvalidKupisch("empty Kupisch series")
     vertices = range(1, n + 1)
     next_down = {j: (j - 1) if j > 1 else n for j in vertices}
-    return NakayamaAlgebra(vertices, next_down, {j: r for j in vertices})
+    return NakayamaAlgebra(vertices, next_down, dict(zip(vertices, kupisch)))
+
+
+def make_cyclic(n, r):
+    """The cyclic Nakayama algebra on n vertices with constant Kupisch
+    series r."""
+    return cyclic_algebra([r] * n)
 
 
 def make_linear(kupisch):
@@ -252,19 +256,6 @@ def projective_injectives(alg):
     for j in alg.vertices:
         s = socle_vertex_of_projective(alg, j)
         if longest_with_socle[s] <= alg.loewy[j]:
-            result.add(j)
-    return result
-
-
-def projective_injectives_closed_form(alg):
-    """j is projective-injective iff the vertex above j (if any) has Loewy
-    length at most loewy(j).  Test oracle counterpart of the socle scan."""
-    if alg.is_zero():
-        raise ZeroAlgebra("zero algebra has no projectives")
-    result = set()
-    for j in alg.vertices:
-        up = alg._up.get(j)
-        if up is None or alg.loewy[up] <= alg.loewy[j]:
             result.add(j)
     return result
 
@@ -369,22 +360,22 @@ def algebra_to_json(alg):
 
 
 def algebra_from_json(data):
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data.get("kind")
-    if kind == "cyclic":
-        ks = data["kupisch"]
-        if len(set(ks)) != 1:
-            n = len(ks)
-            nd = {j: (j - 1) if j > 1 else n for j in range(1, n + 1)}
-            return NakayamaAlgebra(range(1, n + 1), nd, dict(zip(range(1, n + 1), ks)))
-        return make_cyclic(len(ks), ks[0])
-    if kind == "linear":
-        return make_linear(data["kupisch"])
-    if kind == "general":
-        return NakayamaAlgebra(
-            data["vertices"],
-            {int(j): k for j, k in data["next_down"].items()},
-            {int(j): l for j, l in data["loewy"].items()},
-        )
+    """Algebra from a JSON literal (text or already parsed); malformed
+    literals raise InvalidKupisch."""
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        kind = data.get("kind")
+        if kind == "cyclic":
+            return cyclic_algebra(data["kupisch"])
+        if kind == "linear":
+            return make_linear(data["kupisch"])
+        if kind == "general":
+            return NakayamaAlgebra(
+                data["vertices"],
+                {int(j): k for j, k in data["next_down"].items()},
+                {int(j): l for j, l in data["loewy"].items()},
+            )
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise InvalidKupisch(f"malformed algebra literal ({type(e).__name__}: {e})") from None
     raise InvalidKupisch(f"unknown algebra kind {kind!r}")

@@ -13,8 +13,8 @@ import sys
 
 from . import counting, geometry, poset, sequences, tautilt
 from .algebra import (
-    NakayamaAlgebra,
     algebra_from_json,
+    cyclic_algebra,
     make_cyclic,
     make_linear,
     rejection_chain,
@@ -29,7 +29,6 @@ def _add_algebra_flags(p):
     p.add_argument("--linear", action="store_true", help="linear quiver (with --kupisch)")
     p.add_argument("--kupisch", type=str, help="comma-separated Kupisch series")
     p.add_argument("--algebra-json", type=str, help="algebra literal as JSON")
-    p.add_argument("--seed", type=int, default=0, help="unused; everything is deterministic")
 
 
 def _algebra_from_args(args):
@@ -38,9 +37,9 @@ def _algebra_from_args(args):
     if args.cyclic is not None:
         if args.kupisch:
             ks = _int_list(args.kupisch)
-            n = len(ks)
-            nd = {j: (j - 1) if j > 1 else n for j in range(1, n + 1)}
-            return NakayamaAlgebra(range(1, n + 1), nd, dict(zip(range(1, n + 1), ks)))
+            if len(ks) != args.cyclic:
+                raise NakayamaError(f"--cyclic {args.cyclic} got {len(ks)} Kupisch entries")
+            return cyclic_algebra(ks)
         if args.r is None:
             raise NakayamaError("--cyclic needs --r or --kupisch")
         return make_cyclic(args.cyclic, args.r)
@@ -52,7 +51,10 @@ def _algebra_from_args(args):
 
 
 def _int_list(text):
-    return [int(x) for x in text.replace("(", "").replace(")", "").split(",") if x.strip()]
+    try:
+        return [int(x) for x in text.replace("(", "").replace(")", "").split(",") if x.strip()]
+    except ValueError:
+        raise NakayamaError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def _json_dumps(obj):
@@ -87,6 +89,8 @@ def cmd_count(args, out):
 
 def cmd_hasse(args, out):
     alg = _algebra_from_args(args)
+    if args.picks is not None and args.method == "direct" and not args.trace:
+        raise NakayamaError("--picks needs --method rejection or both, or --trace")
     if args.trace:
         for step, (a, j) in enumerate(rejection_chain(alg, picks=args.picks)):
             ks = ",".join(f"{v}:{a.loewy[v]}" for v in a.vertices) or "-"
@@ -115,13 +119,17 @@ def cmd_translate(args, out):
     payload = args.payload
     if args.src == "seq":
         seq = sequences.SeqA(_int_list(payload))
+        if seq.n != n:
+            raise NakayamaError(f"sequence has {seq.n} entries, the algebra {n} vertices")
         x = sequences.x_of_sequence(seq)
     elif args.src == "arcs":
         arcs = [geometry.Arc.parse(t) for t in payload.split()]
         x = geometry.make_triangulation(n, arcs)
     else:
-        data = json.loads(payload)
-        pair = SttPair.from_json(data)
+        try:
+            pair = SttPair.from_json(json.loads(payload))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise NakayamaError(f"malformed pair literal ({type(e).__name__}: {e})") from None
         x = geometry.tau_tilt_to_triangulation(alg, pair)
     if args.dst == "seq":
         seq = sequences.top_of_triangulation(x)
@@ -146,7 +154,10 @@ def cmd_translate(args, out):
 def cmd_triangulate(args, out):
     n = args.n
     if args.bounds:
-        bounds = dict(zip(range(1, n + 1), _int_list(args.bounds)))
+        values = _int_list(args.bounds)
+        if len(values) != n:
+            raise NakayamaError(f"--n {n} needs {n} bounds, got {len(values)}")
+        bounds = dict(zip(range(1, n + 1), values))
         xs = geometry.enumerate_restricted(n, bounds)
     else:
         xs = geometry.enumerate_triangulations(n)
@@ -239,13 +250,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # NakayamaError from _int_list as the --picks type passes through
+        # argparse and is reported like every other input error
+        args = build_parser().parse_args(argv)
+        return args.func(args, sys.stdout)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        return args.func(args, sys.stdout)
     except NakayamaError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -15,7 +15,6 @@ from typing import Optional
 
 from . import tautilt
 from .algebra import make_cyclic, make_gamma
-from .errors import MismatchReport
 
 # rows r = 1..5, columns n = 1..5
 TAU_TILT_LINEAR = (
@@ -102,16 +101,6 @@ class CountReport:
         notes = ("  " + "; ".join(self.notes)) if self.notes else ""
         return f"{status:8s} {self.algebra:12s} counts={self.counts}{exp} [{self.method}]{notes}"
 
-    def to_json(self):
-        return {
-            "algebra": self.algebra,
-            "counts": list(self.counts),
-            "method": self.method,
-            "expected": None if self.expected is None else list(self.expected),
-            "ok": self.ok,
-            "notes": self.notes,
-        }
-
 
 def enumerated_counts(alg):
     pairs = tautilt.enumerate_stt(alg)
@@ -119,7 +108,7 @@ def enumerated_counts(alg):
     return (tt, len(pairs) - tt, len(pairs))
 
 
-def verify_tables(strict=False):
+def verify_tables():
     """Re-derive all 100 table entries by enumeration and cross-check the
     recurrences and closed forms.  Returns one report per (shape, n, r)."""
     reports = []
@@ -161,7 +150,4 @@ def verify_tables(strict=False):
             if r >= n and counts[2] != central_binomial(n):
                 rep.notes.append(f"count is not binom(2n,n)={central_binomial(n)}")
             reports.append(rep)
-    bad = [r for r in reports if not r.ok]
-    if strict and bad:
-        raise MismatchReport(bad)
     return reports

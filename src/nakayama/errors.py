@@ -61,10 +61,7 @@ class InvalidPoset(NakayamaError):
     disagrees with its definition."""
 
 
-class MismatchReport(NakayamaError):
-    """Verification found disagreements; carries the failing reports."""
-
-    def __init__(self, reports):
-        self.reports = reports
-        lines = [str(r) for r in reports]
-        super().__init__("verification mismatches:\n" + "\n".join(lines))
+class InvariantViolation(NakayamaError):
+    """A result the theory guarantees did not come out: a rejection lift
+    that is not support tau-tilting, or a slot of a pair without exactly
+    one other completion."""

@@ -142,7 +142,10 @@ class Triangulation(NamedTuple):
 def make_triangulation(n, arcs):
     arcs = tuple(sorted(set(arcs), key=_arc_key))
     _, index, compat = _arc_table(n)
-    ids = [index[a] for a in arcs]
+    try:
+        ids = [index[a] for a in arcs]
+    except KeyError as e:
+        raise NotInDomain(f"{e.args[0]} is not an admissible arc for n = {n}") from None
     for p, x in enumerate(ids):
         for y in ids[p + 1:]:
             if not compat[x] >> y & 1:
@@ -358,7 +361,6 @@ def triangles(x):
     arcs (boundary edges omitted, so self-folded pieces show two arcs)."""
     n = x.n
     proj = sorted(a.j for a in x.arcs if a.is_projective)
-    inner = [a for a in x.arcs if not a.is_projective]
     tris = []
     r = len(proj)
     for idx, j in enumerate(proj):
@@ -371,15 +373,9 @@ def triangles(x):
         else:
             tris.append(tuple(center))
         # polygon part of the fan: inner arcs under the chord
-        fan = [a for a in inner if _in_fan(a, j, gap, n)]
-        tris.extend(_polygon_triangles(fan, j, gap, n))
+        tris.extend(_polygon_triangles(fan_arcs(x, j, jplus), j, gap, n))
     assert len(tris) == n, (x, tris)
     return tris
-
-
-def _in_fan(a, base, width, n):
-    off = (a.i - base) % n
-    return off + a.length(n) <= width
 
 
 def _polygon_triangles(fan, base, width, n):

@@ -35,15 +35,6 @@ def check_valid(alg, m):
     return m
 
 
-def basic_module(summands):
-    """Canonical form of a basic module: summands sorted, no repeats."""
-    summands = tuple(summands)
-    out = tuple(sorted(set(summands)))
-    if len(out) != len(summands):
-        raise InvalidModule("repeated summand in a basic module")
-    return out
-
-
 def comp_factors(alg, m):
     """Composition factors from top to socle (list of vertices)."""
     cache = alg.__dict__.setdefault("_factors", {})
@@ -147,10 +138,6 @@ def support(alg, module):
     return out
 
 
-def support_count(alg, module):
-    return len(support(alg, module))
-
-
 def all_indecs(alg):
     """All indecomposables, ordered by (top, length)."""
     return [
@@ -162,16 +149,3 @@ def all_indecs(alg):
 
 def all_tau_rigid_indecs(alg):
     return [m for m in all_indecs(alg) if is_tau_rigid_indec(alg, m)]
-
-
-def hom_dim_oracle(alg, m, n):
-    """Independent Hom-dimension count used by the tests: the number of t
-    for which the top-t factor list of m equals the bottom-t factor list
-    of n (maps between uniserials are exactly these overlaps)."""
-    fm = comp_factors(alg, m)
-    fn = comp_factors(alg, n)
-    count = 0
-    for t in range(1, min(len(fm), len(fn)) + 1):
-        if fm[:t] == fn[len(fn) - t:]:
-            count += 1
-    return count

@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 
 from . import modcat, tautilt
 from .algebra import components, projective_injectives, reject, socle_vertex_of_projective
-from .errors import InvalidPoset, NotProjectiveInjective
+from .errors import InvalidPoset, InvariantViolation, NotProjectiveInjective
 from .modcat import Indec
 from .tautilt import SttPair
 
@@ -170,25 +170,15 @@ def mutations(alg, pair, universe=None):
     and killed vertices) and take the unique other completion."""
     if universe is None:
         universe = tautilt.enumerate_stt(alg)
+    # summands (Indec tuples) and killed vertices (labels) never collide
+    slot_sets = [set(q.module).union(q.killed) for q in universe]
+    mine = set(pair.module).union(pair.killed)
     out = []
-    module, killed = set(pair.module), set(pair.killed)
-    for s in pair.module:
-        keep = module - {s}
-        found = [
-            q
-            for q in universe
-            if keep <= set(q.module) and killed <= set(q.killed) and q != pair
-        ]
-        assert len(found) == 1, (pair, s, found)
-        out.append(found[0])
-    for v in pair.killed:
-        keep = killed - {v}
-        found = [
-            q
-            for q in universe
-            if module <= set(q.module) and keep <= set(q.killed) and q != pair
-        ]
-        assert len(found) == 1, (pair, v, found)
+    for slot in pair.module + pair.killed:
+        keep = mine - {slot}
+        found = [q for q, slots in zip(universe, slot_sets) if keep <= slots and q != pair]
+        if len(found) != 1:
+            raise InvariantViolation(f"{pair} has {len(found)} other completions without {slot}")
         out.append(found[0])
     return sorted(out, key=lambda p: p.module)
 
@@ -249,7 +239,7 @@ def double_hasse(quiver, chosen):
 # -- rejection ---------------------------------------------------------------
 
 
-def classify_quotient_pairs(alg, j, quotient_pairs=None):
+def classify_quotient_pairs(alg, j, quotient_pairs):
     """Split the support tau-tilting pairs of alg/soc P_j into the three
     rejection classes.
 
@@ -261,8 +251,6 @@ def classify_quotient_pairs(alg, j, quotient_pairs=None):
     if j not in projective_injectives(alg):
         raise NotProjectiveInjective(f"P_{j} is not injective")
     quotient_alg = reject(alg, j)
-    if quotient_pairs is None:
-        quotient_pairs = tautilt.enumerate_stt(quotient_alg)
     socv = socle_vertex_of_projective(alg, j)
     radical = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
     n1, n2, n3 = [], [], []
@@ -279,29 +267,28 @@ def classify_quotient_pairs(alg, j, quotient_pairs=None):
 
 
 def lift_through_rejection(alg, j, quotient_pairs):
-    """All support tau-tilting pairs of alg from those of alg/soc P_j.
+    """One rejection step: the support tau-tilting pairs of alg from those
+    of alg/soc P_j.
 
-    Classes 1 and 2 lift unchanged (killed set recomputed over alg); class
-    2 additionally lifts with Q adjoined; class 3 lifts with the radical
-    summand replaced by Q.  Every lift is revalidated.
+    With Q = P_j and R its radical, classes 1 and 2 lift unchanged (killed
+    set recomputed over alg) and class 3 lifts with R replaced by Q; class
+    2 lifts a second time with Q adjoined.  Returns (n2, lifts): the class
+    2 indices, and the lifts in double_hasse vertex order, one per quotient
+    pair and then one per class 2 pair.  Every lift is revalidated.
     """
-    n1, n2, n3 = classify_quotient_pairs(alg, j, quotient_pairs)
-    q = Indec(j, alg.loewy[j])
-    radical = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
-    lifts = []
-    for idx in n1 + n2:
-        lifts.append(_relift(alg, quotient_pairs[idx].module))
-    for idx in n2:
-        lifts.append(_relift(alg, quotient_pairs[idx].module + (q,)))
+    _, n2, n3 = classify_quotient_pairs(alg, j, quotient_pairs)
+    q, radical = Indec(j, alg.loewy[j]), Indec(j, alg.loewy[j] - 1)
+    modules = [pair.module for pair in quotient_pairs]
     for idx in n3:
-        module = tuple(m for m in quotient_pairs[idx].module if m != radical)
-        lifts.append(_relift(alg, module + (q,)))
-    return sorted(lifts, key=lambda p: p.module)
+        modules[idx] = tuple(m for m in modules[idx] if m != radical) + (q,)
+    modules += [quotient_pairs[idx].module + (q,) for idx in n2]
+    return n2, [_relift(alg, module) for module in modules]
 
 
 def _relift(alg, module):
     pair = tautilt.is_support_tau_tilting(alg, module)
-    assert pair is not None, module
+    if pair is None:
+        raise InvariantViolation(f"lift {module} is not support tau-tilting")
     return pair
 
 
@@ -351,9 +338,6 @@ def hasse_by_rejection(alg, picks=None):
     """
     picks = list(picks) if picks is not None else []
 
-    def advance():
-        return picks.pop(0) if picks else None
-
     def build(alg):
         if alg.is_zero():
             return HasseQuiver((SttPair((), ()),), ())
@@ -361,26 +345,10 @@ def hasse_by_rejection(alg, picks=None):
         if len(comps) > 1:
             picks.clear()
             return _product_hasse([build(c) for c in comps])
-        forced = advance()
-        j = forced if forced is not None else min(projective_injectives(alg))
+        j = picks.pop(0) if picks else min(projective_injectives(alg))
         sub = build(reject(alg, j))
-        quotient_pairs = list(sub.vertices)
-        n1, n2, n3 = classify_quotient_pairs(alg, j, quotient_pairs)
-        doubled = double_hasse(sub, set(n2))
-        q = Indec(j, alg.loewy[j])
-        radical = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
-        index_of = {pair: idx for idx, pair in enumerate(quotient_pairs)}
-        n3set = set(n3)
-        relabeled = []
-        for v in doubled.vertices:
-            if isinstance(v, Plus):
-                relabeled.append(_relift(alg, v.base.module + (q,)))
-            elif index_of[v] in n3set:
-                module = tuple(m for m in v.module if m != radical)
-                relabeled.append(_relift(alg, module + (q,)))
-            else:
-                relabeled.append(_relift(alg, v.module))
-        return _canonical(HasseQuiver(tuple(relabeled), doubled.arrows))
+        n2, lifts = lift_through_rejection(alg, j, sub.vertices)
+        return _canonical(HasseQuiver(tuple(lifts), double_hasse(sub, set(n2)).arrows))
 
     return build(alg)
 

@@ -51,7 +51,8 @@ def make_pair(alg, module):
 def is_support_tau_tilting(alg, module):
     """The pair if the module is support tau-tilting, else None.
 
-    Criterion: pairwise tau-rigid and number of summands = support size.
+    Criterion: pairwise tau-rigid and number of summands = support size,
+    i.e. summands and killed vertices together fill the vertex set.
     """
     module = tuple(sorted(set(module)))
     for s in module:
@@ -60,9 +61,8 @@ def is_support_tau_tilting(alg, module):
         for y in module[i:]:
             if not modcat.pair_tau_rigid(alg, x, y):
                 return None
-    if len(module) != modcat.support_count(alg, module):
-        return None
-    return make_pair(alg, module)
+    pair = make_pair(alg, module)
+    return pair if len(module) + len(pair.killed) == alg.n else None
 
 
 def _enumerate_component(alg):

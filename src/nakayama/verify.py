@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from . import geometry, poset, sequences, tautilt
-from .algebra import NakayamaAlgebra, make_cyclic, make_linear, rejection_chain
+from .algebra import cyclic_algebra, make_cyclic, make_linear, rejection_chain
 
 
 def valid_cyclic_series(n, max_entry):
@@ -23,12 +23,6 @@ def valid_linear_series(n, max_entry):
     for ks in itertools.product(range(1, max_entry + 1), repeat=n):
         if ks[0] == 1 and all(ks[j] <= ks[j - 1] + 1 for j in range(1, n)):
             yield ks
-
-
-def cyclic_algebra(series):
-    n = len(series)
-    nd = {j: (j - 1) if j > 1 else n for j in range(1, n + 1)}
-    return NakayamaAlgebra(range(1, n + 1), nd, dict(zip(range(1, n + 1), series)))
 
 
 def triple_bijection_holds(alg):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from module_oracles import projective_injectives_closed_form
 
 from nakayama.algebra import (
     ZERO,
@@ -11,7 +12,6 @@ from nakayama.algebra import (
     make_gamma,
     make_linear,
     projective_injectives,
-    projective_injectives_closed_form,
     quotient_by_idempotent,
     reject,
     rejection_chain,
@@ -191,3 +191,43 @@ def test_json_roundtrip():
 def test_json_literals():
     assert algebra_from_json({"kind": "cyclic", "kupisch": [3, 3, 3]}) == make_cyclic(3, 3)
     assert algebra_from_json({"kind": "linear", "kupisch": [1, 2, 3]}) == make_linear([1, 2, 3])
+
+
+def test_cyclic_constructor_is_shared():
+    # the JSON literal, the CLI flags and the verify re-export all build
+    # cyclic algebras through algebra.cyclic_algebra
+    from nakayama import algebra, verify
+    from nakayama.cli import _algebra_from_args, build_parser
+
+    assert verify.cyclic_algebra is algebra.cyclic_algebra
+    for ks in valid_cyclic_series(3, 4):
+        alg = cyclic_algebra(ks)
+        assert alg.next_down == {1: 3, 2: 1, 3: 2}
+        assert alg.loewy == dict(zip((1, 2, 3), ks))
+        assert algebra_from_json({"kind": "cyclic", "kupisch": list(ks)}) == alg
+        argv = ["count", "--cyclic", "3", "--kupisch", ",".join(map(str, ks))]
+        assert _algebra_from_args(build_parser().parse_args(argv)) == alg
+    assert make_cyclic(4, 3) == cyclic_algebra([3, 3, 3, 3])
+
+
+@pytest.mark.parametrize("n, r", [(0, 3), (3, 0), (-1, 2), (2, -1)])
+def test_make_cyclic_rejects_empty_or_nonpositive(n, r):
+    with pytest.raises(InvalidKupisch):
+        make_cyclic(n, r)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        '{"kind": "cyclic", "kupisch": []}',
+        '{"kind": "cyclic"}',
+        '{"kind": "linear", "kupisch": 3}',
+        '{"kind": "general", "vertices": [1], "next_down": {}, "loewy": {"x": 1}}',
+        '{"kind": "spiral"}',
+        "[1]",
+        "{bad",
+    ],
+)
+def test_malformed_algebra_literal_is_invalid_kupisch(literal):
+    with pytest.raises(InvalidKupisch):
+        algebra_from_json(literal)

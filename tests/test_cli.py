@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nakayama.cli import main
 
 
@@ -153,3 +155,31 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_flag_exit_code(capsys):
     assert main(["enumerate", "--bogus"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["enumerate", "--linear", "--kupisch", "1,x"], "'1,x'"),
+        (["hasse", "--cyclic", "3", "--r", "3", "--method", "rejection", "--picks", "x"], "'x'"),
+        (["translate", "--cyclic", "3", "--r", "3", "--from", "module", "--to", "seq",
+          "--payload", "{bad"], "malformed pair"),
+        (["translate", "--cyclic", "3", "--r", "3", "--from", "arcs", "--to", "seq",
+          "--payload", "<*,5> <*,2> <2,1>"], "<*,5>"),
+        (["triangulate", "--n", "3", "--bounds", "1"], "3 bounds"),
+        (["count", "--algebra-json", '{"kind":"cyclic"}'], "kupisch"),
+        (["count", "--algebra-json", "[1]"], "malformed algebra literal"),
+        (["count", "--algebra-json", '{"kind":"cyclic","kupisch":[]}'], "empty"),
+        (["count", "--cyclic", "5", "--kupisch", "3,3,3"], "3 Kupisch entries"),
+        (["hasse", "--cyclic", "3", "--r", "3", "--method", "direct", "--picks", "9"], "--picks"),
+        (["translate", "--cyclic", "3", "--r", "3", "--from", "seq", "--to", "module",
+          "--payload", "1,1"], "2 entries"),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv, fragment):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert fragment in lines[0]

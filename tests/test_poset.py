@@ -16,7 +16,7 @@ from nakayama.algebra import (
     reject,
     rejection_chain,
 )
-from nakayama.errors import InvalidPoset
+from nakayama.errors import InvalidPoset, InvariantViolation
 from nakayama.modcat import Indec
 from nakayama.poset import (
     HasseQuiver,
@@ -252,7 +252,7 @@ def test_invalid_poset_is_a_typed_error(elements, down, message):
 
 _OPTIMIZED_CHECK = """
 import sys
-from nakayama.errors import InvalidPoset
+from nakayama.errors import InvalidPoset, InvariantViolation
 from nakayama.poset import Poset
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -275,6 +275,69 @@ def test_poset_invariants_hold_under_optimize():
     )
 
 
+_OPTIMIZED_LIFT_CHECK = """
+import sys
+from nakayama import tautilt
+from nakayama.algebra import make_cyclic
+from nakayama.errors import InvariantViolation
+from nakayama.poset import hasse_by_rejection, mutations
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+alg = make_cyclic(2, 2)
+universe = tautilt.enumerate_stt(alg)
+try:
+    mutations(alg, universe[0], universe + universe)
+    sys.exit("accepted a slot with two other completions")
+except InvariantViolation:
+    pass
+tautilt.is_support_tau_tilting = lambda alg, module: None
+try:
+    hasse_by_rejection(alg)
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("a failed lift went into the quiver")
+"""
+
+
+def test_lift_and_mutation_invariants_hold_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_LIFT_CHECK],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    )
+
+
+def test_mutation_without_completion_raises():
+    pairs = enumerate_stt(L33)
+    with pytest.raises(InvariantViolation):
+        mutations(L33, pairs[0], pairs[:1])
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        make_cyclic(3, 4),
+        make_linear([1, 2, 2]),
+        quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}),
+    ],
+    ids=["cyclic(3,4)", "linear(1,2,2)", "linear(1..4)/{2}"],
+)
+def test_one_rejection_step_gives_the_direct_quiver(alg):
+    # the lifts, placed on the quotient's quiver doubled along class 2,
+    # are the Hasse quiver of the algebra label for label
+    from nakayama.algebra import projective_injectives
+
+    j = min(projective_injectives(alg))
+    sub = hasse_direct(reject(alg, j))
+    n2, lifts = lift_through_rejection(alg, j, sub.vertices)
+    doubled = double_hasse(sub, set(n2))
+    assert len(lifts) == len(doubled.vertices)
+    assert HasseQuiver(tuple(lifts), doubled.arrows).same_labelled_graph(hasse_direct(alg))
+
+
 def test_classify_semisimple_stage():
     # the 3-vertex stage with one arrow: rejecting its projective-injective
     # at the arrow source leaves the semisimple algebra, and exactly the
@@ -288,7 +351,7 @@ def test_classify_semisimple_stage():
         frozenset({Indec(3, 1)}),
         frozenset({Indec(1, 1), Indec(3, 1)}),
     }
-    lifted = lift_through_rejection(alg, 3, quotient_pairs)
+    _, lifted = lift_through_rejection(alg, 3, quotient_pairs)
     assert sorted(lifted, key=lambda p: p.module) == enumerate_stt(alg)
     # the adjoined copies: pairs containing the projective with its radical
     doubled = {p for p in lifted if {Indec(3, 2), Indec(3, 1)} <= set(p.module)}
@@ -313,7 +376,7 @@ def test_simple_rejection_doubles():
     quotient_pairs = enumerate_stt(ZERO)
     n1, n2, n3 = classify_quotient_pairs(alg, 1, quotient_pairs)
     assert (n1, n2, n3) == ([], [0], [])  # the empty pair is middle-class
-    lifted = lift_through_rejection(alg, 1, quotient_pairs)
+    _, lifted = lift_through_rejection(alg, 1, quotient_pairs)
     assert len(lifted) == 2 * len(quotient_pairs)
 
 
