@@ -301,9 +301,14 @@ def reject(alg, j):
 
 
 def components(alg):
-    """Connected components as standalone algebras, ordered by least label."""
+    """Connected components as standalone algebras, ordered by least label.
+    A connected algebra is its own component, so its per-algebra caches
+    are shared with it."""
+    comps = alg.component_vertices()
+    if len(comps) == 1:
+        return [alg]
     out = []
-    for comp in alg.component_vertices():
+    for comp in comps:
         cs = set(comp)
         nd = {j: k for j, k in alg.next_down.items() if j in cs and k in cs}
         out.append(NakayamaAlgebra(comp, nd, {v: alg.loewy[v] for v in comp}))

@@ -153,6 +153,8 @@ def cmd_translate(args, out):
 
 def cmd_triangulate(args, out):
     n = args.n
+    if n < 1:
+        raise NakayamaError(f"--n must be a positive integer, got {n}")
     if args.bounds:
         values = _int_list(args.bounds)
         if len(values) != n:

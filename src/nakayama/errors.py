@@ -63,5 +63,7 @@ class InvalidPoset(NakayamaError):
 
 class InvariantViolation(NakayamaError):
     """A result the theory guarantees did not come out: a rejection lift
-    that is not support tau-tilting, or a slot of a pair without exactly
-    one other completion."""
+    that is not support tau-tilting, a slot of a pair without exactly one
+    other completion, a tau-rigid set with more summands than its support,
+    or a source split that does not give one killed vertex and a
+    tau-tilting remainder."""

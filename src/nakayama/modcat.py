@@ -130,12 +130,84 @@ def in_fac(alg, x, module):
     return any(s.top == x.top and s.length >= x.length for s in module)
 
 
+def bits(mask):
+    """Positions of the set bits of a nonnegative mask, lowest first."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+class BitIndex(dict):
+    """Bit positions of the indecomposables of one algebra, filled lazily.
+
+    Maps each indecomposable to its bit position; a missing one gets the
+    next free position on lookup, after check_valid, so holding a position
+    means being valid.  supp[p] is its support as a mask over alg.vertices
+    (bit i for alg.vertices[i]).  Row p of the pair table is filled on its
+    own: tested[p] masks the positions q that p has been tested against
+    through pair_tau_rigid, compat[p] those where the pair is tau-rigid;
+    bit p of compat[p] is the indecomposable's own tau-rigidity.  Filling
+    row q later asks for the same pair again, and pair_tau_rigid's cache
+    answers it.
+    """
+
+    def __init__(self, alg):
+        super().__init__()
+        self.alg = alg
+        self.vertex_bit = {v: 1 << i for i, v in enumerate(alg.vertices)}
+        self.indecs = []
+        self.supp = []
+        self.tested = []
+        self.compat = []
+        self._vertex_tuples = {}
+
+    def __missing__(self, m):
+        supp = 0
+        for v in comp_factors(self.alg, m):
+            supp |= self.vertex_bit[v]
+        p = self[m] = len(self.indecs)
+        self.indecs.append(m)
+        self.supp.append(supp)
+        self.tested.append(0)
+        self.compat.append(0)
+        return p
+
+    def test(self, p, mask):
+        """Fill row p for the positions of mask it has not been tested
+        against yet."""
+        todo = mask & ~self.tested[p]
+        self.tested[p] |= todo
+        x, indecs = self.indecs[p], self.indecs
+        for q in bits(todo):
+            if pair_tau_rigid(self.alg, x, indecs[q]):
+                self.compat[p] |= 1 << q
+
+    def vertices(self, mask):
+        """The vertices whose bits are set in mask, in order."""
+        out = self._vertex_tuples.get(mask)
+        if out is None:
+            out = tuple(v for v, bit in self.vertex_bit.items() if mask & bit)
+            self._vertex_tuples[mask] = out
+        return out
+
+
+def bit_index(alg):
+    """The algebra's BitIndex, created empty on first use."""
+    index = alg.__dict__.get("_bit_index")
+    if index is None:
+        index = alg.__dict__["_bit_index"] = BitIndex(alg)
+    return index
+
+
 def support(alg, module):
     """Set of vertices occurring as composition factors."""
-    out = set()
+    index = bit_index(alg)
+    mask = 0
     for s in module:
-        out.update(comp_factors(alg, s))
-    return out
+        mask |= index.supp[index[s]]
+    return set(index.vertices(mask))
 
 
 def all_indecs(alg):

@@ -14,23 +14,14 @@ from typing import Any, NamedTuple
 
 from . import modcat, tautilt
 from .algebra import components, projective_injectives, reject, socle_vertex_of_projective
-from .errors import InvalidPoset, InvariantViolation, NotProjectiveInjective
-from .modcat import Indec
+from .errors import InvalidPoset, InvariantViolation
+from .modcat import Indec, bits
 from .tautilt import SttPair
 
 
 def geq(alg, m, n):
     """Whether m >= n, i.e. every summand of n is a factor of m."""
     return all(modcat.in_fac(alg, s, m.module) for s in n.module)
-
-
-def _bits(mask):
-    """Indices of the set bits of a nonnegative mask, lowest first."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 class Plus(NamedTuple):
@@ -69,7 +60,7 @@ class Poset:
         covers = []
         for i, below in enumerate(strict):
             not_covered = 0
-            for j in _bits(below):
+            for j in bits(below):
                 not_covered |= strict[j]
             if not_covered & ~self.down[i]:
                 raise InvalidPoset(f"not transitive below {elements[i]!r}")
@@ -90,7 +81,7 @@ class Poset:
 
     def hasse(self):
         """Covering relations as a HasseQuiver (arrows point downward)."""
-        arrows = [(i, j) for i, mask in enumerate(self._covers) for j in _bits(mask)]
+        arrows = [(i, j) for i, mask in enumerate(self._covers) for j in bits(mask)]
         return HasseQuiver(tuple(self.elements), tuple(arrows))
 
 
@@ -247,10 +238,11 @@ def classify_quotient_pairs(alg, j, quotient_pairs):
     avoids the socle vertex of Q among its composition factors (so Hom into
     Q vanishes); class 3 is the rest.  When Q is simple everything is
     class 2.  Returns three lists of indices into quotient_pairs.
+
+    j must be projective-injective, as reject(alg, j) checks.  A module of
+    the quotient has the same composition factors over alg, so supports
+    are read over alg.
     """
-    if j not in projective_injectives(alg):
-        raise NotProjectiveInjective(f"P_{j} is not injective")
-    quotient_alg = reject(alg, j)
     socv = socle_vertex_of_projective(alg, j)
     radical = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
     n1, n2, n3 = [], [], []
@@ -259,7 +251,7 @@ def classify_quotient_pairs(alg, j, quotient_pairs):
             n2.append(idx)
         elif radical not in pair.module:
             n1.append(idx)
-        elif socv not in modcat.support(quotient_alg, pair.module):
+        elif socv not in modcat.support(alg, pair.module):
             n2.append(idx)
         else:
             n3.append(idx)

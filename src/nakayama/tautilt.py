@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import modcat
 from .algebra import components, quotient_by_idempotent
-from .errors import NotCyclicConnected, NotInDomain, NotLinear, NotTauTilting
+from .errors import InvariantViolation, NotCyclicConnected, NotInDomain, NotLinear, NotTauTilting
 from .modcat import Indec
 
 
@@ -52,46 +52,56 @@ def is_support_tau_tilting(alg, module):
     """The pair if the module is support tau-tilting, else None.
 
     Criterion: pairwise tau-rigid and number of summands = support size,
-    i.e. summands and killed vertices together fill the vertex set.
+    i.e. summands and killed vertices together fill the vertex set.  Every
+    summand is checked to be a module of alg before anything else; only
+    pairs the algebra's BitIndex has not tested yet go to pair_tau_rigid.
     """
     module = tuple(sorted(set(module)))
-    for s in module:
-        modcat.check_valid(alg, s)
-    for i, x in enumerate(module):
-        for y in module[i:]:
-            if not modcat.pair_tau_rigid(alg, x, y):
+    index = modcat.bit_index(alg)
+    positions = [index[s] for s in module]
+    tested, compat, supp_of = index.tested, index.compat, index.supp
+    mask = supp = 0
+    for p in positions:
+        mask |= 1 << p
+        supp |= supp_of[p]
+    if supp.bit_count() != len(module):
+        return None
+    for p in positions:
+        if mask & ~compat[p]:
+            if mask & ~tested[p]:
+                index.test(p, mask)
+            if mask & ~compat[p]:
                 return None
-    pair = make_pair(alg, module)
-    return pair if len(module) + len(pair.killed) == alg.n else None
+    return SttPair(module, index.vertices(~supp))
 
 
 def _enumerate_component(alg):
     """All support tau-tilting modules of a connected algebra, as summand
     tuples (killed sets are recomputed by the caller)."""
-    rigid = modcat.all_tau_rigid_indecs(alg)
-    k = len(rigid)
-    compat = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if modcat.pair_tau_rigid(alg, rigid[i], rigid[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    factors = [modcat.comp_factors(alg, m) for m in rigid]
+    index = modcat.bit_index(alg)
+    rigid = 0
+    for m in modcat.all_tau_rigid_indecs(alg):
+        rigid |= 1 << index[m]
+    for p in modcat.bits(rigid):
+        index.test(p, rigid)
+    indecs, supp_of, compat = index.indecs, index.supp, index.compat
     found = []
 
     def extend(chosen, supp, candidates):
-        assert len(chosen) <= len(supp)  # tau-rigid sets never exceed their support
-        if len(chosen) == len(supp):
+        size = supp.bit_count()
+        if len(chosen) > size:
+            raise InvariantViolation(f"tau-rigid {chosen} has more summands than its support")
+        if len(chosen) == size:
             found.append(tuple(chosen))
         cs = candidates
         while cs:
             i = (cs & -cs).bit_length() - 1
             cs &= cs - 1
-            chosen.append(rigid[i])
-            extend(chosen, supp | set(factors[i]), cs & compat[i])
+            chosen.append(indecs[i])
+            extend(chosen, supp | supp_of[i], cs & compat[i])
             chosen.pop()
 
-    extend([], set(), (1 << k) - 1)
+    extend([], 0, rigid)
     return found
 
 
@@ -180,19 +190,23 @@ def split_at_source(alg, pair):
     if alg.is_zero() or not alg.is_connected():
         raise NotLinear("algebra must be connected")
     s = alg.source_vertex()
-    if pair.killed or len(pair.module) != alg.n:
+    checked = is_support_tau_tilting(alg, pair.module)
+    if pair.killed or checked is None or checked.killed:
         raise NotTauTilting("pair is not tau-tilting")
     ps = Indec(s, alg.loewy[s])
-    if ps not in pair.module:
+    if ps not in checked.module:
         raise NotTauTilting("tau-tilting module must contain the source projective")
-    rest = tuple(m for m in pair.module if m != ps)
+    rest = tuple(m for m in checked.module if m != ps)
     quotient_killed = [v for v in alg.vertices if v not in modcat.support(alg, rest)]
-    assert len(quotient_killed) == 1
+    if len(quotient_killed) != 1:
+        raise InvariantViolation(f"{rest} misses {len(quotient_killed)} vertices, not one")
     v = quotient_killed[0]
-    assert v in modcat.comp_factors(alg, ps)
+    if v not in modcat.comp_factors(alg, ps):
+        raise InvariantViolation(f"killed vertex {v} is out of reach of {ps}")
     sub = quotient_by_idempotent(alg, {v})
     out = is_support_tau_tilting(sub, rest)
-    assert out is not None and not out.killed
+    if out is None or out.killed:
+        raise InvariantViolation(f"{rest} is not tau-tilting over the quotient at {v}")
     return v, out
 
 

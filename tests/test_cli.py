@@ -174,6 +174,8 @@ def test_unknown_flag_exit_code(capsys):
         (["hasse", "--cyclic", "3", "--r", "3", "--method", "direct", "--picks", "9"], "--picks"),
         (["translate", "--cyclic", "3", "--r", "3", "--from", "seq", "--to", "module",
           "--payload", "1,1"], "2 entries"),
+        (["triangulate", "--n", "0"], "positive"),
+        (["triangulate", "--n", "-2"], "positive"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, fragment):

@@ -2,21 +2,25 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from poset_oracles import fac_order, transitive_reduction
 
+from nakayama import poset
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
+    components,
     make_cyclic,
     make_linear,
+    projective_injectives,
     quotient_by_idempotent,
     reject,
     rejection_chain,
 )
-from nakayama.errors import InvalidPoset, InvariantViolation
+from nakayama.errors import InvalidPoset, InvariantViolation, NotProjectiveInjective
 from nakayama.modcat import Indec
 from nakayama.poset import (
     HasseQuiver,
@@ -328,8 +332,6 @@ def test_mutation_without_completion_raises():
 def test_one_rejection_step_gives_the_direct_quiver(alg):
     # the lifts, placed on the quotient's quiver doubled along class 2,
     # are the Hasse quiver of the algebra label for label
-    from nakayama.algebra import projective_injectives
-
     j = min(projective_injectives(alg))
     sub = hasse_direct(reject(alg, j))
     n2, lifts = lift_through_rejection(alg, j, sub.vertices)
@@ -381,13 +383,37 @@ def test_simple_rejection_doubles():
 
 
 def test_lift_count_formula():
-    from nakayama.algebra import projective_injectives
-
     for alg in [make_cyclic(3, 3), make_cyclic(3, 4), make_linear([1, 2, 2])]:
         j = min(projective_injectives(alg))
         quotient_pairs = enumerate_stt(reject(alg, j))
         n1, n2, n3 = classify_quotient_pairs(alg, j, quotient_pairs)
         assert len(enumerate_stt(alg)) == len(quotient_pairs) + len(n2)
+
+
+def test_rejection_rejects_once_per_stage(monkeypatch):
+    alg = make_cyclic(5, 5)
+
+    def stages(a):
+        if a.is_zero():
+            return 0
+        comps = components(a)
+        if len(comps) > 1:
+            return sum(stages(c) for c in comps)
+        return 1 + stages(reject(a, min(projective_injectives(a))))
+
+    expected = stages(alg)
+    calls = Counter()
+    for name in ("reject", "projective_injectives"):
+        def counted(*args, _name=name, _fn=getattr(poset, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(poset, name, counted)
+    assert len(hasse_by_rejection(alg).vertices) == 252
+    assert calls == {"reject": expected, "projective_injectives": expected}
+    # P_1 of cyclic(5,5) is no longer injective once its socle is rejected
+    with pytest.raises(NotProjectiveInjective):
+        hasse_by_rejection(alg, picks=[1, 1])
 
 
 def test_rejection_equals_direct_small_grid():
@@ -429,8 +455,6 @@ def test_rejection_matches_direct_at_seven():
 
 
 def test_rejection_result_is_pick_independent():
-    from nakayama.algebra import projective_injectives
-
     def largest_picks(alg):
         # reject at the largest projective-injective while the algebra
         # stays connected
@@ -475,8 +499,6 @@ def test_isomorphism_negative_and_self():
 def test_forbidden_class_transitions():
     # with Q the rejected projective and R its radical, the strict order
     # never climbs from the plain classes into the Q-classes
-    from nakayama.algebra import projective_injectives
-
     algs = [make_cyclic(n, r) for n in range(1, 5) for r in range(1, 5)]
     algs += [make_linear(list(ks)) for ks in valid_linear_series(3, 4)]
     for alg in algs:

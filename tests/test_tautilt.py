@@ -1,8 +1,26 @@
-import pytest
+import itertools
 
-from nakayama.algebra import ZERO, make_cyclic, make_gamma, make_linear
-from nakayama.errors import NotCyclicConnected, NotInDomain, NotTauTilting
-from nakayama.modcat import Indec, all_tau_rigid_indecs, pair_tau_rigid
+import pytest
+from module_oracles import is_support_tau_tilting_oracle, support_oracle
+
+from nakayama import modcat, tautilt
+from nakayama.algebra import (
+    ZERO,
+    NakayamaAlgebra,
+    cyclic_algebra,
+    make_cyclic,
+    make_gamma,
+    make_linear,
+    quotient_by_idempotent,
+)
+from nakayama.errors import (
+    InvalidModule,
+    InvariantViolation,
+    NotCyclicConnected,
+    NotInDomain,
+    NotTauTilting,
+)
+from nakayama.modcat import Indec, all_indecs, all_tau_rigid_indecs, pair_tau_rigid, support
 from nakayama.tautilt import (
     SttPair,
     drop_to_proper_part,
@@ -17,6 +35,7 @@ from nakayama.tautilt import (
     split_at_source,
     unsplit_at_source,
 )
+from nakayama.verify import valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
 
@@ -256,3 +275,87 @@ def test_lift_requires_proper_nonprojective():
 def test_pair_json_roundtrip():
     for pair in enumerate_stt(L33):
         assert SttPair.from_json(pair.to_json()) == pair
+
+
+# -- the bit index against the pairwise, set-based oracles --------------------
+
+INDEX_ALGEBRAS = (
+    [cyclic_algebra(list(ks)) for ks in valid_cyclic_series(3, 4)]
+    + [make_linear(list(ks)) for ks in valid_linear_series(4, 4)]
+    + [quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})]
+)
+
+
+def _fresh(alg):
+    """An equal algebra with cold caches."""
+    return NakayamaAlgebra(alg.vertices, alg.next_down, alg.loewy)
+
+
+@pytest.mark.parametrize("alg", INDEX_ALGEBRAS, ids=repr)
+def test_bit_index_matches_pairwise_oracle(alg):
+    # every multiset of at most n + 1 indecomposables, rigid or not: on a
+    # cold algebra per call, after enumerate_stt, and on an index that
+    # fills up call by call
+    after_enumeration, filling = _fresh(alg), _fresh(alg)
+    enumerate_stt(after_enumeration)
+    indecs = all_indecs(alg)
+    for size in range(alg.n + 2):
+        for module in itertools.combinations_with_replacement(indecs, size):
+            expected = is_support_tau_tilting_oracle(alg, module)
+            assert is_support_tau_tilting(_fresh(alg), module) == expected
+            assert is_support_tau_tilting(after_enumeration, module[::-1]) == expected
+            assert is_support_tau_tilting(filling, module) == expected
+            assert support(filling, module) == support_oracle(alg, module)
+
+
+def test_invalid_summand_wins_over_non_rigid_pair():
+    # (1,1) + (2,1) is not tau-rigid; the invalid summand is reported
+    # wherever it sorts, on a cold index and on one that has seen the pair
+    for warm in (False, True):
+        alg = make_cyclic(3, 3)
+        if warm:
+            assert is_support_tau_tilting(alg, [Indec(1, 1), Indec(2, 1)]) is None
+        for bad in (Indec(0, 1), Indec(1, 4), Indec(9, 1)):
+            module = [Indec(1, 1), Indec(2, 1), bad]
+            with pytest.raises(InvalidModule):
+                is_support_tau_tilting(alg, module)
+            with pytest.raises(InvalidModule):
+                is_support_tau_tilting_oracle(alg, module)
+
+
+# -- guards that must hold under python -O ------------------------------------
+
+
+def test_rigid_set_larger_than_its_support_raises(monkeypatch):
+    # with every pair declared rigid, the DFS meets (1,1) + (1,2) + (1,3)
+    # + (2,1): four summands on three vertices
+    monkeypatch.setattr(modcat, "pair_tau_rigid", lambda alg, x, y: True)
+    with pytest.raises(InvariantViolation):
+        enumerate_stt(make_cyclic(3, 3))
+
+
+def test_split_at_source_guards_raise(monkeypatch):
+    g = make_gamma(3, 2)  # source 3, source projective 3/2
+    m = enumerate_tau_tilt(g)[0]
+    with monkeypatch.context() as mp:
+        mp.setattr(modcat, "support", lambda alg, module: set())
+        with pytest.raises(InvariantViolation, match="misses 3 vertices"):
+            split_at_source(g, m)
+    with monkeypatch.context() as mp:
+        mp.setattr(modcat, "support", lambda alg, module: {2, 3})
+        with pytest.raises(InvariantViolation, match="out of reach"):
+            split_at_source(g, m)
+    real = tautilt.is_support_tau_tilting
+    with monkeypatch.context() as mp:
+        mp.setattr(tautilt, "is_support_tau_tilting",
+                   lambda alg, module: real(alg, module) if alg.n == 3 else None)
+        with pytest.raises(InvariantViolation, match="over the quotient"):
+            split_at_source(g, m)
+
+
+def test_split_at_source_validates_the_pair():
+    # n summands with an empty killed set, but not tau-rigid
+    g = make_gamma(3, 2)
+    fake = SttPair((Indec(1, 1), Indec(2, 1), Indec(3, 2)), ())
+    with pytest.raises(NotTauTilting):
+        split_at_source(g, fake)
