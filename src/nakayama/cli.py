@@ -8,6 +8,7 @@ exit codes: 0 success, 1 verification mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -200,7 +201,14 @@ def cmd_verify(args, out):
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser():
+    """The process's shared argument parser, built on first use.
+
+    Every call returns the same parser, so callers must not change it.
+    Reusing it is safe: parse_args fills a fresh Namespace on each call,
+    and no flag has a mutable default.
+    """
     p = argparse.ArgumentParser(prog="nakayama")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -65,5 +65,8 @@ class InvariantViolation(NakayamaError):
     """A result the theory guarantees did not come out: a rejection lift
     that is not support tau-tilting, a slot of a pair without exactly one
     other completion, a tau-rigid set with more summands than its support,
-    or a source split that does not give one killed vertex and a
-    tau-tilting remainder."""
+    a source split that does not give one killed vertex and a tau-tilting
+    remainder, a flip without exactly one replacement arc, a triangle
+    decomposition that does not close up, a signed-triangulation image
+    with the wrong killed set, a sequence profile without its drop
+    position, or a module path that leaves the quiver."""

@@ -17,6 +17,7 @@ from . import modcat, tautilt
 from .errors import (
     ArcNotPresent,
     ArcTooLong,
+    InvariantViolation,
     LoewyTooSmall,
     NotInDomain,
     NotTauRigid,
@@ -37,7 +38,8 @@ class Arc(NamedTuple):
 
     def length(self, n):
         """Length of an inner arc: t in [2, n] with j = i + t around."""
-        assert self.i is not None
+        if self.i is None:
+            raise NotInDomain(f"projective arc {self} has no length")
         return (self.j - self.i - 1) % n + 1
 
     def __str__(self):
@@ -170,7 +172,7 @@ def enumerate_triangulations(n, max_len=None):
     length at most max_len[j] when bounds are given.
 
     DFS over canonically ordered arcs with bitmask compatibility pruning;
-    every compatible n-set is maximal, which is asserted via the projective
+    every compatible n-set is maximal, which is checked through the projective
     arc requirement in make_triangulation.
     """
     full_arcs, _, full_compat = _arc_table(n)
@@ -301,14 +303,18 @@ def signed_to_stt(alg, sx):
             continue
         module.append(arc_to_indec(alg, a))
     pair = tautilt.is_support_tau_tilting(alg, module)
-    assert pair is not None
+    if pair is None:
+        raise InvariantViolation(f"image of {sx} is not support tau-tilting")
     if sx.sign < 0:
         expected = tuple(
             sorted(a.j % n + 1 for a in sx.triangulation.arcs if a.is_projective)
         )
-        assert pair.killed == expected
     else:
-        assert pair.killed == ()
+        expected = ()
+    if pair.killed != expected:
+        raise InvariantViolation(
+            f"image of {sx} kills {pair.killed}, expected {expected}"
+        )
     return pair
 
 
@@ -347,7 +353,10 @@ def flip(sx, arc):
         and b not in rest
         and all(compatible(b, a, n) for a in rest)
     ]
-    assert len(replacements) == 1, (arc, x, replacements)
+    if len(replacements) != 1:
+        raise InvariantViolation(
+            f"flipping {arc} in {x} has replacements {[str(b) for b in replacements]}"
+        )
     return SignedTriangulation(
         make_triangulation(n, rest + replacements), sx.sign
     )
@@ -374,7 +383,8 @@ def triangles(x):
             tris.append(tuple(center))
         # polygon part of the fan: inner arcs under the chord
         tris.extend(_polygon_triangles(fan_arcs(x, j, jplus), j, gap, n))
-    assert len(tris) == n, (x, tris)
+    if len(tris) != n:
+        raise InvariantViolation(f"{x} splits into {len(tris)} triangles, not {n}")
     return tris
 
 
@@ -388,7 +398,8 @@ def _polygon_triangles(fan, base, width, n):
     for a in fan:
         off = (a.i - base) % n
         sides[(off, off + a.length(n))] = a
-    assert (0, width) in sides
+    if (0, width) not in sides:
+        raise InvariantViolation(f"fan over {base} of span {width} has no chord")
     for off in range(width):
         sides.setdefault((off, off + 1), None)
     tris = []
@@ -397,7 +408,10 @@ def _polygon_triangles(fan, base, width, n):
             continue
         # split corner: the unique mid with both (lo,mid),(mid,hi) present
         mids = [m for m in range(lo + 1, hi) if (lo, m) in sides and (m, hi) in sides]
-        assert len(mids) == 1, (fan, lo, hi, mids)
+        if len(mids) != 1:
+            raise InvariantViolation(
+                f"fan over {base}: side {(lo, hi)} has split corners {mids}"
+            )
         m = mids[0]
         arcs = [sides[s] for s in ((lo, m), (m, hi), (lo, hi)) if sides[s] is not None]
         tris.append(tuple(arcs))

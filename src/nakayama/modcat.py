@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidModule
+from .errors import InvalidModule, InvariantViolation
 
 
 class Indec(NamedTuple):
@@ -54,7 +54,8 @@ def comp_factors(alg, m):
 def socle_vertex(alg, m):
     check_valid(alg, m)
     v = alg.walk_down(m.top, m.length - 1)
-    assert v is not None
+    if v is None:
+        raise InvariantViolation(f"{m} runs off the quiver before its socle")
     return v
 
 
@@ -75,25 +76,28 @@ def hom_nonzero(alg, m, n):
     """Whether Hom(m, n) != 0.
 
     Uniserial overlap witness: some length-t top quotient of m coincides
-    with the length-t submodule of n, i.e. the t-th factor of n from the
-    socle equals top(m).  Works uniformly on cyclic and linear components;
-    across components it is vacuously false.
+    with the length-t submodule of n, i.e. top(m) is among the len(m)
+    factors of n nearest its socle.  Works uniformly on cyclic and linear
+    components; across components it is vacuously false.
     """
     check_valid(alg, m)
-    fn = comp_factors(alg, n)
-    k = len(fn)
-    return any(fn[k - t] == m.top for t in range(1, min(m.length, k) + 1))
+    return m.top in comp_factors(alg, n)[-m.length:]
 
 
 def is_tau_rigid_indec(alg, m):
     """Projectives and everything on a linear component are tau-rigid; on a
     cyclic component only lengths below the cycle size are."""
     check_valid(alg, m)
-    if is_projective(alg, m):
-        return True
-    if not alg.component_is_cyclic(m.top):
-        return True
-    return m.length < alg.component_size(m.top)
+    return _rigid(alg, m)
+
+
+def _rigid(alg, m):
+    """is_tau_rigid_indec for a module already checked."""
+    return (
+        m.length == alg.loewy[m.top]
+        or not alg.component_is_cyclic(m.top)
+        or m.length < alg.component_size(m.top)
+    )
 
 
 def pair_tau_rigid(alg, x, y):
@@ -109,15 +113,22 @@ def pair_tau_rigid(alg, x, y):
 
 
 def _pair_tau_rigid(alg, x, y):
-    if not (is_tau_rigid_indec(alg, x) and is_tau_rigid_indec(alg, y)):
+    check_valid(alg, x)
+    check_valid(alg, y)
+    return (
+        _rigid(alg, x)
+        and _rigid(alg, y)
+        and not _hom_into_tau(alg, x, y)
+        and not _hom_into_tau(alg, y, x)
+    )
+
+
+def _hom_into_tau(alg, x, y):
+    """Whether Hom(x, tau y) != 0 for checked x and y; tau y has the
+    length of y and the top one step down, and is a module of alg."""
+    if y.length == alg.loewy[y.top]:
         return False
-    ty = tau(alg, y)
-    if ty is not None and hom_nonzero(alg, x, ty):
-        return False
-    tx = tau(alg, x)
-    if tx is not None and hom_nonzero(alg, y, tx):
-        return False
-    return True
+    return x.top in comp_factors(alg, Indec(alg.next_down[y.top], y.length))[-x.length:]
 
 
 def in_fac(alg, x, module):

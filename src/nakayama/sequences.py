@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .errors import NotInDomain
+from .errors import InvariantViolation, NotInDomain
 from .geometry import Arc, make_triangulation
 
 
@@ -37,7 +37,8 @@ class SeqA:
         for x in self.a:
             run += x - 1
             out.append(run)
-        assert run == 0
+        if run != 0:
+            raise InvariantViolation(f"profile of {self} ends at {run}, not 0")
         return tuple(out)
 
     def profile_at(self, p):
@@ -79,7 +80,7 @@ def _drop_position(seq, l, s):
     for k in range(l - 2, l - 2 - seq.n, -1):
         if seq.profile_at(k) == target:
             return k
-    raise AssertionError(f"no drop position for l={l}, s={s} in {seq}")
+    raise InvariantViolation(f"no drop position for l={l}, s={s} in {seq}")
 
 
 def x_of_sequence(seq):

@@ -1,20 +1,36 @@
-"""Reference implementations that the projective-injective scan in
-nakayama.algebra, the Hom test and the support masks in nakayama.modcat,
-and the bit-index validation in nakayama.tautilt are tested against."""
+"""Reference implementations that the projective-injective closed form
+in nakayama.algebra, the Hom test, the pair test and the support masks in
+nakayama.modcat, and the bit-index validation in nakayama.tautilt are
+tested against."""
 
+from nakayama.algebra import socle_vertex_of_projective
 from nakayama.errors import ZeroAlgebra
-from nakayama.modcat import check_valid, comp_factors, pair_tau_rigid
+from nakayama.modcat import (
+    check_valid,
+    comp_factors,
+    hom_nonzero,
+    is_tau_rigid_indec,
+    pair_tau_rigid,
+    tau,
+)
 from nakayama.tautilt import SttPair
 
 
-def projective_injectives_closed_form(alg):
-    """j is projective-injective iff the vertex above j (if any) has Loewy
-    length at most loewy(j)."""
+def projective_injectives_socle_scan(alg):
+    """Brute-force socle scan: P_j is injective iff no indecomposable
+    longer than P_j has the same socle vertex."""
     if alg.is_zero():
         raise ZeroAlgebra("zero algebra has no projectives")
-    above = {alg.arrow_target(v): v for v in alg.vertices}
+    longest_with_socle = {}
+    for v in alg.vertices:
+        for l in range(1, alg.loewy[v] + 1):
+            s = alg.walk_down(v, l - 1)
+            if longest_with_socle.get(s, 0) < l:
+                longest_with_socle[s] = l
     return {
-        j for j in alg.vertices if j not in above or alg.loewy[above[j]] <= alg.loewy[j]
+        j
+        for j in alg.vertices
+        if longest_with_socle[socle_vertex_of_projective(alg, j)] <= alg.loewy[j]
     }
 
 
@@ -29,6 +45,18 @@ def hom_dim_oracle(alg, m, n):
         if fm[:t] == fn[len(fn) - t:]:
             count += 1
     return count
+
+
+def pair_tau_rigid_oracle(alg, x, y):
+    """Whether x + y is tau-rigid, through the public primitives: both
+    summands tau-rigid and no Hom from either into the other's tau."""
+    if not (is_tau_rigid_indec(alg, x) and is_tau_rigid_indec(alg, y)):
+        return False
+    ty, tx = tau(alg, y), tau(alg, x)
+    return not (
+        (ty is not None and hom_nonzero(alg, x, ty))
+        or (tx is not None and hom_nonzero(alg, y, tx))
+    )
 
 
 def support_oracle(alg, module):

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from module_oracles import projective_injectives_closed_form
+from module_oracles import projective_injectives_socle_scan
 
+from nakayama import algebra
 from nakayama.algebra import (
     ZERO,
     algebra_from_json,
@@ -15,8 +16,14 @@ from nakayama.algebra import (
     quotient_by_idempotent,
     reject,
     rejection_chain,
+    socle_vertex_of_projective,
 )
-from nakayama.errors import InvalidKupisch, NotProjectiveInjective, ZeroAlgebra
+from nakayama.errors import (
+    InvalidKupisch,
+    InvariantViolation,
+    NotProjectiveInjective,
+    ZeroAlgebra,
+)
 from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
 
@@ -63,7 +70,7 @@ def test_projective_injectives_self_injective():
 
 
 def test_projective_injectives_hereditary():
-    # brute-force socle scan over the 6 indecomposables leaves only P_3
+    # P_1 and P_2 embed in the longer P_2 and P_3
     assert projective_injectives(make_linear([1, 2, 3])) == {3}
 
 
@@ -85,10 +92,14 @@ def test_closed_form_matches_socle_scan_everywhere():
     for n in range(1, 7):
         for ks in valid_cyclic_series(n, 7):
             a = cyclic_algebra(ks)
-            assert projective_injectives(a) == projective_injectives_closed_form(a)
+            assert projective_injectives(a) == projective_injectives_socle_scan(a)
         for ks in valid_linear_series(n, 7):
             a = make_linear(list(ks))
-            assert projective_injectives(a) == projective_injectives_closed_form(a)
+            assert projective_injectives(a) == projective_injectives_socle_scan(a)
+    # rejection leaves disconnected algebras with dead ambient edges
+    for alg in (make_cyclic(3, 4), make_cyclic(4, 4), make_linear([1, 2, 3, 3])):
+        for a, _ in rejection_chain(alg)[:-1]:
+            assert projective_injectives(a) == projective_injectives_socle_scan(a)
 
 
 def test_every_nonzero_algebra_has_projective_injective():
@@ -231,3 +242,18 @@ def test_make_cyclic_rejects_empty_or_nonpositive(n, r):
 def test_malformed_algebra_literal_is_invalid_kupisch(literal):
     with pytest.raises(InvalidKupisch):
         algebra_from_json(literal)
+
+
+def test_algebra_invariants_raise(monkeypatch):
+    a = make_linear([1, 2, 3])
+    assert a.source_vertex() == 3
+    a.__dict__["_up"] = {}  # every vertex of the path now looks like a source
+    with pytest.raises(InvariantViolation, match="sources"):
+        a.source_vertex()
+    b = make_cyclic(3, 3)
+    monkeypatch.setattr(b, "walk_down", lambda j, steps: None)
+    with pytest.raises(InvariantViolation, match="socle"):
+        socle_vertex_of_projective(b, 1)
+    monkeypatch.setattr(algebra, "quotient_by_idempotent", lambda alg, killed: alg)
+    with pytest.raises(InvariantViolation, match="dimension 1 to 1"):
+        reject(make_linear([1]), 1)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nakayama import cli
 from nakayama.cli import main
 
 
@@ -157,27 +162,27 @@ def test_unknown_flag_exit_code(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv, fragment",
-    [
-        (["enumerate", "--linear", "--kupisch", "1,x"], "'1,x'"),
-        (["hasse", "--cyclic", "3", "--r", "3", "--method", "rejection", "--picks", "x"], "'x'"),
-        (["translate", "--cyclic", "3", "--r", "3", "--from", "module", "--to", "seq",
-          "--payload", "{bad"], "malformed pair"),
-        (["translate", "--cyclic", "3", "--r", "3", "--from", "arcs", "--to", "seq",
-          "--payload", "<*,5> <*,2> <2,1>"], "<*,5>"),
-        (["triangulate", "--n", "3", "--bounds", "1"], "3 bounds"),
-        (["count", "--algebra-json", '{"kind":"cyclic"}'], "kupisch"),
-        (["count", "--algebra-json", "[1]"], "malformed algebra literal"),
-        (["count", "--algebra-json", '{"kind":"cyclic","kupisch":[]}'], "empty"),
-        (["count", "--cyclic", "5", "--kupisch", "3,3,3"], "3 Kupisch entries"),
-        (["hasse", "--cyclic", "3", "--r", "3", "--method", "direct", "--picks", "9"], "--picks"),
-        (["translate", "--cyclic", "3", "--r", "3", "--from", "seq", "--to", "module",
-          "--payload", "1,1"], "2 entries"),
-        (["triangulate", "--n", "0"], "positive"),
-        (["triangulate", "--n", "-2"], "positive"),
-    ],
-)
+BAD_INPUT = [
+    (["enumerate", "--linear", "--kupisch", "1,x"], "'1,x'"),
+    (["hasse", "--cyclic", "3", "--r", "3", "--method", "rejection", "--picks", "x"], "'x'"),
+    (["translate", "--cyclic", "3", "--r", "3", "--from", "module", "--to", "seq",
+      "--payload", "{bad"], "malformed pair"),
+    (["translate", "--cyclic", "3", "--r", "3", "--from", "arcs", "--to", "seq",
+      "--payload", "<*,5> <*,2> <2,1>"], "<*,5>"),
+    (["triangulate", "--n", "3", "--bounds", "1"], "3 bounds"),
+    (["count", "--algebra-json", '{"kind":"cyclic"}'], "kupisch"),
+    (["count", "--algebra-json", "[1]"], "malformed algebra literal"),
+    (["count", "--algebra-json", '{"kind":"cyclic","kupisch":[]}'], "empty"),
+    (["count", "--cyclic", "5", "--kupisch", "3,3,3"], "3 Kupisch entries"),
+    (["hasse", "--cyclic", "3", "--r", "3", "--method", "direct", "--picks", "9"], "--picks"),
+    (["translate", "--cyclic", "3", "--r", "3", "--from", "seq", "--to", "module",
+      "--payload", "1,1"], "2 entries"),
+    (["triangulate", "--n", "0"], "positive"),
+    (["triangulate", "--n", "-2"], "positive"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", BAD_INPUT)
 def test_bad_input_exits_2_with_one_error_line(capsys, argv, fragment):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -185,3 +190,154 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, fragment):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert fragment in lines[0]
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+GOOD_TRANSLATE = [
+    "translate", "--cyclic", "4", "--r", "4",
+    "--from", "seq", "--to", "module", "--payload", "1,0,2,1",
+]
+
+
+def test_reused_parser_is_stateless():
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [GOOD_TRANSLATE, *(argv for argv, _ in BAD_INPUT[:4]), ["--help"], GOOD_TRANSLATE]
+    reused = [call(argv) for argv in argvs]
+    assert reused[0] == reused[-1] and reused[0][0] == 0 and reused[0][1]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+
+
+# -- the exit-code contract on drawn argument lists ---------------------------
+
+SUBCOMMANDS = ["enumerate", "count", "hasse", "translate", "triangulate", "verify"]
+MALFORMED = ["1,x", "{bad", "<*,9>"]
+# one element of each model over cyclic(3,3), and a sequence for n = 4
+PAYLOADS = [
+    "2,1,0",
+    "1,1,1,1",
+    "<*,1> <*,2> <2,1>",
+    '{"killed":[],"summands":[{"len":1,"top":1},{"len":3,"top":1},{"len":3,"top":2}]}',
+]
+small = st.integers(-2, 4)
+int_list = st.lists(small, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+arc = st.builds("<{},{}>".format, st.sampled_from(["*", "1", "2", "3", "4", "0"]), small)
+pair_literal = st.builds(
+    lambda tops, killed: json.dumps(
+        {"summands": [{"top": t, "len": l} for t, l in tops], "killed": killed}
+    ),
+    st.lists(st.tuples(small, small), max_size=4),
+    st.lists(small, max_size=4),
+)
+algebra_literal = st.builds(
+    lambda kind, ks: json.dumps({"kind": kind, "kupisch": ks}),
+    st.sampled_from(["cyclic", "linear", "general"]),
+    st.lists(small, max_size=4),
+)
+
+
+def one_of_values(*values):
+    return st.sampled_from(values).map(lambda v: (v,))
+
+
+one_int = small.map(lambda v: (str(v),))
+one_list = int_list.map(lambda v: (v,))
+
+
+def mostly(common, rare):
+    """Draws from common about nine times in ten, from rare otherwise;
+    shrinking goes towards common."""
+    return st.sampled_from([common] * 9 + [rare]).flatmap(lambda s: s)
+
+
+# the values each flag takes, as token tuples (empty for a switch)
+FLAG_VALUES = {
+    "--cyclic": one_int,
+    "--r": one_int,
+    "--n": one_int,
+    "--bijections": one_int,
+    "--rejection": st.tuples(one_int, one_int).map(lambda vs: vs[0] + vs[1]),
+    "--kupisch": one_list,
+    "--picks": one_list,
+    "--bounds": one_list,
+    "--payload": st.one_of(
+        st.sampled_from(PAYLOADS),
+        int_list,
+        st.lists(arc, min_size=1, max_size=4).map(" ".join),
+        pair_literal,
+    ).map(lambda v: (v,)),
+    "--algebra-json": algebra_literal.map(lambda v: (v,)),
+    "--which": one_of_values("stt", "tau", "proper"),
+    "--format": one_of_values("text", "json", "dot"),
+    "--method": one_of_values("direct", "rejection", "both"),
+    "--from": one_of_values("module", "arcs", "seq"),
+    "--to": one_of_values("module", "arcs", "seq"),
+    "--linear": st.just(()),
+    "--trace": st.just(()),
+    "--help": st.just(()),
+}
+
+
+def flag(name):
+    """The flag with its values, or now and then with a malformed token."""
+    return mostly(FLAG_VALUES[name], one_of_values(*MALFORMED)).map(
+        lambda values: (name, *values)
+    )
+
+
+algebra = st.one_of(
+    st.tuples(flag("--cyclic"), flag("--r")),
+    st.tuples(flag("--cyclic"), flag("--kupisch")),
+    st.tuples(st.just(("--linear",)), flag("--kupisch")),
+    st.tuples(flag("--algebra-json")),
+).map(lambda parts: sum(parts, ()))
+
+# each subcommand's required parts and its other flags (verify without --tables)
+SPEC = {
+    "enumerate": ([algebra], ["--which", "--format"]),
+    "count": ([algebra], ["--format"]),
+    "hasse": ([algebra], ["--method", "--format", "--trace", "--picks"]),
+    "translate": ([algebra, flag("--from"), flag("--to"), flag("--payload")], ["--format"]),
+    "triangulate": ([flag("--n")], ["--bounds", "--format"]),
+    "verify": ([], ["--bijections", "--rejection"]),
+}
+
+
+def arguments(command):
+    """Argument lists for one subcommand: each required part nine times in
+    ten, then up to three more flags, now and then one of another
+    subcommand or --help."""
+    required, optional = SPEC.get(command, ([], list(FLAG_VALUES)))
+    parts = st.tuples(*(mostly(part, st.just(())) for part in required))
+    extra = st.lists(
+        mostly(st.sampled_from(optional), st.sampled_from(list(FLAG_VALUES))).flatmap(flag),
+        max_size=3,
+    )
+    return st.tuples(parts, extra).map(
+        lambda pe: [command, *(t for part in pe[0] + tuple(pe[1]) for t in part)]
+    )
+
+
+argv_lists = mostly(st.sampled_from(SUBCOMMANDS), st.sampled_from(MALFORMED)).flatmap(arguments)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv_lists)
+def test_any_argument_list_keeps_the_exit_code_contract(argv):
+    code, _, err = call(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert argv[0] in ("hasse", "verify")
+    if code == 2 and not err.startswith("usage:"):
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

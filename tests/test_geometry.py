@@ -1,12 +1,25 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from nakayama import geometry, tautilt
 from nakayama.algebra import make_cyclic, make_linear
-from nakayama.errors import ArcNotPresent, ArcTooLong, LoewyTooSmall, NotInDomain
+from nakayama.errors import (
+    ArcNotPresent,
+    ArcTooLong,
+    InvariantViolation,
+    LoewyTooSmall,
+    NotInDomain,
+)
 from nakayama.geometry import (
     Arc,
     SignedTriangulation,
+    Triangulation,
+    _polygon_triangles,
     all_arcs,
     arc_to_indec,
     compatible,
@@ -25,7 +38,7 @@ from nakayama.geometry import (
 )
 from nakayama.modcat import Indec, all_tau_rigid_indecs, comp_factors, pair_tau_rigid
 from nakayama.poset import mutations
-from nakayama.tautilt import enumerate_stt, enumerate_tau_tilt
+from nakayama.tautilt import SttPair, enumerate_stt, enumerate_tau_tilt
 
 L33 = make_cyclic(3, 3)
 L44 = make_cyclic(4, 4)
@@ -250,3 +263,93 @@ def test_dictionary_on_linear_algebras():
     images = {triangulation_to_tau_tilt(a3, x) for x in xs}
     assert len(images) == len(xs) == 5
     assert images == set(enumerate_tau_tilt(a3))
+
+
+# -- invariants that must hold under python -O ---------------------------------
+
+X3 = make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)])
+
+
+def test_projective_arc_has_no_length():
+    with pytest.raises(NotInDomain, match="no length"):
+        Arc(None, 2).length(4)
+
+
+def test_flip_without_unique_replacement_raises(monkeypatch):
+    # with crossing switched off every other arc completes the rest
+    monkeypatch.setattr(geometry, "compatible", lambda a, b, n: True)
+    with pytest.raises(InvariantViolation, match="replacements"):
+        flip(SignedTriangulation(X3, +1), Arc(2, 1))
+
+
+def test_signed_dictionary_guards_raise(monkeypatch):
+    sx = SignedTriangulation(X3, -1)
+    with monkeypatch.context() as mp:
+        mp.setattr(tautilt, "is_support_tau_tilting", lambda alg, module: None)
+        with pytest.raises(InvariantViolation, match="not support tau-tilting"):
+            signed_to_stt(L33, sx)
+    with monkeypatch.context() as mp:
+        mp.setattr(tautilt, "is_support_tau_tilting",
+                   lambda alg, module: SttPair(tuple(module), ()))
+        with pytest.raises(InvariantViolation, match="expected"):
+            signed_to_stt(L33, sx)
+
+
+def test_triangle_guards_raise(monkeypatch):
+    # no chord: the fan over 1 spans the whole boundary without the loop
+    with pytest.raises(InvariantViolation, match="no chord"):
+        triangles(Triangulation(3, (Arc(None, 1), Arc(2, 1))))
+    # the crossing diagonals <1,3> and <2,4> of the square both split it
+    with pytest.raises(InvariantViolation, match="split corners"):
+        _polygon_triangles((Arc(1, 4), Arc(1, 3), Arc(2, 4)), 1, 3, 4)
+    monkeypatch.setattr(geometry, "_polygon_triangles", lambda fan, base, width, n: [])
+    with pytest.raises(InvariantViolation, match="2 triangles, not 3"):
+        triangles(X3)
+
+
+_OPTIMIZED_CHECK = """
+import sys
+from nakayama import algebra, geometry
+from nakayama.algebra import make_linear
+from nakayama.errors import InvariantViolation, NotInDomain
+from nakayama.geometry import Arc, SignedTriangulation, flip, make_triangulation
+from nakayama.sequences import SeqA
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+try:
+    Arc(None, 2).length(4)
+    sys.exit("a projective arc got a length")
+except NotInDomain:
+    pass
+seq = SeqA((2, 1, 0))
+seq.a = (2, 2, 0)
+try:
+    seq.profile
+    sys.exit("a profile that does not close up was accepted")
+except InvariantViolation:
+    pass
+algebra.quotient_by_idempotent = lambda alg, killed: alg
+try:
+    algebra.reject(make_linear([1]), 1)
+    sys.exit("a rejection that kept the dimension was accepted")
+except InvariantViolation:
+    pass
+x = make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)])
+geometry.compatible = lambda a, b, n: True
+try:
+    flip(SignedTriangulation(x, +1), Arc(2, 1))
+except InvariantViolation:
+    sys.exit(0)
+sys.exit("a flip with several replacements went through")
+"""
+
+
+def test_geometry_and_sequence_invariants_hold_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECK],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    )

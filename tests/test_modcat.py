@@ -1,8 +1,8 @@
 import pytest
-from module_oracles import hom_dim_oracle
+from module_oracles import hom_dim_oracle, pair_tau_rigid_oracle
 
 from nakayama.algebra import make_cyclic, make_gamma, make_linear
-from nakayama.errors import InvalidModule
+from nakayama.errors import InvalidModule, InvariantViolation
 from nakayama.modcat import (
     Indec,
     all_indecs,
@@ -17,7 +17,7 @@ from nakayama.modcat import (
     support,
     tau,
 )
-from nakayama.verify import cyclic_algebra, valid_cyclic_series
+from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
 L45 = make_cyclic(4, 5)
@@ -200,3 +200,29 @@ def test_rigid_count_bounded_by_vertices():
             alg = cyclic_algebra(ks)
             for pair in enumerate_stt(alg):
                 assert len(pair.module) <= alg.n
+
+
+def test_pair_test_matches_public_primitives():
+    # every pair, both orders, on a cold algebra: the one-check pair test
+    # agrees with rigidity, tau and Hom through their public checks
+    algs = [cyclic_algebra(ks) for ks in valid_cyclic_series(3, 4)]
+    algs += [make_linear(list(ks)) for ks in valid_linear_series(4, 4)]
+    for alg in algs:
+        ms = all_indecs(alg)
+        for x in ms:
+            for y in ms:
+                assert pair_tau_rigid(alg, x, y) == pair_tau_rigid_oracle(alg, x, y)
+
+
+def test_pair_test_checks_both_modules():
+    with pytest.raises(InvalidModule):
+        pair_tau_rigid(L33, Indec(1, 1), Indec(1, 4))
+    with pytest.raises(InvalidModule):
+        pair_tau_rigid(L33, Indec(4, 1), Indec(1, 1))
+
+
+def test_socle_off_the_quiver_raises(monkeypatch):
+    alg = make_cyclic(3, 3)
+    monkeypatch.setattr(alg, "walk_down", lambda j, steps: None)
+    with pytest.raises(InvariantViolation, match="socle"):
+        socle_vertex(alg, Indec(1, 2))

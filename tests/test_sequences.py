@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from nakayama.errors import NotInDomain
+from nakayama.errors import InvariantViolation, NotInDomain
 from nakayama.geometry import Arc, enumerate_restricted, enumerate_triangulations, make_triangulation
 from nakayama.sequences import (
     SeqA,
+    _drop_position,
     enumerate_Y,
     enumerate_Z,
     enumerate_Z_restricted,
@@ -144,3 +145,13 @@ def test_top_histogram_of_modules_is_bijective():
                 tops.append(SeqA(counts))
             assert len(set(tops)) == len(tops)
             assert set(tops) == set(enumerate_Z(n))
+
+
+def test_sequence_invariants_raise():
+    seq = SeqA((2, 1, 0))
+    seq.a = (2, 2, 0)  # past the constructor's check
+    with pytest.raises(InvariantViolation, match="ends at 1"):
+        seq.profile
+    # the profile of (2,1,0) is (1,1,0): nothing lies 5 above a'_0
+    with pytest.raises(InvariantViolation, match="no drop position"):
+        _drop_position(SeqA((2, 1, 0)), 1, 5)
