@@ -179,6 +179,11 @@ def cmd_triangulate(args, out):
 def cmd_verify(args, out):
     if not args.tables and args.bijections is None and args.rejection is None:
         raise NakayamaError("verify needs --tables, --bijections, or --rejection")
+    if args.bijections is not None and args.bijections < 1:
+        raise NakayamaError(f"--bijections must be a positive integer, got {args.bijections}")
+    if args.rejection is not None and min(args.rejection) < 1:
+        n_max, r_max = args.rejection
+        raise NakayamaError(f"--rejection sizes must be positive integers, got {n_max} {r_max}")
     failures = 0
     if args.tables:
         for rep in counting.verify_tables():

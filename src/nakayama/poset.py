@@ -3,8 +3,8 @@
 Order: one pair dominates another when its Fac contains the other's; covers
 are exactly mutations, so the Hasse quiver of a connected algebra is regular
 of degree the number of vertices.  The quiver can be built directly from the
-enumeration or recursively through socle rejection and a poset-doubling
-step; both routes must agree label-for-label.
+enumeration or along the socle rejection chain with a poset-doubling step
+per stage; both routes must agree label-for-label.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import json
 from typing import Any, NamedTuple
 
 from . import modcat, tautilt
-from .algebra import components, projective_injectives, reject, socle_vertex_of_projective
+from .algebra import reject  # noqa: F401  unused; perfbench/smoke.py patches and calls poset.reject
+from .algebra import rejection_chain, socle_vertex_of_projective
 from .errors import InvalidPoset, InvariantViolation
 from .modcat import Indec, bits
 from .tautilt import SttPair
@@ -73,12 +74,6 @@ class Poset:
                 raise InvalidPoset(f"not antisymmetric: {elements[j]!r} and {elements[i]!r}")
         return covers
 
-    def index(self, x):
-        return self.elements.index(x)
-
-    def le(self, x, y):
-        return self.down[self.index(y)] >> self.index(x) & 1 == 1
-
     def hasse(self):
         """Covering relations as a HasseQuiver (arrows point downward)."""
         arrows = [(i, j) for i, mask in enumerate(self._covers) for j in bits(mask)]
@@ -92,22 +87,8 @@ class HasseQuiver(NamedTuple):
     vertices: tuple
     arrows: tuple
 
-    def degree_sequence(self):
-        deg = [0] * len(self.vertices)
-        for a, b in self.arrows:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
     def labelled_arrows(self):
         return {(self.vertices[a], self.vertices[b]) for a, b in self.arrows}
-
-    def same_labelled_graph(self, other):
-        return (
-            set(self.vertices) == set(other.vertices)
-            and len(self.vertices) == len(other.vertices)
-            and self.labelled_arrows() == other.labelled_arrows()
-        )
 
     def to_json(self):
         return {
@@ -175,34 +156,6 @@ def mutations(alg, pair, universe=None):
 
 
 # -- poset doubling ----------------------------------------------------------
-
-
-def double_poset(poset, chosen):
-    """Adjoin a shifted copy of the chosen subposet above itself.
-
-    chosen is a set of element indices; it must be order-convex, otherwise
-    the doubled relation fails transitivity.  Plain elements of the chosen
-    set never dominate a shifted copy.
-    """
-    k = len(poset.elements)
-    plus = sorted(chosen)
-    elements = list(poset.elements) + [Plus(poset.elements[i]) for i in plus]
-    pos = {i: k + idx for idx, i in enumerate(plus)}
-    down = []
-    for i in range(k):
-        mask = poset.down[i]
-        if i not in chosen:
-            for c in plus:
-                if poset.down[i] >> c & 1:
-                    mask |= 1 << pos[c]
-        down.append(mask)
-    for i in plus:
-        mask = poset.down[i]
-        for c in plus:
-            if poset.down[i] >> c & 1:
-                mask |= 1 << pos[c]
-        down.append(mask)
-    return Poset(elements, down)
 
 
 def double_hasse(quiver, chosen):
@@ -284,32 +237,6 @@ def _relift(alg, module):
     return pair
 
 
-def _product_hasse(quivers):
-    """Hasse quiver of a product of stt posets: vertices merge pairwise,
-    covers change one factor at a time."""
-    verts = [SttPair((), ())]
-    arrs = []
-    for q in quivers:
-        merged = [
-            SttPair(
-                tuple(sorted(v.module + w.module)),
-                tuple(sorted(v.killed + w.killed)),
-            )
-            for v in verts
-            for w in q.vertices
-        ]
-        m = len(q.vertices)
-        new_arrs = []
-        for i in range(len(verts)):
-            for a, b in q.arrows:
-                new_arrs.append((i * m + a, i * m + b))
-        for a, b in arrs:
-            for x in range(m):
-                new_arrs.append((a * m + x, b * m + x))
-        verts, arrs = merged, new_arrs
-    return _canonical(HasseQuiver(tuple(verts), tuple(arrs)))
-
-
 def _canonical(quiver):
     order = sorted(range(len(quiver.vertices)), key=lambda i: quiver.vertices[i].module)
     rank = {old: new for new, old in enumerate(order)}
@@ -319,30 +246,22 @@ def _canonical(quiver):
 
 
 def hasse_by_rejection(alg, picks=None):
-    """Hasse quiver built recursively by socle rejection.
+    """Hasse quiver by socle rejection along rejection_chain(alg, picks).
 
-    Zero algebra: a single vertex.  Disconnected: product over components.
-    Connected: reject at the smallest projective-injective vertex (or the
-    next forced pick), double the quotient's quiver along class 2, and
-    relabel through the lift.  Output is label-identical to hasse_direct
-    for every pick policy; forced picks apply while the chain stays
-    connected and the default takes over after a component split.
+    From the zero algebra's single vertex, each stage places the lifts of
+    the quotient's pairs on its quiver doubled along class 2.  Lifts and
+    doubling use only vertex indices, so a component split needs no special
+    case.  Forced picks apply at every step, and the default pick takes
+    over when they run out.  Sorted once; label-identical to hasse_direct.
     """
-    picks = list(picks) if picks is not None else []
-
-    def build(alg):
-        if alg.is_zero():
-            return HasseQuiver((SttPair((), ()),), ())
-        comps = components(alg)
-        if len(comps) > 1:
-            picks.clear()
-            return _product_hasse([build(c) for c in comps])
-        j = picks.pop(0) if picks else min(projective_injectives(alg))
-        sub = build(reject(alg, j))
-        n2, lifts = lift_through_rejection(alg, j, sub.vertices)
-        return _canonical(HasseQuiver(tuple(lifts), double_hasse(sub, set(n2)).arrows))
-
-    return build(alg)
+    chain = rejection_chain(alg, picks)
+    chain.pop()  # the zero algebra
+    quiver = HasseQuiver((SttPair((), ()),), ())
+    while chain:
+        a, j = chain.pop()  # popped, so each stage algebra and its caches go once lifted
+        n2, lifts = lift_through_rejection(a, j, quiver.vertices)
+        quiver = HasseQuiver(tuple(lifts), double_hasse(quiver, set(n2)).arrows)
+    return _canonical(quiver)
 
 
 # -- poset isomorphism -------------------------------------------------------

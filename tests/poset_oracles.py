@@ -1,8 +1,62 @@
-"""Reference implementations that the bitset order and covers in
-nakayama.poset are tested against: one predicate call per ordered pair of
-elements, and one scan per ordered pair of indices."""
+"""Reference implementations that the bitset order, the covers and the
+quiver doubling in nakayama.poset are tested against (one predicate call
+per ordered pair of elements, one scan per ordered pair of indices, the
+doubling done on the order itself), and the order and quiver queries that
+only the tests use."""
 
-from nakayama.poset import HasseQuiver, Poset, geq
+from nakayama.poset import HasseQuiver, Plus, Poset, geq
+
+
+def le(poset, x, y):
+    """Whether x <= y, for elements x and y of poset."""
+    return poset.down[poset.elements.index(y)] >> poset.elements.index(x) & 1 == 1
+
+
+def degree_sequence(quiver):
+    """Per vertex, the number of arrows at it (in or out)."""
+    deg = [0] * len(quiver.vertices)
+    for a, b in quiver.arrows:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def same_labelled_graph(q1, q2):
+    """Whether two quivers have the same vertex labels and labelled arrows,
+    whatever their vertex order."""
+    return (
+        set(q1.vertices) == set(q2.vertices)
+        and len(q1.vertices) == len(q2.vertices)
+        and q1.labelled_arrows() == q2.labelled_arrows()
+    )
+
+
+def double_poset(poset, chosen):
+    """Adjoin a shifted copy of the chosen subposet above itself.
+
+    chosen is a set of element indices; it must be order-convex, otherwise
+    the doubled relation fails transitivity.  Plain elements of the chosen
+    set never dominate a shifted copy.
+    """
+    k = len(poset.elements)
+    plus = sorted(chosen)
+    elements = list(poset.elements) + [Plus(poset.elements[i]) for i in plus]
+    pos = {i: k + idx for idx, i in enumerate(plus)}
+    down = []
+    for i in range(k):
+        mask = poset.down[i]
+        if i not in chosen:
+            for c in plus:
+                if poset.down[i] >> c & 1:
+                    mask |= 1 << pos[c]
+        down.append(mask)
+    for i in plus:
+        mask = poset.down[i]
+        for c in plus:
+            if poset.down[i] >> c & 1:
+                mask |= 1 << pos[c]
+        down.append(mask)
+    return Poset(elements, down)
 
 
 def from_relation(elements, le):

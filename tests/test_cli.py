@@ -179,6 +179,14 @@ BAD_INPUT = [
       "--payload", "1,1"], "2 entries"),
     (["triangulate", "--n", "0"], "positive"),
     (["triangulate", "--n", "-2"], "positive"),
+    (["hasse", "--linear", "--kupisch", "1,2,3", "--method", "rejection", "--format", "json",
+      "--picks", "3,3,2,1,9"], "pick 9"),
+    (["hasse", "--linear", "--kupisch", "1,2,3", "--method", "rejection", "--format", "json",
+      "--picks", "3,3,2,1,9", "--trace"], "pick 9"),
+    (["verify", "--bijections", "0"], "positive"),
+    (["verify", "--bijections", "-2"], "positive"),
+    (["verify", "--rejection", "2", "-1"], "positive"),
+    (["verify", "--rejection", "0", "3"], "positive"),
 ]
 
 

@@ -6,13 +6,19 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from poset_oracles import fac_order, transitive_reduction
+from poset_oracles import (
+    degree_sequence,
+    double_poset,
+    fac_order,
+    le,
+    same_labelled_graph,
+    transitive_reduction,
+)
 
-from nakayama import poset
+from nakayama import algebra
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
-    components,
     make_cyclic,
     make_linear,
     projective_injectives,
@@ -28,7 +34,6 @@ from nakayama.poset import (
     Poset,
     classify_quotient_pairs,
     double_hasse,
-    double_poset,
     geq,
     hasse_by_rejection,
     hasse_direct,
@@ -75,7 +80,7 @@ def test_hasse_direct_counts():
     h = hasse_direct(L33)
     assert len(h.vertices) == 20
     assert len(h.arrows) == 30
-    assert set(h.degree_sequence()) == {3}
+    assert set(degree_sequence(h)) == {3}
 
 
 def test_hasse_small_algebras():
@@ -156,7 +161,7 @@ def test_hasse_neighbors_are_mutations():
 def test_hasse_degree_equals_vertex_count():
     for alg in (make_cyclic(2, 3), make_cyclic(4, 2), make_linear([1, 2, 3])):
         h = hasse_direct(alg)
-        assert set(h.degree_sequence()) == {alg.n}
+        assert set(degree_sequence(h)) == {alg.n}
 
 
 def test_double_single_vertex():
@@ -166,7 +171,7 @@ def test_double_single_vertex():
     h = d.hasse()
     assert h.labelled_arrows() == {(Plus("w"), "w")}
     hq = double_hasse(p.hasse(), {0})
-    assert hq.same_labelled_graph(h)
+    assert same_labelled_graph(hq, h)
 
 
 def test_double_empty_set_is_identity():
@@ -225,7 +230,7 @@ def test_doubling_identity_on_random_posets():
         chosen = _convexify(p, {i for i in range(k) if rng.random() < 0.35})
         lhs = double_poset(p, chosen).hasse()
         rhs = double_hasse(p.hasse(), chosen)
-        assert lhs.same_labelled_graph(rhs)
+        assert same_labelled_graph(lhs, rhs)
 
 
 def test_covers_match_transitive_reduction_on_random_posets():
@@ -337,7 +342,7 @@ def test_one_rejection_step_gives_the_direct_quiver(alg):
     n2, lifts = lift_through_rejection(alg, j, sub.vertices)
     doubled = double_hasse(sub, set(n2))
     assert len(lifts) == len(doubled.vertices)
-    assert HasseQuiver(tuple(lifts), doubled.arrows).same_labelled_graph(hasse_direct(alg))
+    assert same_labelled_graph(HasseQuiver(tuple(lifts), doubled.arrows), hasse_direct(alg))
 
 
 def test_classify_semisimple_stage():
@@ -391,26 +396,19 @@ def test_lift_count_formula():
 
 
 def test_rejection_rejects_once_per_stage(monkeypatch):
+    # the engine walks rejection_chain: per stage one pick, which calls
+    # projective_injectives, and one reject, whose guard calls it again
     alg = make_cyclic(5, 5)
-
-    def stages(a):
-        if a.is_zero():
-            return 0
-        comps = components(a)
-        if len(comps) > 1:
-            return sum(stages(c) for c in comps)
-        return 1 + stages(reject(a, min(projective_injectives(a))))
-
-    expected = stages(alg)
     calls = Counter()
     for name in ("reject", "projective_injectives"):
-        def counted(*args, _name=name, _fn=getattr(poset, name)):
+        def counted(*args, _name=name, _fn=getattr(algebra, name)):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(poset, name, counted)
+        monkeypatch.setattr(algebra, name, counted)
     assert len(hasse_by_rejection(alg).vertices) == 252
-    assert calls == {"reject": expected, "projective_injectives": expected}
+    assert alg.dimension() == 25  # one stage per dimension
+    assert calls == {"reject": 25, "projective_injectives": 50}
     # P_1 of cyclic(5,5) is no longer injective once its socle is rejected
     with pytest.raises(NotProjectiveInjective):
         hasse_by_rejection(alg, picks=[1, 1])
@@ -426,9 +424,27 @@ def test_rejection_equals_direct_small_grid():
             assert hasse_by_rejection(alg) == hasse_direct(alg)
 
 
-def test_rejection_on_disconnected():
-    alg = quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})
-    assert hasse_by_rejection(alg) == hasse_direct(alg)
+# largest projective-injective first down cyclic(4,4): the chain splits
+# after the ninth pick, and the fifteenth takes the second of two
+# components where the default would take the first; the default makes
+# the last pick
+PICKS_PAST_SPLIT = [4, 3, 3, 2, 2, 2, 1, 4, 3, 2, 1, 4, 3, 1, 4]
+
+
+@pytest.mark.parametrize(
+    "alg, picks",
+    [
+        (quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}), None),
+        (quotient_by_idempotent(make_linear(list(range(1, 9))), {3, 6}), None),
+        (make_cyclic(4, 1), None),
+        (quotient_by_idempotent(make_cyclic(5, 5), {2, 4}), None),
+        (make_cyclic(4, 4), PICKS_PAST_SPLIT),
+    ],
+    ids=["linear(1..4)/{2}", "linear(1..8)/{3,6}", "cyclic(4,1)", "cyclic(5,5)/{2,4}",
+         "cyclic(4,4) picks past split"],
+)
+def test_rejection_on_disconnected(alg, picks):
+    assert hasse_by_rejection(alg, picks=picks) == hasse_direct(alg)
 
 
 def test_rejection_on_mixed_cyclic_series():
@@ -442,7 +458,7 @@ def test_rejection_matches_direct_at_scale():
     alg = make_cyclic(6, 6)
     h = hasse_direct(alg)
     assert len(h.vertices) == 924 and len(h.arrows) == 2772
-    assert set(h.degree_sequence()) == {6}
+    assert set(degree_sequence(h)) == {6}
     assert hasse_by_rejection(alg) == h
 
 
@@ -480,7 +496,7 @@ def test_published_chain_and_isomorphism():
     assert iso is not None
     for a in p34.elements:
         for b in p34.elements:
-            assert p34.le(a, b) == p33.le(iso[a], iso[b])
+            assert le(p34, a, b) == le(p33, iso[a], iso[b])
     # every stage of the chain with all Loewy lengths >= 3 has the same poset
     reference = p33
     for alg, _ in chain[:4]:

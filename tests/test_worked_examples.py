@@ -6,6 +6,8 @@ with the proper pair obtained by stripping projectives.  Modules are written
 as composition-factor stacks, top first.
 """
 
+from poset_oracles import degree_sequence
+
 from nakayama.algebra import make_cyclic
 from nakayama.geometry import tau_tilt_to_triangulation, triangulation_to_tau_tilt
 from nakayama.modcat import Indec, comp_factors
@@ -188,4 +190,4 @@ def test_three_vertex_stage_quiver():
     assert set(h.vertices) == set(name_to_pair.values())
     got = {(h.vertices[a], h.vertices[b]) for a, b in h.arrows}
     assert got == {(name_to_pair[a], name_to_pair[b]) for a, b in arrows}
-    assert set(h.degree_sequence()) == {3}
+    assert set(degree_sequence(h)) == {3}
