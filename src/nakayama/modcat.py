@@ -36,7 +36,7 @@ def check_valid(alg, m):
 
 
 def comp_factors(alg, m):
-    """Composition factors from top to socle (list of vertices)."""
+    """Composition factors from top to socle (tuple of vertices)."""
     cache = alg.__dict__.setdefault("_factors", {})
     hit = cache.get(m)
     if hit is not None:
@@ -47,7 +47,7 @@ def comp_factors(alg, m):
     for _ in range(m.length - 1):
         v = alg.next_down[v]
         out.append(v)
-    cache[m] = out
+    out = cache[m] = tuple(out)
     return out
 
 
@@ -153,18 +153,18 @@ def bits(mask):
 class BitIndex(dict):
     """Bit positions of the indecomposables of one algebra, filled lazily.
 
-    Maps each indecomposable to its bit position; a missing one gets the
-    next free position on lookup, after check_valid, so holding a position
-    means being valid.  supp[p] is its support as a mask over alg.vertices
-    (bit i for alg.vertices[i]).  Row p of the pair table is filled on its
-    own: tested[p] masks the positions q that p has been tested against
-    through pair_tau_rigid, compat[p] those where the pair is tau-rigid;
-    bit p of compat[p] is the indecomposable's own tau-rigidity.  Filling
-    row q later asks for the same pair again, and pair_tau_rigid's cache
-    answers it.
+    Maps each indecomposable to its bit position: the seed indecs first, in
+    order, then a missing one gets the next free position on lookup, after
+    check_valid, so holding a position means being valid.  supp[p] is its
+    support as a mask over alg.vertices (bit i for alg.vertices[i]).  Row p
+    of the pair table is filled on its own: tested[p] masks the positions q
+    that p has been tested against through pair_tau_rigid, compat[p] those
+    where the pair is tau-rigid; bit p of compat[p] is the indecomposable's
+    own tau-rigidity.  Filling row q later asks for the same pair again,
+    and pair_tau_rigid's cache answers it.
     """
 
-    def __init__(self, alg):
+    def __init__(self, alg, indecs=()):
         super().__init__()
         self.alg = alg
         self.vertex_bit = {v: 1 << i for i, v in enumerate(alg.vertices)}
@@ -173,6 +173,7 @@ class BitIndex(dict):
         self.tested = []
         self.compat = []
         self._vertex_tuples = {}
+        self.encode(indecs)  # the seed takes the first positions, in order
 
     def __missing__(self, m):
         supp = 0
@@ -187,13 +188,35 @@ class BitIndex(dict):
 
     def test(self, p, mask):
         """Fill row p for the positions of mask it has not been tested
-        against yet."""
+        against yet, and return compat[p]."""
         todo = mask & ~self.tested[p]
         self.tested[p] |= todo
         x, indecs = self.indecs[p], self.indecs
         for q in bits(todo):
             if pair_tau_rigid(self.alg, x, indecs[q]):
                 self.compat[p] |= 1 << q
+        return self.compat[p]
+
+    def encode(self, module):
+        """The summand mask of module: the bits of its summands."""
+        return sum(1 << p for p in {self[s] for s in module})
+
+    def decode(self, mask):
+        """The summands of a summand mask, as a sorted tuple."""
+        return tuple(sorted(self.indecs[p] for p in bits(mask)))
+
+    def tilting_support(self, mask):
+        """The support of a summand mask if its module is support
+        tau-tilting (pairwise tau-rigid, as many summands as support
+        vertices), else None."""
+        supp, rest = 0, mask
+        while rest:
+            p = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            supp |= self.supp[p]
+            if mask & ~self.compat[p] and mask & ~self.test(p, mask):
+                return None
+        return supp if supp.bit_count() == mask.bit_count() else None
 
     def vertices(self, mask):
         """The vertices whose bits are set in mask, in order."""

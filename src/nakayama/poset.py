@@ -2,9 +2,9 @@
 
 Order: one pair dominates another when its Fac contains the other's; covers
 are exactly mutations, so the Hasse quiver of a connected algebra is regular
-of degree the number of vertices.  The quiver can be built directly from the
-enumeration or along the socle rejection chain with a poset-doubling step
-per stage; both routes must agree label-for-label.
+of degree the number of vertices.  It is built from the enumeration, or up
+the socle rejection chain, doubling per stage, with pairs as summand masks
+over a BitIndex per stage; both routes must agree label-for-label.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .algebra import reject  # noqa: F401  unused; perfbench/smoke.py patches an
 from .algebra import rejection_chain, socle_vertex_of_projective
 from .errors import InvalidPoset, InvariantViolation
 from .modcat import Indec, bits
-from .tautilt import SttPair
 
 
 def geq(alg, m, n):
@@ -183,58 +182,60 @@ def double_hasse(quiver, chosen):
 # -- rejection ---------------------------------------------------------------
 
 
-def classify_quotient_pairs(alg, j, quotient_pairs):
-    """Split the support tau-tilting pairs of alg/soc P_j into the three
-    rejection classes.
+def classify_quotient_pairs(index, j, masks):
+    """Split the support tau-tilting pairs of alg/soc P_j, as summand masks
+    over a BitIndex of alg = index.alg, into the three rejection classes.
 
     With Q = P_j and R = Q/soc Q: class 1 lacks R; class 2 contains R and
     avoids the socle vertex of Q among its composition factors (so Hom into
     Q vanishes); class 3 is the rest.  When Q is simple everything is
-    class 2.  Returns three lists of indices into quotient_pairs.
+    class 2.  Returns three lists of indices into masks.
 
     j must be projective-injective, as reject(alg, j) checks.  A module of
-    the quotient has the same composition factors over alg, so supports
-    are read over alg.
+    the quotient has the same composition factors over alg, so each test
+    is one AND: with R's bit, and with the bits of the indecomposables
+    whose support holds the socle vertex.
     """
-    socv = socle_vertex_of_projective(alg, j)
-    radical = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
+    alg = index.alg
+    if alg.loewy[j] == 1:
+        return [], list(range(len(masks))), []
+    radical = 1 << index[Indec(j, alg.loewy[j] - 1)]
+    socv = index.vertex_bit[socle_vertex_of_projective(alg, j)]
+    reaches = sum(1 << p for p, supp in enumerate(index.supp) if supp & socv)
     n1, n2, n3 = [], [], []
-    for idx, pair in enumerate(quotient_pairs):
-        if radical is None:
-            n2.append(idx)
-        elif radical not in pair.module:
+    for idx, mask in enumerate(masks):
+        if not mask & radical:
             n1.append(idx)
-        elif socv not in modcat.support(alg, pair.module):
+        elif not mask & reaches:
             n2.append(idx)
         else:
             n3.append(idx)
     return n1, n2, n3
 
 
-def lift_through_rejection(alg, j, quotient_pairs):
-    """One rejection step: the support tau-tilting pairs of alg from those
-    of alg/soc P_j.
+def lift_through_rejection(index, j, masks):
+    """One rejection step: the support tau-tilting pairs of alg = index.alg
+    from the summand masks of those of alg/soc P_j over the same index.
 
-    With Q = P_j and R its radical, classes 1 and 2 lift unchanged (killed
-    set recomputed over alg) and class 3 lifts with R replaced by Q; class
-    2 lifts a second time with Q adjoined.  Returns (n2, lifts): the class
-    2 indices, and the lifts in double_hasse vertex order, one per quotient
-    pair and then one per class 2 pair.  Every lift is revalidated.
+    With Q = P_j and R its radical, classes 1 and 2 lift unchanged and class
+    3 lifts as mask ^ (R | Q); class 2 lifts a second time as mask | Q.
+    Returns (n2, lifts): the class 2 indices, and the lift masks in
+    double_hasse vertex order, one per quotient pair and then one per class
+    2 pair.  A lift that fails validation raises InvariantViolation.
     """
-    _, n2, n3 = classify_quotient_pairs(alg, j, quotient_pairs)
-    q, radical = Indec(j, alg.loewy[j]), Indec(j, alg.loewy[j] - 1)
-    modules = [pair.module for pair in quotient_pairs]
+    _, n2, n3 = classify_quotient_pairs(index, j, masks)
+    alg = index.alg
+    q = 1 << index[Indec(j, alg.loewy[j])]
+    swap = q | (1 << index[Indec(j, alg.loewy[j] - 1)] if n3 else 0)  # n3 is empty if Q is simple
+    lifts = list(masks)
     for idx in n3:
-        modules[idx] = tuple(m for m in modules[idx] if m != radical) + (q,)
-    modules += [quotient_pairs[idx].module + (q,) for idx in n2]
-    return n2, [_relift(alg, module) for module in modules]
-
-
-def _relift(alg, module):
-    pair = tautilt.is_support_tau_tilting(alg, module)
-    if pair is None:
-        raise InvariantViolation(f"lift {module} is not support tau-tilting")
-    return pair
+        lifts[idx] ^= swap
+    lifts += [masks[idx] | q for idx in n2]
+    for mask in lifts:
+        if index.tilting_support(mask) is None:
+            module = index.decode(mask)
+            raise InvariantViolation(f"lift {module} is not support tau-tilting over {alg!r}")
+    return n2, lifts
 
 
 def _canonical(quiver):
@@ -249,19 +250,26 @@ def hasse_by_rejection(alg, picks=None):
     """Hasse quiver by socle rejection along rejection_chain(alg, picks).
 
     From the zero algebra's single vertex, each stage places the lifts of
-    the quotient's pairs on its quiver doubled along class 2.  Lifts and
-    doubling use only vertex indices, so a component split needs no special
-    case.  Forced picks apply at every step, and the default pick takes
-    over when they run out.  Sorted once; label-identical to hasse_direct.
+    the quotient's pairs, as summand masks over a fresh BitIndex seeded
+    with the quotient's positions, on its quiver doubled along class 2.
+    Lifts and doubling use only masks and vertex indices, so a component
+    split needs no special case.  Forced picks apply at every step, and the
+    default pick takes over when they run out.  Decoded, checked over alg
+    and sorted once; label-identical to hasse_direct.
     """
     chain = rejection_chain(alg, picks)
-    chain.pop()  # the zero algebra
-    quiver = HasseQuiver((SttPair((), ()),), ())
+    index = modcat.BitIndex(chain.pop()[0])  # the zero algebra
+    quiver = HasseQuiver((0,), ())
     while chain:
         a, j = chain.pop()  # popped, so each stage algebra and its caches go once lifted
-        n2, lifts = lift_through_rejection(a, j, quiver.vertices)
+        index = modcat.BitIndex(a, index.indecs)
+        n2, lifts = lift_through_rejection(index, j, quiver.vertices)
         quiver = HasseQuiver(tuple(lifts), double_hasse(quiver, set(n2)).arrows)
-    return _canonical(quiver)
+    pairs = tuple(tautilt.is_support_tau_tilting(alg, index.decode(m)) for m in quiver.vertices)
+    if None in pairs:
+        module = index.decode(quiver.vertices[pairs.index(None)])
+        raise InvariantViolation(f"lift {module} is not support tau-tilting over {alg!r}")
+    return _canonical(HasseQuiver(pairs, quiver.arrows))
 
 
 # -- poset isomorphism -------------------------------------------------------

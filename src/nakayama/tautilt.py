@@ -51,37 +51,21 @@ def make_pair(alg, module):
 def is_support_tau_tilting(alg, module):
     """The pair if the module is support tau-tilting, else None.
 
-    Criterion: pairwise tau-rigid and number of summands = support size,
-    i.e. summands and killed vertices together fill the vertex set.  Every
-    summand is checked to be a module of alg before anything else; only
-    pairs the algebra's BitIndex has not tested yet go to pair_tau_rigid.
+    Every summand is checked to be a module of alg before anything else;
+    then BitIndex.tilting_support applies the criterion on the algebra's
+    index, so only pairs it has not tested yet go to pair_tau_rigid.
     """
     module = tuple(sorted(set(module)))
     index = modcat.bit_index(alg)
-    positions = [index[s] for s in module]
-    tested, compat, supp_of = index.tested, index.compat, index.supp
-    mask = supp = 0
-    for p in positions:
-        mask |= 1 << p
-        supp |= supp_of[p]
-    if supp.bit_count() != len(module):
-        return None
-    for p in positions:
-        if mask & ~compat[p]:
-            if mask & ~tested[p]:
-                index.test(p, mask)
-            if mask & ~compat[p]:
-                return None
-    return SttPair(module, index.vertices(~supp))
+    supp = index.tilting_support(index.encode(module))
+    return None if supp is None else SttPair(module, index.vertices(~supp))
 
 
 def _enumerate_component(alg):
     """All support tau-tilting modules of a connected algebra, as summand
     tuples (killed sets are recomputed by the caller)."""
     index = modcat.bit_index(alg)
-    rigid = 0
-    for m in modcat.all_tau_rigid_indecs(alg):
-        rigid |= 1 << index[m]
+    rigid = index.encode(modcat.all_tau_rigid_indecs(alg))
     for p in modcat.bits(rigid):
         index.test(p, rigid)
     indecs, supp_of, compat = index.indecs, index.supp, index.compat

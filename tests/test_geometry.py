@@ -105,7 +105,7 @@ def test_fan_counting():
 def test_arc_module_dictionary():
     assert arc_to_indec(L33, Arc(None, 1)) == Indec(1, 3)
     assert arc_to_indec(L44, Arc(2, 1)) == Indec(1, 2)
-    assert comp_factors(L44, Indec(1, 2)) == [1, 4]
+    assert comp_factors(L44, Indec(1, 2)) == (1, 4)
     for m in all_tau_rigid_indecs(L44):
         assert arc_to_indec(L44, indec_to_arc(L44, m)) == m
     with pytest.raises(ArcTooLong):

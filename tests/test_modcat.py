@@ -24,9 +24,16 @@ L45 = make_cyclic(4, 5)
 
 
 def test_comp_factors_examples():
-    assert comp_factors(L33, Indec(1, 3)) == [1, 3, 2]
-    assert comp_factors(L33, Indec(2, 1)) == [2]
-    assert comp_factors(L45, Indec(3, 5)) == [3, 2, 1, 4, 3]
+    assert comp_factors(L33, Indec(1, 3)) == (1, 3, 2)
+    assert comp_factors(L33, Indec(2, 1)) == (2,)
+    assert comp_factors(L45, Indec(3, 5)) == (3, 2, 1, 4, 3)
+
+
+def test_comp_factors_cache_cannot_be_changed_through_a_result():
+    alg = make_cyclic(3, 3)
+    with pytest.raises(TypeError):
+        comp_factors(alg, Indec(1, 3))[0] = 2
+    assert comp_factors(alg, Indec(1, 3)) == (1, 3, 2)
 
 
 def test_socle_vertex_examples():

@@ -27,7 +27,7 @@ from nakayama.algebra import (
     rejection_chain,
 )
 from nakayama.errors import InvalidPoset, InvariantViolation, NotProjectiveInjective
-from nakayama.modcat import Indec
+from nakayama.modcat import BitIndex, Indec
 from nakayama.poset import (
     HasseQuiver,
     Plus,
@@ -43,15 +43,13 @@ from nakayama.poset import (
     poset_isomorphic,
     stt_poset,
 )
-from nakayama.tautilt import enumerate_stt
+from nakayama.tautilt import enumerate_stt, make_pair
 from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
 
 
 def _pair(alg, module):
-    from nakayama.tautilt import make_pair
-
     return make_pair(alg, tuple(Indec(*s) for s in module))
 
 
@@ -286,7 +284,7 @@ def test_poset_invariants_hold_under_optimize():
 
 _OPTIMIZED_LIFT_CHECK = """
 import sys
-from nakayama import tautilt
+from nakayama import poset, tautilt
 from nakayama.algebra import make_cyclic
 from nakayama.errors import InvariantViolation
 from nakayama.poset import hasse_by_rejection, mutations
@@ -299,6 +297,17 @@ try:
     sys.exit("accepted a slot with two other completions")
 except InvariantViolation:
     pass
+# a wrong socle vertex puts pairs in the wrong class: a stage lift fails
+# while is_support_tau_tilting is intact
+real_socle = poset.socle_vertex_of_projective
+poset.socle_vertex_of_projective = lambda alg, j: alg.next_down.get(real_socle(alg, j), j)
+try:
+    hasse_by_rejection(alg)
+    sys.exit("a failed stage lift went into the quiver")
+except InvariantViolation:
+    pass
+poset.socle_vertex_of_projective = real_socle
+# the final decode is checked over the input algebra
 tautilt.is_support_tau_tilting = lambda alg, module: None
 try:
     hasse_by_rejection(alg)
@@ -325,6 +334,14 @@ def test_mutation_without_completion_raises():
         mutations(L33, pairs[0], pairs[:1])
 
 
+def _masks(index, pairs):
+    return [index.encode(p.module) for p in pairs]
+
+
+def _pairs(index, masks):
+    return [make_pair(index.alg, index.decode(mask)) for mask in masks]
+
+
 @pytest.mark.parametrize(
     "alg",
     [
@@ -339,10 +356,12 @@ def test_one_rejection_step_gives_the_direct_quiver(alg):
     # are the Hasse quiver of the algebra label for label
     j = min(projective_injectives(alg))
     sub = hasse_direct(reject(alg, j))
-    n2, lifts = lift_through_rejection(alg, j, sub.vertices)
+    index = BitIndex(alg)
+    n2, lifts = lift_through_rejection(index, j, _masks(index, sub.vertices))
     doubled = double_hasse(sub, set(n2))
     assert len(lifts) == len(doubled.vertices)
-    assert same_labelled_graph(HasseQuiver(tuple(lifts), doubled.arrows), hasse_direct(alg))
+    lifted = HasseQuiver(tuple(_pairs(index, lifts)), doubled.arrows)
+    assert same_labelled_graph(lifted, hasse_direct(alg))
 
 
 def test_classify_semisimple_stage():
@@ -352,13 +371,16 @@ def test_classify_semisimple_stage():
     # vertex sit in the middle class
     alg = NakayamaAlgebra((1, 2, 3), {3: 2}, {1: 1, 2: 1, 3: 2})
     quotient_pairs = enumerate_stt(reject(alg, 3))
-    n1, n2, n3 = classify_quotient_pairs(alg, 3, quotient_pairs)
+    index = BitIndex(alg)
+    masks = _masks(index, quotient_pairs)
+    n1, n2, n3 = classify_quotient_pairs(index, 3, masks)
     marked = {frozenset(p.module) for p in (quotient_pairs[i] for i in n2)}
     assert marked == {
         frozenset({Indec(3, 1)}),
         frozenset({Indec(1, 1), Indec(3, 1)}),
     }
-    _, lifted = lift_through_rejection(alg, 3, quotient_pairs)
+    _, lifts = lift_through_rejection(index, 3, masks)
+    lifted = _pairs(index, lifts)
     assert sorted(lifted, key=lambda p: p.module) == enumerate_stt(alg)
     # the adjoined copies: pairs containing the projective with its radical
     doubled = {p for p in lifted if {Indec(3, 2), Indec(3, 1)} <= set(p.module)}
@@ -373,7 +395,8 @@ def test_classify_empty_middle_class_keeps_size():
     # vertex, nothing doubles
     alg = make_cyclic(2, 3)
     quotient_pairs = enumerate_stt(reject(alg, 1))
-    n1, n2, n3 = classify_quotient_pairs(alg, 1, quotient_pairs)
+    index = BitIndex(alg)
+    n1, n2, n3 = classify_quotient_pairs(index, 1, _masks(index, quotient_pairs))
     assert n2 == []
     assert len(enumerate_stt(alg)) == len(quotient_pairs)
 
@@ -381,9 +404,11 @@ def test_classify_empty_middle_class_keeps_size():
 def test_simple_rejection_doubles():
     alg = make_cyclic(1, 1)
     quotient_pairs = enumerate_stt(ZERO)
-    n1, n2, n3 = classify_quotient_pairs(alg, 1, quotient_pairs)
+    index = BitIndex(alg)
+    masks = _masks(index, quotient_pairs)
+    n1, n2, n3 = classify_quotient_pairs(index, 1, masks)
     assert (n1, n2, n3) == ([], [0], [])  # the empty pair is middle-class
-    _, lifted = lift_through_rejection(alg, 1, quotient_pairs)
+    _, lifted = lift_through_rejection(index, 1, masks)
     assert len(lifted) == 2 * len(quotient_pairs)
 
 
@@ -391,8 +416,41 @@ def test_lift_count_formula():
     for alg in [make_cyclic(3, 3), make_cyclic(3, 4), make_linear([1, 2, 2])]:
         j = min(projective_injectives(alg))
         quotient_pairs = enumerate_stt(reject(alg, j))
-        n1, n2, n3 = classify_quotient_pairs(alg, j, quotient_pairs)
+        index = BitIndex(alg)
+        n1, n2, n3 = classify_quotient_pairs(index, j, _masks(index, quotient_pairs))
         assert len(enumerate_stt(alg)) == len(quotient_pairs) + len(n2)
+
+
+def test_summand_masks_round_trip_and_keep_quotient_positions():
+    alg = make_cyclic(3, 4)
+    j = min(projective_injectives(alg))
+    quotient = reject(alg, j)
+    pairs = enumerate_stt(quotient)
+    below = BitIndex(quotient)
+    masks = _masks(below, pairs)
+    assert [below.decode(mask) for mask in masks] == [p.module for p in pairs]
+    assert below.decode(0) == () and below.encode(()) == 0
+    # an index of alg seeded from the quotient's: every quotient module
+    # keeps its position, so the quotient's masks decode the same over it
+    stage = BitIndex(alg, below.indecs)
+    assert all(stage[m] == p for p, m in enumerate(below.indecs))
+    assert [stage.decode(mask) for mask in masks] == [p.module for p in pairs]
+    assert _masks(stage, pairs) == masks
+    # the new projective takes a fresh position
+    assert stage[Indec(j, alg.loewy[j])] == len(below.indecs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_cyclic(5, 5), lambda: make_linear([1, 2, 3, 3, 3, 4, 5])],
+    ids=["cyclic(5,5)", "linear(1,2,3,3,3,4,5)"],
+)
+def test_rejection_after_direct_on_the_same_algebra(make):
+    # the enumeration has filled the algebra's own BitIndex in its own
+    # order before the engine runs
+    alg = make()
+    direct = hasse_direct(alg)
+    assert hasse_by_rejection(alg) == direct
 
 
 def test_rejection_rejects_once_per_stage(monkeypatch):
