@@ -3,9 +3,11 @@
 A pair is a basic tau-rigid module together with the killed vertex set (the
 support-complement idempotent); the module is tau-tilting over the quotient
 by that idempotent.  A tau-rigid module is support tau-tilting precisely
-when its number of summands equals the size of its support, which makes the
-enumeration a plain DFS over canonically ordered tau-rigid indecomposables
-with pairwise-rigidity pruning.
+when its number of summands equals the size of its support.  Tau-rigidity
+of a pair is a pairwise condition, and the support tau-tilting pairs are
+exactly the maximal tau-rigid pairs, each with n members (Adachi-Iyama-
+Reiten, Cor 2.13), so the enumeration lists the maximal cliques of one
+compatibility graph on tau-rigid indecomposables and killed vertices.
 """
 
 from __future__ import annotations
@@ -63,29 +65,63 @@ def is_support_tau_tilting(alg, module):
 
 def _enumerate_component(alg):
     """All support tau-tilting modules of a connected algebra, as summand
-    tuples (killed sets are recomputed by the caller)."""
+    tuples in search order (the caller sorts each module and recomputes
+    its killed set).
+
+    Bron-Kerbosch with the Tomita pivot over a graph whose nodes are the
+    tau-rigid indecomposables, at their index positions, and one node per
+    vertex, at the positions after the index, standing for a killed vertex.
+    Two modules are adjacent when their sum is tau-rigid, a module and a
+    vertex when the vertex is outside the module's support, and two
+    vertices always.  Every maximal clique must have n members.
+    """
     index = modcat.bit_index(alg)
     rigid = index.encode(modcat.all_tau_rigid_indecs(alg))
     for p in modcat.bits(rigid):
         index.test(p, rigid)
-    indecs, supp_of, compat = index.indecs, index.supp, index.compat
-    found = []
+    indecs, n = index.indecs, alg.n
+    base, every_vertex = len(indecs), (1 << n) - 1
+    killable = every_vertex << base
+    nbr = [0] * base + [killable & ~(1 << (base + i)) for i in range(n)]
+    for p in modcat.bits(rigid):
+        outside = every_vertex & ~index.supp[p]
+        nbr[p] = (index.compat[p] & rigid & ~(1 << p)) | (outside << base)
+        for i in modcat.bits(outside):
+            nbr[base + i] |= 1 << p
+    found, chosen = [], []
 
-    def extend(chosen, supp, candidates):
-        size = supp.bit_count()
-        if len(chosen) > size:
-            raise InvariantViolation(f"tau-rigid {chosen} has more summands than its support")
-        if len(chosen) == size:
-            found.append(tuple(chosen))
-        cs = candidates
-        while cs:
-            i = (cs & -cs).bit_length() - 1
-            cs &= cs - 1
-            chosen.append(indecs[i])
-            extend(chosen, supp | supp_of[i], cs & compat[i])
-            chosen.pop()
+    def expand(cand, done, size):
+        # cand is never empty: a branch that would empty it is a leaf,
+        # taken below; a pivot that leaves at most one branch is taken at once
+        best, rest, enough = -1, cand | done, cand.bit_count() - 1
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            count = (cand & nbr[w]).bit_count()
+            if count > best:
+                best, pivot = count, w
+                if count >= enough:
+                    break
+        todo = cand & ~nbr[pivot]
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if v < base:
+                chosen.append(indecs[v])
+            if cand & nbr[v]:
+                expand(cand & nbr[v], done & nbr[v], size + 1)
+            elif not done & nbr[v]:
+                if size + 1 != n:
+                    raise InvariantViolation(
+                        f"maximal tau-rigid pair on {sorted(chosen)} has {size + 1} members, not {n}"
+                    )
+                found.append(tuple(chosen))
+            if v < base:
+                chosen.pop()
+            cand &= ~(1 << v)
+            done |= 1 << v
 
-    extend([], 0, rigid)
+    expand(rigid | killable, 0, 0)
     return found
 
 
@@ -97,7 +133,7 @@ def enumerate_stt(alg):
     """
     parts = [_enumerate_component(c) for c in components(alg)]
     pairs = []
-    for combo in itertools.product(*parts) if parts else [()]:
+    for combo in itertools.product(*parts):
         module = tuple(sorted(itertools.chain.from_iterable(combo)))
         pairs.append(make_pair(alg, module))
     pairs.sort(key=lambda p: p.module)

@@ -1,11 +1,14 @@
 """Reference implementations that the projective-injective closed form
 in nakayama.algebra, the Hom test, the pair test and the support masks in
-nakayama.modcat, and the bit-index validation in nakayama.tautilt are
-tested against."""
+nakayama.modcat, and the bit-index validation and the maximal-clique
+enumeration in nakayama.tautilt are tested against."""
 
 from nakayama.algebra import socle_vertex_of_projective
-from nakayama.errors import ZeroAlgebra
+from nakayama.errors import InvariantViolation, ZeroAlgebra
 from nakayama.modcat import (
+    all_tau_rigid_indecs,
+    bit_index,
+    bits,
     check_valid,
     comp_factors,
     hom_nonzero,
@@ -80,3 +83,32 @@ def is_support_tau_tilting_oracle(alg, module):
     supp = support_oracle(alg, module)
     killed = tuple(v for v in alg.vertices if v not in supp)
     return SttPair(module, killed) if len(module) + len(killed) == alg.n else None
+
+
+def enumerate_component_dfs(alg):
+    """All support tau-tilting modules of a connected algebra, as summand
+    tuples: a DFS over every tau-rigid module, pruned by pairwise
+    rigidity, keeping those with as many summands as support vertices."""
+    index = bit_index(alg)
+    rigid = index.encode(all_tau_rigid_indecs(alg))
+    for p in bits(rigid):
+        index.test(p, rigid)
+    indecs, supp_of, compat = index.indecs, index.supp, index.compat
+    found = []
+
+    def extend(chosen, supp, candidates):
+        size = supp.bit_count()
+        if len(chosen) > size:
+            raise InvariantViolation(f"tau-rigid {chosen} has more summands than its support")
+        if len(chosen) == size:
+            found.append(tuple(chosen))
+        cs = candidates
+        while cs:
+            i = (cs & -cs).bit_length() - 1
+            cs &= cs - 1
+            chosen.append(indecs[i])
+            extend(chosen, supp | supp_of[i], cs & compat[i])
+            chosen.pop()
+
+    extend([], 0, rigid)
+    return found

@@ -1,12 +1,17 @@
 import itertools
 
 import pytest
-from module_oracles import is_support_tau_tilting_oracle, support_oracle
+from module_oracles import (
+    enumerate_component_dfs,
+    is_support_tau_tilting_oracle,
+    support_oracle,
+)
 
 from nakayama import modcat, tautilt
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
+    components,
     cyclic_algebra,
     make_cyclic,
     make_gamma,
@@ -29,6 +34,7 @@ from nakayama.tautilt import (
     enumerate_tau_tilt,
     is_support_tau_tilting,
     lift_proper_to_tau_tilting,
+    make_pair,
     np_part,
     pr_part,
     shift_killed,
@@ -308,6 +314,35 @@ def test_bit_index_matches_pairwise_oracle(alg):
             assert support(filling, module) == support_oracle(alg, module)
 
 
+# -- the maximal-clique enumeration against the DFS oracle --------------------
+
+ENUMERATION_ALGEBRAS = (
+    [cyclic_algebra(list(ks)) for ks in valid_cyclic_series(4, 6)]
+    + [make_linear(list(ks)) for ks in valid_linear_series(6, 6)]
+    + [make_cyclic(n, n) for n in range(1, 9)]
+    + [
+        make_cyclic(7, 3),
+        quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}),
+        quotient_by_idempotent(make_linear(list(range(1, 9))), {3, 6}),
+        make_cyclic(4, 1),
+        quotient_by_idempotent(make_cyclic(5, 5), {2, 4}),
+    ]
+)
+
+
+@pytest.mark.parametrize("alg", ENUMERATION_ALGEBRAS, ids=repr)
+def test_enumerate_stt_matches_dfs_oracle(alg):
+    # the same product over components and sort, on a cold copy
+    oracle = _fresh(alg)
+    parts = [enumerate_component_dfs(c) for c in components(oracle)]
+    expected = sorted(
+        (make_pair(oracle, itertools.chain.from_iterable(combo))
+         for combo in itertools.product(*parts)),
+        key=lambda p: p.module,
+    )
+    assert enumerate_stt(alg) == expected
+
+
 def test_invalid_summand_wins_over_non_rigid_pair():
     # (1,1) + (2,1) is not tau-rigid; the invalid summand is reported
     # wherever it sorts, on a cold index and on one that has seen the pair
@@ -327,10 +362,19 @@ def test_invalid_summand_wins_over_non_rigid_pair():
 
 
 def test_rigid_set_larger_than_its_support_raises(monkeypatch):
-    # with every pair declared rigid, the DFS meets (1,1) + (1,2) + (1,3)
-    # + (2,1): four summands on three vertices
+    # with every pair declared rigid, the nine tau-rigid indecomposables
+    # form one clique that supports every vertex: a maximal clique of
+    # nine members on three vertices
     monkeypatch.setattr(modcat, "pair_tau_rigid", lambda alg, x, y: True)
     with pytest.raises(InvariantViolation):
+        enumerate_stt(make_cyclic(3, 3))
+
+
+def test_maximal_pair_with_too_few_members_raises(monkeypatch):
+    # with no pair declared rigid, (1,2) alone leaves only vertex 2 to
+    # kill: a maximal clique of two members on three vertices
+    monkeypatch.setattr(modcat, "pair_tau_rigid", lambda alg, x, y: False)
+    with pytest.raises(InvariantViolation, match="has 2 members, not 3"):
         enumerate_stt(make_cyclic(3, 3))
 
 
