@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import le
 from typing import NamedTuple, Optional
 
 from . import modcat, tautilt
@@ -80,11 +81,13 @@ def all_arcs(n):
 
 @lru_cache(maxsize=None)
 def _arc_table(n):
-    """(arcs, index, compat) with compat[x] the bitmask of arcs compatible
-    with arcs[x]; crossing depends only on n, so this is shared."""
-    arcs = tuple(all_arcs(n))
+    """(arcs, index, compat): the admissible arcs in canonical order, the
+    position of each, and compat[x] the bitmask of arcs compatible with
+    arcs[x], itself included; crossing depends only on n, so this is
+    shared."""
+    arcs = tuple(sorted(all_arcs(n), key=_arc_key))
     k = len(arcs)
-    compat = [0] * k
+    compat = [1 << x for x in range(k)]
     for x in range(k):
         for y in range(x + 1, k):
             if compatible(arcs[x], arcs[y], n):
@@ -142,21 +145,31 @@ class Triangulation(NamedTuple):
 
 
 def make_triangulation(n, arcs):
-    arcs = tuple(sorted(set(arcs), key=_arc_key))
-    _, index, compat = _arc_table(n)
-    try:
-        ids = [index[a] for a in arcs]
-    except KeyError as e:
-        raise NotInDomain(f"{e.args[0]} is not an admissible arc for n = {n}") from None
-    for p, x in enumerate(ids):
-        for y in ids[p + 1:]:
-            if not compat[x] >> y & 1:
-                raise NotInDomain(f"arcs {arcs[p]} and {all_arcs(n)[y]} cross")
-    if len(arcs) != n:
-        raise NotInDomain(f"expected {n} arcs, got {len(arcs)}")
-    if not any(a.is_projective for a in arcs):
+    """The triangulation on the given arcs, in canonical order; raises
+    NotInDomain unless they are n pairwise compatible admissible arcs with
+    a projective one among them.  Each arc is checked once, by one mask
+    test against the arc table."""
+    table, index, compat = _arc_table(n)
+    mask = 0
+    for a in arcs:
+        x = index.get(a)
+        if x is None:
+            raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
+        mask |= 1 << x
+    out, rest = [], mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        crossed = mask & ~compat[x]
+        if crossed:
+            y = (crossed & -crossed).bit_length() - 1
+            raise NotInDomain(f"arcs {table[x]} and {table[y]} cross")
+        out.append(table[x])
+    if len(out) != n:
+        raise NotInDomain(f"expected {n} arcs, got {len(out)}")
+    if not (out and out[0].is_projective):
         raise NotInDomain("triangulation must contain a projective arc")
-    return Triangulation(n, arcs)
+    return Triangulation(n, tuple(out))
 
 
 class SignedTriangulation(NamedTuple):
@@ -167,34 +180,41 @@ class SignedTriangulation(NamedTuple):
         return f"{self.triangulation} [{'+' if self.sign > 0 else '-'}]"
 
 
-def enumerate_triangulations(n, max_len=None):
-    """All triangulations, restricted so inner arcs with terminal j have
-    length at most max_len[j] when bounds are given.
+def enumerate_triangulations(n):
+    """All triangulations, in the order of a DFS over the arcs of all_arcs."""
+    return [x for x, _ in _triangulations(n)]
 
-    DFS over canonically ordered arcs with bitmask compatibility pruning;
-    every compatible n-set is maximal, which is checked through the projective
-    arc requirement in make_triangulation.
+
+@lru_cache(maxsize=None)
+def _triangulations(n):
+    """Every triangulation with the length of its longest inner arc at
+    each terminal 1..n (0 where there is none); like the arc table this
+    depends on n alone.
+
+    DFS over the arcs in all_arcs order with bitmask compatibility pruning;
+    every compatible n-set is maximal, which is checked through the
+    projective arc requirement in make_triangulation.
     """
-    full_arcs, _, full_compat = _arc_table(n)
-    keep = [
-        x
-        for x, a in enumerate(full_arcs)
-        if a.is_projective or max_len is None or a.length(n) <= max_len[a.j]
-    ]
-    arcs = [full_arcs[x] for x in keep]
-    k = len(arcs)
-    compat = [0] * k
-    for new_x, x in enumerate(keep):
+    _, index, full_compat = _arc_table(n)
+    arcs = all_arcs(n)
+    pos = [index[a] for a in arcs]
+    compat = []
+    for x in pos:
         mask = 0
-        for new_y, y in enumerate(keep):
+        for new_y, y in enumerate(pos):
             if full_compat[x] >> y & 1:
                 mask |= 1 << new_y
-        compat[new_x] = mask
+        compat.append(mask)
     out = []
 
     def extend(chosen, candidates):
         if len(chosen) == n:
-            out.append(make_triangulation(n, chosen))
+            x = make_triangulation(n, chosen)
+            longest = [0] * n
+            for a in x.arcs:
+                if not a.is_projective:
+                    longest[a.j - 1] = max(longest[a.j - 1], a.length(n))
+            out.append((x, tuple(longest)))
             return
         if len(chosen) + candidates.bit_count() < n:
             return
@@ -206,15 +226,18 @@ def enumerate_triangulations(n, max_len=None):
             extend(chosen, cs & compat[x])
             chosen.pop()
 
-    extend([], (1 << k) - 1)
-    return out
+    extend([], (1 << len(arcs)) - 1)
+    return tuple(out)
 
 
 def enumerate_restricted(n, bounds):
     """Triangulations whose inner arcs respect per-terminal length bounds
-    (bounds maps boundary point -> max length)."""
-    capped = {j: min(bounds[j], n) for j in range(1, n + 1)}
-    return enumerate_triangulations(n, capped)
+    (bounds maps boundary point -> max length), in the order of
+    enumerate_triangulations."""
+    # a triangulation without inner arcs at j passes any bound there, a
+    # negative one included
+    caps = [max(bounds[j], 0) for j in range(1, n + 1)]
+    return [x for x, longest in _triangulations(n) if all(map(le, longest, caps))]
 
 
 def fan_arcs(x, i, j):
@@ -236,45 +259,62 @@ def fan_arcs(x, i, j):
 # -- dictionary between arcs and modules ------------------------------------
 
 
-def _require_standard_labels(alg):
-    """The arc dictionary needs vertices 1..n with arrows along j -> j-1
-    (cyclically); both cyclic and linear quivers qualify."""
-    n = alg.n
-    if n == 0 or alg.vertices != tuple(range(1, n + 1)):
-        raise NotInDomain("arc dictionary needs vertices labelled 1..n")
-    for j, k in alg.next_down.items():
-        if k != (j - 2) % n + 1:
-            raise NotInDomain("arc dictionary needs arrows along the cycle order")
+def _arc_dictionary(alg):
+    """Memos (arc -> module, module -> arc) of the dictionary over alg.
+
+    The dictionary needs vertices 1..n with arrows along j -> j-1
+    (cyclically); both cyclic and linear quivers qualify.  The algebra is
+    immutable, so the memos are kept on it once its labels pass; an algebra
+    that fails keeps nothing and raises again on every call.
+    """
+    memo = alg.__dict__.get("_arc_dictionary")
+    if memo is None:
+        n = alg.n
+        if n == 0 or alg.vertices != tuple(range(1, n + 1)):
+            raise NotInDomain("arc dictionary needs vertices labelled 1..n")
+        for j, k in alg.next_down.items():
+            if k != (j - 2) % n + 1:
+                raise NotInDomain("arc dictionary needs arrows along the cycle order")
+        memo = alg.__dict__["_arc_dictionary"] = ({}, {})
+    return memo
 
 
 def arc_to_indec(alg, arc):
     """Projective arcs give projectives; an inner arc of length t with
     terminal j gives the module with top j and length t - 1."""
-    _require_standard_labels(alg)
-    if arc.is_projective:
-        return Indec(arc.j, alg.loewy[arc.j])
-    t = arc.length(alg.n)
-    if t > alg.loewy[arc.j]:
-        raise ArcTooLong(f"{arc} has length {t} > loewy({arc.j})")
-    return Indec(arc.j, t - 1)
+    modules = _arc_dictionary(alg)[0]
+    m = modules.get(arc)
+    if m is None:
+        if arc.is_projective:
+            m = Indec(arc.j, alg.loewy[arc.j])
+        else:
+            t = arc.length(alg.n)
+            if t > alg.loewy[arc.j]:
+                raise ArcTooLong(f"{arc} has length {t} > loewy({arc.j})")
+            m = Indec(arc.j, t - 1)
+        modules[arc] = m
+    return m
 
 
 def indec_to_arc(alg, m):
     """Inverse of arc_to_indec on tau-rigid indecomposables."""
-    _require_standard_labels(alg)
-    modcat.check_valid(alg, m)
-    if not modcat.is_tau_rigid_indec(alg, m):
-        raise NotTauRigid(f"{m} is not tau-rigid")
-    if modcat.is_projective(alg, m):
-        return Arc(None, m.top)
-    n = alg.n
-    return Arc((m.top - m.length - 2) % n + 1, m.top)
+    arcs = _arc_dictionary(alg)[1]
+    arc = arcs.get(m)
+    if arc is None:
+        if not modcat.is_tau_rigid_indec(alg, m):
+            raise NotTauRigid(f"{m} is not tau-rigid")
+        if m.length == alg.loewy[m.top]:
+            arc = Arc(None, m.top)
+        else:
+            arc = Arc((m.top - m.length - 2) % alg.n + 1, m.top)
+        arcs[m] = arc
+    return arc
 
 
 def triangulation_to_tau_tilt(alg, x):
     """Arcwise image of a (suitably restricted) triangulation: a tau-tilting
     pair with empty killed set."""
-    _require_standard_labels(alg)
+    _arc_dictionary(alg)
     module = [arc_to_indec(alg, a) for a in x.arcs]
     pair = tautilt.is_support_tau_tilting(alg, module)
     if pair is None or pair.killed:
@@ -283,7 +323,7 @@ def triangulation_to_tau_tilt(alg, x):
 
 
 def tau_tilt_to_triangulation(alg, pair):
-    _require_standard_labels(alg)
+    _arc_dictionary(alg)
     if pair.killed:
         raise NotInDomain("pair must be tau-tilting")
     return make_triangulation(alg.n, [indec_to_arc(alg, m) for m in pair.module])
@@ -293,7 +333,7 @@ def signed_to_stt(alg, sx):
     """Signed-triangulation dictionary (needs every Loewy length >= n):
     inner arcs give their modules for both signs; a projective arc gives
     the projective with sign + and kills the next vertex around with -."""
-    _require_standard_labels(alg)
+    _arc_dictionary(alg)
     n = alg.n
     if any(alg.loewy[j] < n for j in alg.vertices):
         raise LoewyTooSmall("every Loewy length must be at least n")
@@ -320,7 +360,7 @@ def signed_to_stt(alg, sx):
 
 def stt_to_signed(alg, pair):
     """Inverse of signed_to_stt."""
-    _require_standard_labels(alg)
+    _arc_dictionary(alg)
     n = alg.n
     if any(alg.loewy[j] < n for j in alg.vertices):
         raise LoewyTooSmall("every Loewy length must be at least n")

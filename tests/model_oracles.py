@@ -1,0 +1,50 @@
+"""Reference implementations that the drop-position lookup in
+nakayama.sequences and the restricted triangulation enumeration in
+nakayama.geometry are tested against."""
+
+from nakayama.geometry import _arc_table, all_arcs, make_triangulation
+
+
+def drop_position_scan(seq, l, s):
+    """Largest k < l-1 with a'_k = a'_{l-1} + s (profile read periodically)
+    by a linear scan back over at most n positions; None when there is
+    none."""
+    prof, n = seq.profile, seq.n
+    target = prof[(l - 2) % n] + s
+    for k in range(l - 2, l - 2 - n, -1):
+        if prof[(k - 1) % n] == target:
+            return k
+    return None
+
+
+def enumerate_restricted_dfs(n, bounds):
+    """Triangulations whose inner arcs with terminal j have length at most
+    bounds[j], by a DFS over the admissible arcs (in all_arcs order) that
+    respect the bounds, with bitmask compatibility pruning."""
+    _, index, full_compat = _arc_table(n)
+    arcs = [
+        a for a in all_arcs(n) if a.is_projective or a.length(n) <= min(bounds[a.j], n)
+    ]
+    pos = [index[a] for a in arcs]
+    compat = [
+        sum(1 << new_y for new_y, y in enumerate(pos) if full_compat[x] >> y & 1)
+        for x in pos
+    ]
+    out = []
+
+    def extend(chosen, candidates):
+        if len(chosen) == n:
+            out.append(make_triangulation(n, chosen))
+            return
+        if len(chosen) + candidates.bit_count() < n:
+            return
+        cs = candidates
+        while cs:
+            x = (cs & -cs).bit_length() - 1
+            cs &= cs - 1
+            chosen.append(arcs[x])
+            extend(chosen, cs & compat[x])
+            chosen.pop()
+
+    extend([], (1 << len(arcs)) - 1)
+    return out

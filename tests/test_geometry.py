@@ -5,9 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from model_oracles import enumerate_restricted_dfs
 
 from nakayama import geometry, tautilt
-from nakayama.algebra import make_cyclic, make_linear
+from nakayama.algebra import make_cyclic, make_linear, quotient_by_idempotent
 from nakayama.errors import (
     ArcNotPresent,
     ArcTooLong,
@@ -38,7 +41,9 @@ from nakayama.geometry import (
 )
 from nakayama.modcat import Indec, all_tau_rigid_indecs, comp_factors, pair_tau_rigid
 from nakayama.poset import mutations
+from nakayama.sequences import top_of_triangulation, x_of_sequence
 from nakayama.tautilt import SttPair, enumerate_stt, enumerate_tau_tilt
+from nakayama.verify import valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
 L44 = make_cyclic(4, 4)
@@ -100,6 +105,81 @@ def test_fan_counting():
                     assert count <= width - 1
                     if width >= 2:
                         assert (count == width - 1) == (Arc(i, j) in x.arcs)
+
+
+def test_restricted_enumeration_matches_dfs_oracle():
+    # the filtered per-n list equals a DFS over the arcs within the bounds,
+    # in the same order; the oracle reads the bounds capped at n only
+    for n in range(1, 7):
+        expected = {}
+        for ks in itertools.chain(valid_cyclic_series(n, n + 2), valid_linear_series(n, n)):
+            bounds = dict(zip(range(1, n + 1), ks))
+            capped = tuple(min(k, n) for k in ks)
+            if capped not in expected:
+                expected[capped] = enumerate_restricted_dfs(n, bounds)
+            assert enumerate_restricted(n, bounds) == expected[capped], ks
+
+
+def test_restricted_enumeration_out_of_range_bounds():
+    # bounds below 2 admit no inner arc at their terminal, bounds above n
+    # admit every arc
+    full = enumerate_triangulations(3)
+    assert enumerate_restricted(3, {1: 9, 2: 3, 3: 4}) == full
+    for low in (-2, 0, 1):
+        bounds = {1: low, 2: 3, 3: 3}
+        assert enumerate_restricted(3, bounds) == enumerate_restricted_dfs(3, bounds)
+        assert all(a.is_projective or a.j != 1 for x in enumerate_restricted(3, bounds)
+                   for a in x.arcs)
+
+
+def test_crossing_arcs_are_named():
+    # checked once per arc against the arc table; the message names both
+    # arcs in canonical order, whatever the input order
+    with pytest.raises(NotInDomain, match=r"^arcs <1,3> and <2,4> cross$"):
+        make_triangulation(4, [Arc(2, 4), Arc(1, 3), Arc(None, 1)])
+    with pytest.raises(NotInDomain, match=r"^arcs <\*,3> and <2,1> cross$"):
+        make_triangulation(3, [Arc(2, 1), Arc(None, 3), Arc(None, 2)])
+    with pytest.raises(NotInDomain, match="not an admissible arc"):
+        make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(None, 4)])
+    with pytest.raises(NotInDomain, match="expected 3 arcs, got 2"):
+        make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(None, 2)])
+
+
+def test_standard_label_memo_records_only_success():
+    # vertices 1 and 3 are not labelled 1..n: every call raises, and the
+    # algebra keeps no memo
+    odd = quotient_by_idempotent(make_cyclic(3, 3), [2])
+    assert odd.vertices == (1, 3)
+    for _ in range(2):
+        with pytest.raises(NotInDomain, match="labelled 1..n"):
+            arc_to_indec(odd, Arc(None, 1))
+        with pytest.raises(NotInDomain, match="labelled 1..n"):
+            indec_to_arc(odd, Indec(1, 1))
+    assert "_arc_dictionary" not in odd.__dict__
+    alg = make_cyclic(3, 3)
+    assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
+    assert "_arc_dictionary" in alg.__dict__
+    # a failed lookup is not remembered either
+    short = make_cyclic(3, 2)
+    for _ in range(2):
+        with pytest.raises(ArcTooLong):
+            arc_to_indec(short, Arc(2, 2))
+
+
+_PAIRS = {n: enumerate_tau_tilt(make_cyclic(n, n)) for n in range(1, 7)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(_PAIRS[n])))
+def test_module_arcs_seq_round_trip(pair):
+    # module -> arcs -> module and module -> arcs -> seq -> arcs -> module,
+    # each example on a fresh algebra, so the arc dictionary starts cold
+    n = len(pair.module)
+    alg = make_cyclic(n, n)
+    x = tau_tilt_to_triangulation(alg, pair)
+    assert triangulation_to_tau_tilt(alg, x) == pair
+    assert tau_tilt_to_triangulation(alg, pair) == x
+    assert triangulation_to_tau_tilt(alg, x_of_sequence(top_of_triangulation(x))) == pair
 
 
 def test_arc_module_dictionary():

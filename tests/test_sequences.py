@@ -1,7 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from model_oracles import drop_position_scan
 
+from nakayama import sequences
 from nakayama.errors import InvariantViolation, NotInDomain
 from nakayama.geometry import Arc, enumerate_restricted, enumerate_triangulations, make_triangulation
 from nakayama.sequences import (
@@ -155,3 +159,66 @@ def test_sequence_invariants_raise():
     # the profile of (2,1,0) is (1,1,0): nothing lies 5 above a'_0
     with pytest.raises(InvariantViolation, match="no drop position"):
         _drop_position(SeqA((2, 1, 0)), 1, 5)
+
+
+def test_drop_lookup_matches_scan_oracle():
+    # every sequence with n <= 8, every terminal and every s in 0..n+1,
+    # including the positions that do not exist; _drop_position raises
+    # there, which is checked up to n = 6
+    cases, wrong, missing = 0, [], []
+    for n in range(1, 9):
+        for seq in enumerate_Z(n):
+            lookup = seq.drop_position
+            for l in range(1, n + 1):
+                for s in range(n + 2):
+                    cases += 1
+                    expected = drop_position_scan(seq, l, s)
+                    if lookup(l, s) != expected:
+                        wrong.append((seq, l, s))
+                    elif expected is None and n <= 6:
+                        missing.append((seq, l, s))
+    assert cases == 650_511 and not wrong, wrong[:5]
+    assert missing
+    for seq, l, s in missing:
+        try:
+            _drop_position(seq, l, s)
+        except InvariantViolation:
+            continue
+        raise AssertionError(f"no InvariantViolation for l={l}, s={s} in {seq}")
+
+
+def test_top_of_triangulation_returns_shared_sequences():
+    x = x_of_sequence(SeqA((2, 1, 0)))
+    shared = {seq.a: seq for seq in enumerate_Z(3)}
+    assert top_of_triangulation(x) is shared[(2, 1, 0)]
+    # sizes whose sequences were never built get a fresh instance
+    assert 11 not in sequences._SEQUENCES
+    ones = x_of_sequence(SeqA((1,) * 11))
+    assert top_of_triangulation(ones) == SeqA((1,) * 11)
+    assert 11 not in sequences._SEQUENCES
+
+
+@st.composite
+def compositions(draw):
+    """An n-tuple of nonnegative integers summing to n, n <= 8: n stars
+    and n - 1 bars, with the bars at a drawn set of places."""
+    n = draw(st.integers(1, 8))
+    bars = sorted(draw(st.sets(st.integers(0, 2 * n - 2), min_size=n - 1, max_size=n - 1)))
+    parts, prev = [], -1
+    for b in bars + [2 * n - 1]:
+        parts.append(b - prev - 1)
+        prev = b
+    return tuple(parts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(compositions())
+def test_sequence_round_trip_fresh_and_shared(c):
+    fresh = SeqA(c)
+    shared = sequences._all_sequences(len(c))[c]
+    assert shared is not fresh
+    x = x_of_sequence(fresh)
+    assert x == x_of_sequence(shared)
+    assert top_of_triangulation(x) is shared
+    assert top_of_triangulation(x) == fresh
+    assert fresh.terminal_lengths == shared.terminal_lengths
