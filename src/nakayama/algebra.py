@@ -50,7 +50,7 @@ class NakayamaAlgebra:
         if set(self.loewy) != vs:
             raise InvalidKupisch("loewy keys must equal the vertex set")
         for j, l in self.loewy.items():
-            if not isinstance(l, int) or l < 1:
+            if type(l) is not int or l < 1:
                 raise InvalidKupisch(f"loewy({j}) = {l} must be a positive integer")
         indeg = {}
         for j, k in self.next_down.items():

@@ -63,11 +63,12 @@ class InvalidPoset(NakayamaError):
 
 class InvariantViolation(NakayamaError):
     """A result the theory guarantees did not come out: a rejection lift
-    that is not support tau-tilting, a slot of a pair without exactly one
-    other completion, a maximal tau-rigid pair without n members (which
-    Adachi-Iyama-Reiten, Cor 2.13, rules out), a source split that does
-    not give one killed vertex and a tau-tilting remainder, a flip without
-    exactly one replacement arc, a triangle decomposition that does not
-    close up, a signed-triangulation image with the wrong killed set, a
-    sequence profile without its drop position, or a module path that
-    leaves the quiver."""
+    that is not support tau-tilting, a maximal clique of compatible
+    objects (tau-rigid pairs, or arcs) without n members (which Adachi-
+    Iyama-Reiten, Cor 2.13, rules out for pairs), a slot of a pair or an
+    arc of a triangulation without exactly one other completion under the
+    exchange rule that serves both mutations and flips, a source split
+    that does not give one killed vertex and a tau-tilting remainder, a
+    triangle decomposition that does not close up, a signed-triangulation
+    image with the wrong killed set, a sequence profile without its drop
+    position, or a module path that leaves the quiver."""

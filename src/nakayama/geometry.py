@@ -59,7 +59,7 @@ class Arc(NamedTuple):
 
     @staticmethod
     def parse(text):
-        m = re.fullmatch(r"<\s*(\*|\d+)\s*,\s*(\d+)\s*>", text.strip())
+        m = re.fullmatch(r"<\s*(\*|[0-9]+)\s*,\s*([0-9]+)\s*>", text.strip())
         if not m:
             raise NotInDomain(f"cannot parse arc {text!r}")
         i = None if m.group(1) == "*" else int(m.group(1))
@@ -191,42 +191,21 @@ def _triangulations(n):
     each terminal 1..n (0 where there is none); like the arc table this
     depends on n alone.
 
-    DFS over the arcs in all_arcs order with bitmask compatibility pruning;
-    every compatible n-set is maximal, which is checked through the
-    projective arc requirement in make_triangulation.
+    The triangulations are the maximal cliques of the arc table's graph,
+    each with n arcs, ordered as a DFS over the arcs of all_arcs meets them.
     """
-    _, index, full_compat = _arc_table(n)
-    arcs = all_arcs(n)
-    pos = [index[a] for a in arcs]
-    compat = []
-    for x in pos:
-        mask = 0
-        for new_y, y in enumerate(pos):
-            if full_compat[x] >> y & 1:
-                mask |= 1 << new_y
-        compat.append(mask)
+    table, _, compat = _arc_table(n)
+    nbr = [mask & ~(1 << x) for x, mask in enumerate(compat)]
+    rank = {a: r for r, a in enumerate(all_arcs(n))}
+    cliques = modcat.maximal_cliques(nbr, (1 << len(table)) - 1, table, n)
     out = []
-
-    def extend(chosen, candidates):
-        if len(chosen) == n:
-            x = make_triangulation(n, chosen)
-            longest = [0] * n
-            for a in x.arcs:
-                if not a.is_projective:
-                    longest[a.j - 1] = max(longest[a.j - 1], a.length(n))
-            out.append((x, tuple(longest)))
-            return
-        if len(chosen) + candidates.bit_count() < n:
-            return
-        cs = candidates
-        while cs:
-            x = (cs & -cs).bit_length() - 1
-            cs &= cs - 1
-            chosen.append(arcs[x])
-            extend(chosen, cs & compat[x])
-            chosen.pop()
-
-    extend([], (1 << len(arcs)) - 1)
+    for arcs in sorted(cliques, key=lambda c: sorted(map(rank.get, c))):
+        x = make_triangulation(n, arcs)
+        longest = [0] * n
+        for a in x.arcs:
+            if not a.is_projective:
+                longest[a.j - 1] = max(longest[a.j - 1], a.length(n))
+        out.append((x, tuple(longest)))
     return tuple(out)
 
 
@@ -385,20 +364,16 @@ def flip(sx, arc):
     # monogon is self-folded with no room for a loop arc)
     if arc.is_projective and (n == 1 or Arc(arc.j, arc.j) in x.arcs):
         return SignedTriangulation(x, -sx.sign)
-    rest = [a for a in x.arcs if a != arc]
-    replacements = [
-        b
-        for b in all_arcs(n)
-        if b != arc
-        and b not in rest
-        and all(compatible(b, a, n) for a in rest)
-    ]
-    if len(replacements) != 1:
+    table, index, compat = _arc_table(n)
+    clique = sum(1 << index[a] for a in x.arcs)
+    found = modcat.exchange(compat, clique, index[arc])
+    if found.bit_count() != 1:
         raise InvariantViolation(
-            f"flipping {arc} in {x} has replacements {[str(b) for b in replacements]}"
+            f"flipping {arc} in {x} has replacements {[str(table[y]) for y in modcat.bits(found)]}"
         )
+    rest = [a for a in x.arcs if a != arc]
     return SignedTriangulation(
-        make_triangulation(n, rest + replacements), sx.sign
+        make_triangulation(n, rest + [table[found.bit_length() - 1]]), sx.sign
     )
 
 

@@ -24,7 +24,10 @@ class Indec(NamedTuple):
 
     @staticmethod
     def from_json(data):
-        return Indec(int(data["top"]), int(data["len"]))
+        top, length = data["top"], data["len"]
+        if type(top) is not int or type(length) is not int:
+            raise InvalidModule(f"summand {data} needs integer top and len")
+        return Indec(top, length)
 
 
 def check_valid(alg, m):
@@ -148,6 +151,60 @@ def bits(mask):
     while i >= 0:
         yield i
         i = digits.find("1", i + 1)
+
+
+def maximal_cliques(nbr, nodes, labels, size):
+    """The maximal cliques among the nodes mask, as tuples of the labels
+    of their members in search order (nodes at len(labels) and beyond have
+    no label); nbr[p] masks the neighbours of node p, p itself excluded.
+
+    Bron-Kerbosch with the Tomita pivot.  Every maximal clique must have
+    size members.
+    """
+    base, found, chosen = len(labels), [], []
+
+    def expand(cand, done, depth):
+        # cand is never empty: a branch that would empty it is a leaf,
+        # taken below; a pivot that leaves at most one branch is taken at once
+        best, rest, enough = -1, cand | done, cand.bit_count() - 1
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            count = (cand & nbr[w]).bit_count()
+            if count > best:
+                best, pivot = count, w
+                if count >= enough:
+                    break
+        todo = cand & ~nbr[pivot]
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if v < base:
+                chosen.append(labels[v])
+            if cand & nbr[v]:
+                expand(cand & nbr[v], done & nbr[v], depth + 1)
+            elif not done & nbr[v]:
+                if depth + 1 != size:
+                    raise InvariantViolation(
+                        f"maximal clique on {chosen} has {depth + 1} members, not {size}"
+                    )
+                found.append(tuple(chosen))
+            if v < base:
+                chosen.pop()
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    expand(nodes, 0, 0)
+    return found
+
+
+def exchange(nbr, clique, v):
+    """The mask of the nodes outside clique that are adjacent to every
+    member but v: the other completions of clique without v."""
+    out = (1 << len(nbr)) - 1 & ~clique
+    for p in bits(clique & ~(1 << v)):
+        out &= nbr[p]
+    return out
 
 
 class BitIndex(dict):

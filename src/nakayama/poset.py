@@ -15,7 +15,7 @@ from typing import Any, NamedTuple
 from . import modcat, tautilt
 from .algebra import reject  # noqa: F401  unused; perfbench/smoke.py patches and calls poset.reject
 from .algebra import rejection_chain, socle_vertex_of_projective
-from .errors import InvalidPoset, InvariantViolation
+from .errors import InvalidPoset, InvariantViolation, NotInDomain
 from .modcat import Indec, bits
 
 
@@ -136,21 +136,25 @@ def hasse_direct(alg):
     return quiver
 
 
-def mutations(alg, pair, universe=None):
-    """The neighbors of a pair: delete each of its slots (module summands
-    and killed vertices) and take the unique other completion."""
-    if universe is None:
-        universe = tautilt.enumerate_stt(alg)
-    # summands (Indec tuples) and killed vertices (labels) never collide
-    slot_sets = [set(q.module).union(q.killed) for q in universe]
-    mine = set(pair.module).union(pair.killed)
+def mutations(alg, pair):
+    """The neighbors of a support tau-tilting pair: for each of its slots
+    (module summands and killed vertices), the other completion of the
+    rest, by the exchange rule on the pair compatibility graph."""
+    if tautilt.is_support_tau_tilting(alg, pair.module) != pair:
+        raise NotInDomain(f"{pair} is not a support tau-tilting pair")
+    nbr, nodes, labels = tautilt.compatibility_graph(alg)
+    index, base = modcat.bit_index(alg), len(labels)
+    clique = index.encode(pair.module) | sum(index.vertex_bit[v] for v in pair.killed) << base
     out = []
-    for slot in pair.module + pair.killed:
-        keep = mine - {slot}
-        found = [q for q, slots in zip(universe, slot_sets) if keep <= slots and q != pair]
-        if len(found) != 1:
-            raise InvariantViolation(f"{pair} has {len(found)} other completions without {slot}")
-        out.append(found[0])
+    for v in bits(clique):
+        found = modcat.exchange(nbr, clique, v) & nodes
+        if found.bit_count() != 1:
+            raise InvariantViolation(
+                f"{pair} has {found.bit_count()} other completions without "
+                f"{labels[v] if v < base else alg.vertices[v - base]}"
+            )
+        completion = clique & ~(1 << v) | found
+        out.append(tautilt.make_pair(alg, [labels[p] for p in bits(completion) if p < base]))
     return sorted(out, key=lambda p: p.module)
 
 

@@ -63,24 +63,23 @@ def is_support_tau_tilting(alg, module):
     return None if supp is None else SttPair(module, index.vertices(~supp))
 
 
-def _enumerate_component(alg):
-    """All support tau-tilting modules of a connected algebra, as summand
-    tuples in search order (the caller sorts each module and recomputes
-    its killed set).
+def compatibility_graph(alg):
+    """(nbr, nodes, labels): the graph whose maximal cliques are the
+    support tau-tilting pairs, in the form of modcat.maximal_cliques.
 
-    Bron-Kerbosch with the Tomita pivot over a graph whose nodes are the
-    tau-rigid indecomposables, at their index positions, and one node per
-    vertex, at the positions after the index, standing for a killed vertex.
-    Two modules are adjacent when their sum is tau-rigid, a module and a
-    vertex when the vertex is outside the module's support, and two
-    vertices always.  Every maximal clique must have n members.
+    Its nodes are the tau-rigid indecomposables, at their index positions
+    (labels holds every indexed indecomposable), and one node per vertex,
+    at the positions after the index, standing for a killed vertex.  Two
+    modules are adjacent when their sum is tau-rigid, a module and a vertex
+    when the vertex is outside the module's support, and two vertices
+    always.
     """
     index = modcat.bit_index(alg)
     rigid = index.encode(modcat.all_tau_rigid_indecs(alg))
     for p in modcat.bits(rigid):
         index.test(p, rigid)
-    indecs, n = index.indecs, alg.n
-    base, every_vertex = len(indecs), (1 << n) - 1
+    labels, n = tuple(index.indecs), alg.n
+    base, every_vertex = len(labels), (1 << n) - 1
     killable = every_vertex << base
     nbr = [0] * base + [killable & ~(1 << (base + i)) for i in range(n)]
     for p in modcat.bits(rigid):
@@ -88,41 +87,7 @@ def _enumerate_component(alg):
         nbr[p] = (index.compat[p] & rigid & ~(1 << p)) | (outside << base)
         for i in modcat.bits(outside):
             nbr[base + i] |= 1 << p
-    found, chosen = [], []
-
-    def expand(cand, done, size):
-        # cand is never empty: a branch that would empty it is a leaf,
-        # taken below; a pivot that leaves at most one branch is taken at once
-        best, rest, enough = -1, cand | done, cand.bit_count() - 1
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            count = (cand & nbr[w]).bit_count()
-            if count > best:
-                best, pivot = count, w
-                if count >= enough:
-                    break
-        todo = cand & ~nbr[pivot]
-        while todo:
-            v = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            if v < base:
-                chosen.append(indecs[v])
-            if cand & nbr[v]:
-                expand(cand & nbr[v], done & nbr[v], size + 1)
-            elif not done & nbr[v]:
-                if size + 1 != n:
-                    raise InvariantViolation(
-                        f"maximal tau-rigid pair on {sorted(chosen)} has {size + 1} members, not {n}"
-                    )
-                found.append(tuple(chosen))
-            if v < base:
-                chosen.pop()
-            cand &= ~(1 << v)
-            done |= 1 << v
-
-    expand(rigid | killable, 0, 0)
-    return found
+    return nbr, rigid | killable, labels
 
 
 def enumerate_stt(alg):
@@ -131,7 +96,7 @@ def enumerate_stt(alg):
     Distributes over connected components by Cartesian product; the zero
     algebra contributes the single empty pair.
     """
-    parts = [_enumerate_component(c) for c in components(alg)]
+    parts = [modcat.maximal_cliques(*compatibility_graph(c), c.n) for c in components(alg)]
     pairs = []
     for combo in itertools.product(*parts):
         module = tuple(sorted(itertools.chain.from_iterable(combo)))

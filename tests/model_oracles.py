@@ -1,8 +1,16 @@
 """Reference implementations that the drop-position lookup in
-nakayama.sequences and the restricted triangulation enumeration in
-nakayama.geometry are tested against."""
+nakayama.sequences, and the restricted triangulation enumeration and the
+flips in nakayama.geometry, are tested against."""
 
-from nakayama.geometry import _arc_table, all_arcs, make_triangulation
+from nakayama.errors import InvariantViolation
+from nakayama.geometry import (
+    Arc,
+    SignedTriangulation,
+    _arc_table,
+    all_arcs,
+    compatible,
+    make_triangulation,
+)
 
 
 def drop_position_scan(seq, l, s):
@@ -48,3 +56,27 @@ def enumerate_restricted_dfs(n, bounds):
 
     extend([], (1 << len(arcs)) - 1)
     return out
+
+
+def flip_scan(sx, arc):
+    """Flip of a signed triangulation at one of its arcs, by a scan of
+    every admissible arc against the rest with compatible."""
+    x = sx.triangulation
+    n = x.n
+    if arc.is_projective and (n == 1 or Arc(arc.j, arc.j) in x.arcs):
+        return SignedTriangulation(x, -sx.sign)
+    rest = [a for a in x.arcs if a != arc]
+    replacements = [
+        b
+        for b in all_arcs(n)
+        if b != arc
+        and b not in rest
+        and all(compatible(b, a, n) for a in rest)
+    ]
+    if len(replacements) != 1:
+        raise InvariantViolation(
+            f"flipping {arc} in {x} has replacements {[str(b) for b in replacements]}"
+        )
+    return SignedTriangulation(
+        make_triangulation(n, rest + replacements), sx.sign
+    )

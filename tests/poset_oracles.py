@@ -1,9 +1,10 @@
 """Reference implementations that the bitset order, the covers and the
 quiver doubling in nakayama.poset are tested against (one predicate call
 per ordered pair of elements, one scan per ordered pair of indices, the
-doubling done on the order itself), and the order and quiver queries that
-only the tests use."""
+doubling done on the order itself), the neighbours of a pair by a scan of
+every pair, and the order and quiver queries that only the tests use."""
 
+from nakayama.errors import InvariantViolation
 from nakayama.poset import HasseQuiver, Plus, Poset, geq
 
 
@@ -95,3 +96,20 @@ def transitive_reduction(poset):
             if between == 0:
                 arrows.append((i, j))
     return HasseQuiver(tuple(poset.elements), tuple(sorted(arrows)))
+
+
+def mutations_scan(alg, pair, universe):
+    """The neighbors of a pair: delete each of its slots (module summands
+    and killed vertices) and take the unique other completion, by a scan
+    of universe, the list of every support tau-tilting pair of alg."""
+    # summands (Indec tuples) and killed vertices (labels) never collide
+    slot_sets = [set(q.module).union(q.killed) for q in universe]
+    mine = set(pair.module).union(pair.killed)
+    out = []
+    for slot in pair.module + pair.killed:
+        keep = mine - {slot}
+        found = [q for q, slots in zip(universe, slot_sets) if keep <= slots and q != pair]
+        if len(found) != 1:
+            raise InvariantViolation(f"{pair} has {len(found)} other completions without {slot}")
+        out.append(found[0])
+    return sorted(out, key=lambda p: p.module)

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from module_oracles import projective_injectives_socle_scan
 
 from nakayama import algebra
@@ -197,6 +200,23 @@ def test_json_roundtrip():
     for a in [make_cyclic(3, 3), make_linear([1, 2, 2]), ZERO,
               quotient_by_idempotent(make_cyclic(4, 4), {2})]:
         assert algebra_from_json(algebra_to_json(a)) == a
+
+
+_CYCLIC = {n: [cyclic_algebra(list(ks)) for ks in valid_cyclic_series(n, 5)] for n in range(1, 6)}
+_LINEAR = {n: [make_linear(list(ks)) for ks in valid_linear_series(n, 6)] for n in range(1, 7)}
+_ALGEBRAS = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.sampled_from(_CYCLIC[n])),
+    st.integers(1, 6).flatmap(lambda n: st.sampled_from(_LINEAR[n])),
+)
+_QUOTIENTS = _ALGEBRAS.flatmap(
+    lambda a: st.sets(st.sampled_from(a.vertices)).map(lambda k: quotient_by_idempotent(a, k))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_ALGEBRAS, _QUOTIENTS))
+def test_json_text_round_trip(a):
+    assert algebra_from_json(json.dumps(algebra_to_json(a))) == a
 
 
 def test_json_literals():

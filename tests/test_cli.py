@@ -187,6 +187,12 @@ BAD_INPUT = [
     (["verify", "--bijections", "-2"], "positive"),
     (["verify", "--rejection", "2", "-1"], "positive"),
     (["verify", "--rejection", "0", "3"], "positive"),
+    (["count", "--algebra-json", '{"kind":"linear","kupisch":[1,true]}'], "loewy(2) = True"),
+    (["translate", "--cyclic", "3", "--r", "3", "--from", "module", "--to", "arcs", "--payload",
+      '{"summands":[{"top":1.7,"len":3},{"top":2,"len":"3"},{"top":3.2,"len":3}],"killed":[]}'],
+     "integer top and len"),
+    (["translate", "--cyclic", "3", "--r", "3", "--from", "arcs", "--to", "seq",
+      "--payload", "<*,1> <*,2> <*,\u0663>"], "<*,\u0663>"),
 ]
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from model_oracles import enumerate_restricted_dfs
+from model_oracles import enumerate_restricted_dfs, flip_scan
 
 from nakayama import geometry, tautilt
 from nakayama.algebra import make_cyclic, make_linear, quotient_by_idempotent
@@ -59,6 +59,12 @@ def test_arc_lengths():
 def test_arc_text_roundtrip():
     for a in all_arcs(4):
         assert Arc.parse(str(a)) == a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.sampled_from(all_arcs(n))))
+def test_arc_parse_round_trip(a):
+    assert Arc.parse(str(a)) == a
 
 
 def test_compatible_examples():
@@ -118,6 +124,11 @@ def test_restricted_enumeration_matches_dfs_oracle():
             if capped not in expected:
                 expected[capped] = enumerate_restricted_dfs(n, bounds)
             assert enumerate_restricted(n, bounds) == expected[capped], ks
+    # unrestricted, where the list is every maximal clique of the arc graph
+    for n in (7, 8):
+        bounds = dict.fromkeys(range(1, n + 1), n)
+        expected = enumerate_restricted_dfs(n, bounds)
+        assert enumerate_restricted(n, bounds) == enumerate_triangulations(n) == expected
 
 
 def test_restricted_enumeration_out_of_range_bounds():
@@ -267,12 +278,11 @@ def test_flip_on_punctured_monogon_pops():
     sx = SignedTriangulation(x, +1)
     assert flip(sx, Arc(None, 1)) == SignedTriangulation(x, -1)
     k = make_cyclic(1, 1)
-    universe = enumerate_stt(k)
     for sign in (+1, -1):
         sx = SignedTriangulation(x, sign)
         image = signed_to_stt(k, sx)
         flipped = {signed_to_stt(k, flip(sx, a)) for a in x.arcs}
-        assert flipped == set(mutations(k, image, universe))
+        assert flipped == set(mutations(k, image))
 
 
 def test_flip_is_involutive():
@@ -289,6 +299,16 @@ def test_flip_is_involutive():
                     assert flip(f, b) == sx
 
 
+def test_flip_matches_scan_oracle():
+    # every arc of every signed triangulation with n <= 6
+    for n in range(1, 7):
+        for x in enumerate_triangulations(n):
+            for sign in (+1, -1):
+                sx = SignedTriangulation(x, sign)
+                for a in x.arcs:
+                    assert flip(sx, a) == flip_scan(sx, a), (sx, a)
+
+
 def test_flip_missing_arc():
     x = make_triangulation(3, [Arc(None, j) for j in (1, 2, 3)])
     with pytest.raises(ArcNotPresent):
@@ -298,13 +318,12 @@ def test_flip_missing_arc():
 def test_flips_match_mutations():
     for alg in (L33, L44):
         n = alg.n
-        universe = enumerate_stt(alg)
         for x in enumerate_triangulations(n):
             for sign in (+1, -1):
                 sx = SignedTriangulation(x, sign)
                 image = signed_to_stt(alg, sx)
                 flipped = {signed_to_stt(alg, flip(sx, a)) for a in x.arcs}
-                assert flipped == set(mutations(alg, image, universe))
+                assert flipped == set(mutations(alg, image))
 
 
 def test_flip_graph_connected_and_regular():
@@ -355,11 +374,26 @@ def test_projective_arc_has_no_length():
         Arc(None, 2).length(4)
 
 
+def _uncrossed_table(table):
+    # the arc table with crossing switched off
+    def uncrossed(n):
+        arcs, index, _ = table(n)
+        return arcs, index, ((1 << len(arcs)) - 1,) * len(arcs)
+    return uncrossed
+
+
 def test_flip_without_unique_replacement_raises(monkeypatch):
     # with crossing switched off every other arc completes the rest
-    monkeypatch.setattr(geometry, "compatible", lambda a, b, n: True)
+    monkeypatch.setattr(geometry, "_arc_table", _uncrossed_table(geometry._arc_table))
     with pytest.raises(InvariantViolation, match="replacements"):
         flip(SignedTriangulation(X3, +1), Arc(2, 1))
+
+
+def test_arc_clique_of_the_wrong_size_raises(monkeypatch):
+    # with crossing switched off all nine arcs of the triangle form one clique
+    monkeypatch.setattr(geometry, "_arc_table", _uncrossed_table(geometry._arc_table))
+    with pytest.raises(InvariantViolation, match="has 9 members, not 3"):
+        geometry._triangulations.__wrapped__(3)
 
 
 def test_signed_dictionary_guards_raise(monkeypatch):
@@ -415,7 +449,8 @@ try:
 except InvariantViolation:
     pass
 x = make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)])
-geometry.compatible = lambda a, b, n: True
+arcs, index, _ = geometry._arc_table(3)
+geometry._arc_table = lambda n: (arcs, index, ((1 << len(arcs)) - 1,) * len(arcs))
 try:
     flip(SignedTriangulation(x, +1), Arc(2, 1))
 except InvariantViolation:

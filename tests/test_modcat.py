@@ -8,10 +8,12 @@ from nakayama.modcat import (
     all_indecs,
     all_tau_rigid_indecs,
     comp_factors,
+    exchange,
     hom_nonzero,
     in_fac,
     is_projective,
     is_tau_rigid_indec,
+    maximal_cliques,
     pair_tau_rigid,
     socle_vertex,
     support,
@@ -233,3 +235,27 @@ def test_socle_off_the_quiver_raises(monkeypatch):
     monkeypatch.setattr(alg, "walk_down", lambda j, steps: None)
     with pytest.raises(InvariantViolation, match="socle"):
         socle_vertex(alg, Indec(1, 2))
+
+
+# the square a-b-c-d-a: its maximal cliques are its four sides
+SQUARE = [0b1010, 0b0101, 0b1010, 0b0101]
+
+
+def test_maximal_cliques_of_the_square():
+    cliques = maximal_cliques(SQUARE, 0b1111, "abcd", 2)
+    assert sorted("".join(sorted(c)) for c in cliques) == ["ab", "ad", "bc", "cd"]
+    # nodes past the labels are members without a label
+    assert sorted(maximal_cliques(SQUARE, 0b1111, "ab", 2)) == [(), ("a",), ("a", "b"), ("b",)]
+
+
+def test_maximal_clique_of_the_wrong_size_raises():
+    with pytest.raises(InvariantViolation, match="has 2 members, not 3"):
+        maximal_cliques(SQUARE, 0b1111, "abcd", 3)
+
+
+def test_exchange_gives_the_other_completion():
+    # side ab without a is completed by c, without b by d
+    assert exchange(SQUARE, 0b0011, 0) == 0b0100
+    assert exchange(SQUARE, 0b0011, 1) == 0b1000
+    # a one-node clique without its node: every other node
+    assert exchange([0, 0, 0], 0b010, 1) == 0b101

@@ -11,11 +11,12 @@ from poset_oracles import (
     double_poset,
     fac_order,
     le,
+    mutations_scan,
     same_labelled_graph,
     transitive_reduction,
 )
 
-from nakayama import algebra
+from nakayama import algebra, tautilt
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
@@ -26,7 +27,13 @@ from nakayama.algebra import (
     reject,
     rejection_chain,
 )
-from nakayama.errors import InvalidPoset, InvariantViolation, NotProjectiveInjective
+from nakayama.errors import (
+    InvalidModule,
+    InvalidPoset,
+    InvariantViolation,
+    NotInDomain,
+    NotProjectiveInjective,
+)
 from nakayama.modcat import BitIndex, Indec
 from nakayama.poset import (
     HasseQuiver,
@@ -43,7 +50,7 @@ from nakayama.poset import (
     poset_isomorphic,
     stt_poset,
 )
-from nakayama.tautilt import enumerate_stt, make_pair
+from nakayama.tautilt import SttPair, enumerate_stt, make_pair
 from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
@@ -138,10 +145,9 @@ def test_mutation_example():
 
 
 def test_mutation_involutive():
-    universe = enumerate_stt(L33)
-    for p in universe:
-        for q in mutations(L33, p, universe):
-            assert p in mutations(L33, q, universe)
+    for p in enumerate_stt(L33):
+        for q in mutations(L33, p):
+            assert p in mutations(L33, q)
 
 
 def test_hasse_neighbors_are_mutations():
@@ -153,7 +159,42 @@ def test_hasse_neighbors_are_mutations():
         adjacency[universe[a]].add(universe[b])
         adjacency[universe[b]].add(universe[a])
     for v in universe:
-        assert adjacency[v] == set(mutations(alg, v, universe))
+        assert adjacency[v] == set(mutations(alg, v))
+
+
+MUTATION_ALGEBRAS = (
+    [cyclic_algebra(list(ks)) for n in range(1, 5) for ks in valid_cyclic_series(n, 5)]
+    + [make_linear(list(ks)) for n in range(1, 6) for ks in valid_linear_series(n, 5)]
+    + [
+        quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}),
+        quotient_by_idempotent(make_cyclic(5, 5), {2, 4}),
+        make_cyclic(4, 1),
+        make_cyclic(5, 5),
+        make_cyclic(6, 6),
+    ]
+)
+
+
+def test_mutations_match_scan_oracle():
+    # 242 algebras, 11 076 pairs
+    for alg in MUTATION_ALGEBRAS:
+        pairs = enumerate_stt(alg)
+        for p in pairs:
+            assert mutations(alg, p) == mutations_scan(alg, p, pairs), (alg, p)
+
+
+def test_mutations_reject_bad_pairs():
+    a3 = make_linear([1, 2, 3])
+    s1 = (Indec(1, 1),)
+    assert mutations(a3, SttPair(s1, (2, 3)))
+    for pair, error in [
+        (SttPair(s1, ()), NotInDomain),  # not support tau-tilting
+        (SttPair(s1, (2, 3, 9)), NotInDomain),  # 9 is not a vertex
+        (SttPair(s1, (2,)), NotInDomain),  # wrong killed set
+        (SttPair((Indec(7, 1),), (2, 3)), InvalidModule),  # not a module
+    ]:
+        with pytest.raises(error):
+            mutations(a3, pair)
 
 
 def test_hasse_degree_equals_vertex_count():
@@ -291,12 +332,20 @@ from nakayama.poset import hasse_by_rejection, mutations
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 alg = make_cyclic(2, 2)
-universe = tautilt.enumerate_stt(alg)
+pair = tautilt.enumerate_stt(alg)[0]
+# with every node adjacent to every other, each node outside the pair
+# completes any slot
+real_graph = tautilt.compatibility_graph
+def complete_graph(alg):
+    nbr, nodes, labels = real_graph(alg)
+    return [nodes & ~(1 << p) for p in range(len(nbr))], nodes, labels
+tautilt.compatibility_graph = complete_graph
 try:
-    mutations(alg, universe[0], universe + universe)
-    sys.exit("accepted a slot with two other completions")
+    mutations(alg, pair)
+    sys.exit("accepted a slot with several other completions")
 except InvariantViolation:
     pass
+tautilt.compatibility_graph = real_graph
 # a wrong socle vertex puts pairs in the wrong class: a stage lift fails
 # while is_support_tau_tilting is intact
 real_socle = poset.socle_vertex_of_projective
@@ -328,10 +377,18 @@ def test_lift_and_mutation_invariants_hold_under_optimize():
     )
 
 
-def test_mutation_without_completion_raises():
+def test_mutation_without_completion_raises(monkeypatch):
+    # with no edge in the pair graph no slot has another completion
     pairs = enumerate_stt(L33)
+    real = tautilt.compatibility_graph
+
+    def edgeless(alg):
+        nbr, nodes, labels = real(alg)
+        return [0] * len(nbr), nodes, labels
+
+    monkeypatch.setattr(tautilt, "compatibility_graph", edgeless)
     with pytest.raises(InvariantViolation):
-        mutations(L33, pairs[0], pairs[:1])
+        mutations(L33, pairs[0])
 
 
 def _masks(index, pairs):

@@ -1,6 +1,9 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from module_oracles import (
     enumerate_component_dfs,
     is_support_tau_tilting_oracle,
@@ -281,6 +284,15 @@ def test_lift_requires_proper_nonprojective():
 def test_pair_json_roundtrip():
     for pair in enumerate_stt(L33):
         assert SttPair.from_json(pair.to_json()) == pair
+
+
+_PAIRS = {n: enumerate_stt(make_cyclic(n, n)) for n in range(1, 7)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(_PAIRS[n])))
+def test_pair_json_text_round_trip(pair):
+    assert SttPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair
 
 
 # -- the bit index against the pairwise, set-based oracles --------------------
