@@ -53,9 +53,11 @@ class Arc(NamedTuple):
 
     @staticmethod
     def from_json(data):
-        if data["kind"] == "proj":
-            return Arc(None, int(data["j"]))
-        return Arc(int(data["i"]), int(data["j"]))
+        kind, j = data["kind"], data["j"]
+        i = data["i"] if kind == "inner" else None
+        if type(j) is not int or not (kind == "proj" or kind == "inner" and type(i) is int):
+            raise NotInDomain(f"arc {data} needs kind proj or inner and integer points")
+        return Arc(i, j)
 
     @staticmethod
     def parse(text):
@@ -139,9 +141,9 @@ class Triangulation(NamedTuple):
 
     @staticmethod
     def from_json(data):
-        return make_triangulation(
-            int(data["n"]), [Arc.from_json(a) for a in data["arcs"]]
-        )
+        if type(data["n"]) is not int:
+            raise NotInDomain(f"triangulation needs an integer n, not {data['n']!r}")
+        return make_triangulation(data["n"], [Arc.from_json(a) for a in data["arcs"]])
 
 
 def make_triangulation(n, arcs):

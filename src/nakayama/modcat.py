@@ -213,18 +213,21 @@ class BitIndex(dict):
     Maps each indecomposable to its bit position: the seed indecs first, in
     order, then a missing one gets the next free position on lookup, after
     check_valid, so holding a position means being valid.  supp[p] is its
-    support as a mask over alg.vertices (bit i for alg.vertices[i]).  Row p
+    support as a mask over vertex_bit, by default bit i for alg.vertices[i];
+    the stages of a rejection chain share the input algebra's.  Row p
     of the pair table is filled on its own: tested[p] masks the positions q
     that p has been tested against through pair_tau_rigid, compat[p] those
     where the pair is tau-rigid; bit p of compat[p] is the indecomposable's
     own tau-rigidity.  Filling row q later asks for the same pair again,
-    and pair_tau_rigid's cache answers it.
+    and pair_tau_rigid's cache answers it.  graph holds the algebra's
+    compatibility graph once tautilt.compatibility_graph has built it.
     """
 
-    def __init__(self, alg, indecs=()):
+    def __init__(self, alg, indecs=(), vertex_bit=None):
         super().__init__()
         self.alg = alg
-        self.vertex_bit = {v: 1 << i for i, v in enumerate(alg.vertices)}
+        self.vertex_bit = vertex_bit or {v: 1 << i for i, v in enumerate(alg.vertices)}
+        self.graph = None
         self.indecs = []
         self.supp = []
         self.tested = []

@@ -10,6 +10,8 @@ over a BitIndex per stage; both routes must agree label-for-label.
 from __future__ import annotations
 
 import json
+from itertools import compress
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from . import modcat, tautilt
@@ -164,23 +166,24 @@ def mutations(alg, pair):
 def double_hasse(quiver, chosen):
     """The quiver-level doubling: same vertex extension, with arrows
     duplicated on the copy, arrows into the chosen set redirected to the
-    copy, and one new arrow from each shifted vertex onto its original."""
+    copy, and one new arrow from each shifted vertex onto its original.
+    Arrows are not sorted; only those into the chosen set are visited."""
     k = len(quiver.vertices)
     plus = sorted(chosen)
-    pos = {i: k + idx for idx, i in enumerate(plus)}
+    copy = [0] * k  # the position of each chosen vertex's copy, 0 if none
+    for pos, i in enumerate(plus, k):
+        copy[i] = pos
+    arrows = list(quiver.arrows)
+    into_chosen = map(copy.__getitem__, map(itemgetter(1), arrows))
+    for idx in list(compress(range(len(arrows)), into_chosen)):  # listed before arrows grows
+        a, b = arrows[idx]
+        if copy[a]:  # chosen -> chosen stays, and is copied
+            arrows.append((copy[a], copy[b]))
+        else:  # plain -> chosen gets redirected
+            arrows[idx] = (a, copy[b])
+    arrows += [(copy[i], i) for i in plus]
     vertices = tuple(quiver.vertices) + tuple(Plus(quiver.vertices[i]) for i in plus)
-    arrows = []
-    for a, b in quiver.arrows:
-        if a in chosen and b in chosen:
-            arrows.append((a, b))
-            arrows.append((pos[a], pos[b]))
-        elif b in chosen:  # plain -> chosen gets redirected
-            arrows.append((a, pos[b]))
-        else:
-            arrows.append((a, b))
-    for i in plus:
-        arrows.append((pos[i], i))
-    return HasseQuiver(vertices, tuple(sorted(arrows)))
+    return HasseQuiver(vertices, tuple(arrows))
 
 
 # -- rejection ---------------------------------------------------------------
@@ -203,12 +206,12 @@ def classify_quotient_pairs(index, j, masks):
     alg = index.alg
     if alg.loewy[j] == 1:
         return [], list(range(len(masks))), []
-    radical = 1 << index[Indec(j, alg.loewy[j] - 1)]
+    r = 1 << index[Indec(j, alg.loewy[j] - 1)]
     socv = index.vertex_bit[socle_vertex_of_projective(alg, j)]
     reaches = sum(1 << p for p, supp in enumerate(index.supp) if supp & socv)
     n1, n2, n3 = [], [], []
     for idx, mask in enumerate(masks):
-        if not mask & radical:
+        if not mask & r:
             n1.append(idx)
         elif not mask & reaches:
             n2.append(idx)
@@ -217,29 +220,41 @@ def classify_quotient_pairs(index, j, masks):
     return n1, n2, n3
 
 
-def lift_through_rejection(index, j, masks):
+def lift_through_rejection(index, j, masks, supports):
     """One rejection step: the support tau-tilting pairs of alg = index.alg
-    from the summand masks of those of alg/soc P_j over the same index.
+    from those of B = alg/soc P_j, as summand masks over the same index,
+    with their supports over index.vertex_bit.
 
-    With Q = P_j and R its radical, classes 1 and 2 lift unchanged and class
-    3 lifts as mask ^ (R | Q); class 2 lifts a second time as mask | Q.
-    Returns (n2, lifts): the class 2 indices, and the lift masks in
-    double_hasse vertex order, one per quotient pair and then one per class
-    2 pair.  A lift that fails validation raises InvariantViolation.
+    With Q = P_j and R = Q/soc Q (P_j over B), classes 1 and 2 lift
+    unchanged and class 3 lifts as mask ^ (R | Q); class 2 lifts a second
+    time as mask | Q.  Returns (n2, lifts, supports): the class 2 indices,
+    and the lifts with their supports in double_hasse vertex order, one
+    per quotient pair and then one per class 2 pair.
+
+    On B-modules tau agrees with tau over B away from R (Adachi-Iyama-
+    Reiten), so a lift holding R or Q must lie in their rows of the pair
+    table, the only rows filled here, and every lift needs as many
+    summands as support vertices; otherwise InvariantViolation.
     """
     _, n2, n3 = classify_quotient_pairs(index, j, masks)
     alg = index.alg
-    q = 1 << index[Indec(j, alg.loewy[j])]
-    swap = q | (1 << index[Indec(j, alg.loewy[j] - 1)] if n3 else 0)  # n3 is empty if Q is simple
-    lifts = list(masks)
+    pq = index[Indec(j, alg.loewy[j])]
+    pr = index[Indec(j, alg.loewy[j] - 1)] if alg.loewy[j] > 1 else pq  # Q simple: no R, no n3
+    every = (1 << len(index.indecs)) - 1
+    q, r, supp_q = 1 << pq, 1 << pr, index.supp[pq]
+    off_q, off_r = every & ~index.test(pq, every), every & ~index.test(pr, every)
+    lifts, sups = list(masks), list(supports)
     for idx in n3:
-        lifts[idx] ^= swap
+        lifts[idx] ^= r | q
+        sups[idx] |= supp_q  # which holds the support of R
     lifts += [masks[idx] | q for idx in n2]
-    for mask in lifts:
-        if index.tilting_support(mask) is None:
+    sups += [supports[idx] | supp_q for idx in n2]
+    for mask, supp in zip(lifts, sups):
+        off_row = mask & r and mask & off_r or mask & q and mask & off_q
+        if off_row or supp.bit_count() != mask.bit_count():
             module = index.decode(mask)
             raise InvariantViolation(f"lift {module} is not support tau-tilting over {alg!r}")
-    return n2, lifts
+    return n2, lifts, sups
 
 
 def _canonical(quiver):
@@ -254,21 +269,24 @@ def hasse_by_rejection(alg, picks=None):
     """Hasse quiver by socle rejection along rejection_chain(alg, picks).
 
     From the zero algebra's single vertex, each stage places the lifts of
-    the quotient's pairs, as summand masks over a fresh BitIndex seeded
-    with the quotient's positions, on its quiver doubled along class 2.
-    Lifts and doubling use only masks and vertex indices, so a component
-    split needs no special case.  Forced picks apply at every step, and the
-    default pick takes over when they run out.  Decoded, checked over alg
-    and sorted once; label-identical to hasse_direct.
+    the quotient's pairs on its quiver doubled along class 2.  A pair is a
+    summand mask over a fresh BitIndex per stage, seeded with the
+    quotient's positions, and carries its support over the vertex bits of
+    alg, which every stage shares.  Lifts and doubling use only masks and
+    vertex indices, so a component split needs no special case.  Forced
+    picks apply at every step, and the default pick takes over when they
+    run out.  Decoded, checked over alg and sorted once; label-identical to
+    hasse_direct.
     """
     chain = rejection_chain(alg, picks)
-    index = modcat.BitIndex(chain.pop()[0])  # the zero algebra
-    quiver = HasseQuiver((0,), ())
+    vertex_bit = modcat.bit_index(alg).vertex_bit
+    index = modcat.BitIndex(chain.pop()[0], (), vertex_bit)  # the zero algebra
+    quiver, supports = HasseQuiver((0,), ()), [0]
     while chain:
         a, j = chain.pop()  # popped, so each stage algebra and its caches go once lifted
-        index = modcat.BitIndex(a, index.indecs)
-        n2, lifts = lift_through_rejection(index, j, quiver.vertices)
-        quiver = HasseQuiver(tuple(lifts), double_hasse(quiver, set(n2)).arrows)
+        index = modcat.BitIndex(a, index.indecs, vertex_bit)
+        n2, lifts, supports = lift_through_rejection(index, j, quiver.vertices, supports)
+        quiver = HasseQuiver(tuple(lifts), double_hasse(quiver, n2).arrows)
     pairs = tuple(tautilt.is_support_tau_tilting(alg, index.decode(m)) for m in quiver.vertices)
     if None in pairs:
         module = index.decode(quiver.vertices[pairs.index(None)])

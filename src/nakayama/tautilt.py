@@ -72,9 +72,11 @@ def compatibility_graph(alg):
     at the positions after the index, standing for a killed vertex.  Two
     modules are adjacent when their sum is tau-rigid, a module and a vertex
     when the vertex is outside the module's support, and two vertices
-    always.
+    always.  Built once per algebra and kept on its BitIndex.
     """
     index = modcat.bit_index(alg)
+    if index.graph is not None:
+        return index.graph
     rigid = index.encode(modcat.all_tau_rigid_indecs(alg))
     for p in modcat.bits(rigid):
         index.test(p, rigid)
@@ -87,7 +89,8 @@ def compatibility_graph(alg):
         nbr[p] = (index.compat[p] & rigid & ~(1 << p)) | (outside << base)
         for i in modcat.bits(outside):
             nbr[base + i] |= 1 << p
-    return nbr, rigid | killable, labels
+    index.graph = nbr, rigid | killable, labels
+    return index.graph
 
 
 def enumerate_stt(alg):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -65,6 +66,46 @@ def test_arc_text_roundtrip():
 @given(st.integers(1, 8).flatmap(lambda n: st.sampled_from(all_arcs(n))))
 def test_arc_parse_round_trip(a):
     assert Arc.parse(str(a)) == a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.sampled_from(all_arcs(n))))
+def test_arc_json_round_trip(a):
+    assert Arc.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.sampled_from(enumerate_triangulations(n))))
+def test_triangulation_json_round_trip(x):
+    assert Triangulation.from_json(json.loads(json.dumps(x.to_json()))) == x
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "proj", "j": 1.7},
+        {"kind": "proj", "j": 1.0},
+        {"kind": "proj", "j": True},
+        {"kind": "proj", "j": "1"},
+        {"kind": "inner", "i": True, "j": 3},
+        {"kind": "inner", "i": 1, "j": "3"},
+        {"kind": "inner", "i": 2.0, "j": 3},
+        {"kind": "inner", "i": None, "j": 3},
+        {"kind": "loop", "i": 1, "j": 3},
+    ],
+)
+def test_arc_from_json_takes_integers_only(data):
+    with pytest.raises(NotInDomain):
+        Arc.from_json(data)
+
+
+@pytest.mark.parametrize("n", [3.9, 3.0, True, "3"])
+def test_triangulation_from_json_takes_an_integer_n(n):
+    good = enumerate_triangulations(3)[0].to_json()
+    with pytest.raises(NotInDomain):
+        Triangulation.from_json(dict(good, n=n))
+    with pytest.raises(NotInDomain):
+        Triangulation.from_json(dict(good, arcs=[{"kind": "proj", "j": 1.0}] + good["arcs"][1:]))
 
 
 def test_compatible_examples():

@@ -16,7 +16,7 @@ from poset_oracles import (
     transitive_reduction,
 )
 
-from nakayama import algebra, tautilt
+from nakayama import algebra, poset, tautilt
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
@@ -34,7 +34,7 @@ from nakayama.errors import (
     NotInDomain,
     NotProjectiveInjective,
 )
-from nakayama.modcat import BitIndex, Indec
+from nakayama.modcat import BitIndex, Indec, bits
 from nakayama.poset import (
     HasseQuiver,
     Plus,
@@ -195,6 +195,19 @@ def test_mutations_reject_bad_pairs():
     ]:
         with pytest.raises(error):
             mutations(a3, pair)
+
+
+def test_mutations_read_the_graph_of_the_enumeration(monkeypatch):
+    # the compatibility graph is built once per algebra, by the
+    # enumeration, and kept on its BitIndex for every later call
+    alg = make_cyclic(4, 4)
+    pairs = enumerate_stt(alg)
+    graph = tautilt.compatibility_graph(alg)
+    assert tautilt.modcat.bit_index(alg).graph is graph
+    monkeypatch.setattr(tautilt.modcat, "all_tau_rigid_indecs", None)  # a rebuild would call it
+    assert enumerate_stt(alg) == pairs
+    assert all(len(mutations(alg, p)) == alg.n for p in pairs)
+    assert tautilt.compatibility_graph(alg) is graph
 
 
 def test_hasse_degree_equals_vertex_count():
@@ -399,6 +412,20 @@ def _pairs(index, masks):
     return [make_pair(index.alg, index.decode(mask)) for mask in masks]
 
 
+def _support(index, mask):
+    supp = 0
+    for p in bits(mask):
+        supp |= index.supp[p]
+    return supp
+
+
+def _lift(index, j, masks):
+    """lift_through_rejection with the supports read off the index:
+    (n2, lifts)."""
+    n2, lifts, _ = lift_through_rejection(index, j, masks, [_support(index, m) for m in masks])
+    return n2, lifts
+
+
 @pytest.mark.parametrize(
     "alg",
     [
@@ -414,7 +441,7 @@ def test_one_rejection_step_gives_the_direct_quiver(alg):
     j = min(projective_injectives(alg))
     sub = hasse_direct(reject(alg, j))
     index = BitIndex(alg)
-    n2, lifts = lift_through_rejection(index, j, _masks(index, sub.vertices))
+    n2, lifts = _lift(index, j, _masks(index, sub.vertices))
     doubled = double_hasse(sub, set(n2))
     assert len(lifts) == len(doubled.vertices)
     lifted = HasseQuiver(tuple(_pairs(index, lifts)), doubled.arrows)
@@ -436,10 +463,10 @@ def test_classify_semisimple_stage():
         frozenset({Indec(3, 1)}),
         frozenset({Indec(1, 1), Indec(3, 1)}),
     }
-    _, lifts = lift_through_rejection(index, 3, masks)
+    _, lifts = _lift(index, 3, masks)
     lifted = _pairs(index, lifts)
     assert sorted(lifted, key=lambda p: p.module) == enumerate_stt(alg)
-    # the adjoined copies: pairs containing the projective with its radical
+    # the adjoined copies: pairs containing the projective Q and Q/soc Q
     doubled = {p for p in lifted if {Indec(3, 2), Indec(3, 1)} <= set(p.module)}
     assert {frozenset(p.module) for p in doubled} == {
         frozenset({Indec(3, 2), Indec(3, 1)}),
@@ -448,8 +475,8 @@ def test_classify_semisimple_stage():
 
 
 def test_classify_empty_middle_class_keeps_size():
-    # when the radical of the rejected projective reaches its own socle
-    # vertex, nothing doubles
+    # when Q/soc Q, for Q the rejected projective, has the socle vertex
+    # of Q among its composition factors, nothing doubles
     alg = make_cyclic(2, 3)
     quotient_pairs = enumerate_stt(reject(alg, 1))
     index = BitIndex(alg)
@@ -465,7 +492,7 @@ def test_simple_rejection_doubles():
     masks = _masks(index, quotient_pairs)
     n1, n2, n3 = classify_quotient_pairs(index, 1, masks)
     assert (n1, n2, n3) == ([], [0], [])  # the empty pair is middle-class
-    _, lifted = lift_through_rejection(index, 1, masks)
+    _, lifted = _lift(index, 1, masks)
     assert len(lifted) == 2 * len(quotient_pairs)
 
 
@@ -495,6 +522,113 @@ def test_summand_masks_round_trip_and_keep_quotient_positions():
     assert _masks(stage, pairs) == masks
     # the new projective takes a fresh position
     assert stage[Indec(j, alg.loewy[j])] == len(below.indecs)
+
+
+def _stages(alg):
+    """Per stage of the default rejection chain of alg, as the engine runs
+    it: (index, j, masks, supports, lifts, lift supports)."""
+    chain = rejection_chain(alg)
+    vertex_bit = BitIndex(alg).vertex_bit
+    index = BitIndex(chain.pop()[0], (), vertex_bit)
+    masks, supports = [0], [0]
+    while chain:
+        a, j = chain.pop()
+        index = BitIndex(a, index.indecs, vertex_bit)
+        _, lifts, lift_supports = lift_through_rejection(index, j, masks, supports)
+        yield index, j, masks, supports, lifts, lift_supports
+        masks, supports = lifts, lift_supports
+
+
+def _lift_grid():
+    """Every cyclic series with n <= 4 and entries <= 6, every linear
+    series with n <= 5 and entries <= 5, and linear 1..4 without vertex 2:
+    287 algebras."""
+    algs = [cyclic_algebra(ks) for n in range(1, 5) for ks in valid_cyclic_series(n, 6)]
+    algs += [make_linear(list(ks)) for n in range(1, 6) for ks in valid_linear_series(n, 5)]
+    return algs + [quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})]
+
+
+def test_incremental_lift_check_matches_full_check():
+    # every lift the two-row check accepts passes the full pairwise check
+    # over a stage index, with the support the engine carried
+    algs = _lift_grid()
+    assert len(algs) == 287
+    for alg in algs:
+        for index, _, _, _, lifts, supports in _stages(alg):
+            assert [index.tilting_support(mask) for mask in lifts] == supports
+
+
+@pytest.mark.parametrize(
+    "source, target", [(3, 1), (1, 3), (3, 2), (1, 2)],
+    ids=["class 3 as 1 (no swap)", "class 1 as 3", "class 3 as 2", "class 1 as 2"],
+)
+def test_misclassified_lift_raises(monkeypatch, source, target):
+    # each pair of the source class is handed to its stage as one of the
+    # target class: the two-row check raises exactly when the full check
+    # rejects one of its lifts (a class 1 pair taken as class 3 can lift
+    # to a good pair, the class 2 copy of another); only Q's row catches
+    # some class 1 pairs taken as class 2
+    algs = [cyclic_algebra(ks) for n in range(1, 4) for ks in valid_cyclic_series(n, 5)]
+    algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, 4)]
+    verdicts = Counter()
+    for alg in algs:
+        for index, j, masks, supports, _, _ in _stages(alg):
+            a = index.alg
+            q = 1 << index[Indec(j, a.loewy[j])]
+            r = 1 << index[Indec(j, a.loewy[j] - 1)] if a.loewy[j] > 1 else 0
+            forced = ([], [], [])
+            forced[target - 1].append(0)
+            for idx in classify_quotient_pairs(index, j, masks)[source - 1]:
+                mask = masks[idx]
+                lifts = {1: [mask], 2: [mask, mask | q], 3: [mask ^ (r | q)]}[target]
+                bad = None in [index.tilting_support(m) for m in lifts]
+                monkeypatch.setattr(poset, "classify_quotient_pairs", lambda *_: forced)
+                try:
+                    lift_through_rejection(index, j, [mask], [supports[idx]])
+                    raised = False
+                except InvariantViolation:
+                    raised = True
+                monkeypatch.undo()
+                assert raised == bad, (alg, j, index.decode(mask))
+                verdicts[bad] += 1
+    assert verdicts[True] > 100
+    if source == 3:
+        assert verdicts[False] == 0
+
+
+_OPTIMIZED_MISCLASSIFIED = """
+import sys
+from nakayama import poset, tautilt
+from nakayama.algebra import make_cyclic
+from nakayama.errors import InvariantViolation
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real = poset.classify_quotient_pairs
+tautilt.is_support_tau_tilting = lambda alg, module: sys.exit("a bad lift passed its stage")
+for source, target in ((2, 0), (0, 2), (2, 1), (0, 1)):
+    def moved(index, j, masks):
+        classes = real(index, j, masks)
+        classes[target].extend(classes[source])
+        classes[source].clear()
+        return classes
+    poset.classify_quotient_pairs = moved
+    try:
+        poset.hasse_by_rejection(make_cyclic(3, 3))
+        sys.exit("no stage raised")
+    except InvariantViolation:
+        pass
+"""
+
+
+def test_misclassified_lift_raises_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_MISCLASSIFIED],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -628,19 +762,19 @@ def test_isomorphism_negative_and_self():
 
 
 def test_forbidden_class_transitions():
-    # with Q the rejected projective and R its radical, the strict order
+    # with Q the rejected projective and R = Q/soc Q, the strict order
     # never climbs from the plain classes into the Q-classes
     algs = [make_cyclic(n, r) for n in range(1, 5) for r in range(1, 5)]
     algs += [make_linear(list(ks)) for ks in valid_linear_series(3, 4)]
     for alg in algs:
         j = min(projective_injectives(alg))
         q = Indec(j, alg.loewy[j])
-        radical = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
+        r = Indec(j, alg.loewy[j] - 1) if alg.loewy[j] > 1 else None
         pairs = enumerate_stt(alg)
 
         def cls(p):
             has_q = q in p.module
-            has_r = radical is None or radical in p.module
+            has_r = r is None or r in p.module
             if has_q and has_r:
                 return "2+"
             if has_q:
