@@ -35,7 +35,7 @@ from .poset import (
     hasse_by_rejection,
     hasse_direct,
     mutations,
-    poset_isomorphic,
+    rejection_isomorphism,
     stt_poset,
 )
 from .counting import catalan, central_binomial, verify_tables

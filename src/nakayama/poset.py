@@ -10,13 +10,13 @@ over a BitIndex per stage; both routes must agree label-for-label.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import compress
 from operator import itemgetter
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from . import modcat, tautilt
-from .algebra import reject  # noqa: F401  unused; perfbench/smoke.py patches and calls poset.reject
-from .algebra import rejection_chain, socle_vertex_of_projective
+from .algebra import reject, rejection_chain, socle_vertex_of_projective
 from .errors import InvalidPoset, InvariantViolation, NotInDomain
 from .modcat import Indec, bits
 
@@ -24,15 +24,6 @@ from .modcat import Indec, bits
 def geq(alg, m, n):
     """Whether m >= n, i.e. every summand of n is a factor of m."""
     return all(modcat.in_fac(alg, s, m.module) for s in n.module)
-
-
-class Plus(NamedTuple):
-    """Marker for the shifted copy of a vertex in a doubled poset/quiver."""
-
-    base: Any
-
-    def __repr__(self):
-        return f"{self.base!r}+"
 
 
 class Poset:
@@ -163,17 +154,17 @@ def mutations(alg, pair):
 # -- poset doubling ----------------------------------------------------------
 
 
-def double_hasse(quiver, chosen):
-    """The quiver-level doubling: same vertex extension, with arrows
-    duplicated on the copy, arrows into the chosen set redirected to the
-    copy, and one new arrow from each shifted vertex onto its original.
-    Arrows are not sorted; only those into the chosen set are visited."""
-    k = len(quiver.vertices)
+def double_hasse(arrows, k, chosen):
+    """The quiver-level doubling of the arrow list of a quiver on k
+    vertices, in place; returns the list.  The chosen vertices get copies
+    k, k + 1, ... in increasing order; arrows among them are duplicated on
+    the copies, arrows into them from elsewhere are redirected to the
+    copy, and each copy gets one arrow onto its original.  Arrows are not
+    sorted; only those into the chosen set are visited."""
     plus = sorted(chosen)
     copy = [0] * k  # the position of each chosen vertex's copy, 0 if none
     for pos, i in enumerate(plus, k):
         copy[i] = pos
-    arrows = list(quiver.arrows)
     into_chosen = map(copy.__getitem__, map(itemgetter(1), arrows))
     for idx in list(compress(range(len(arrows)), into_chosen)):  # listed before arrows grows
         a, b = arrows[idx]
@@ -182,8 +173,7 @@ def double_hasse(quiver, chosen):
         else:  # plain -> chosen gets redirected
             arrows[idx] = (a, copy[b])
     arrows += [(copy[i], i) for i in plus]
-    vertices = tuple(quiver.vertices) + tuple(Plus(quiver.vertices[i]) for i in plus)
-    return HasseQuiver(vertices, tuple(arrows))
+    return arrows
 
 
 # -- rejection ---------------------------------------------------------------
@@ -275,123 +265,57 @@ def hasse_by_rejection(alg, picks=None):
     alg, which every stage shares.  Lifts and doubling use only masks and
     vertex indices, so a component split needs no special case.  Forced
     picks apply at every step, and the default pick takes over when they
-    run out.  Decoded, checked over alg and sorted once; label-identical to
-    hasse_direct.
+    run out.  Checked distinct, decoded, checked over alg and sorted once;
+    label-identical to hasse_direct.
     """
     chain = rejection_chain(alg, picks)
     vertex_bit = modcat.bit_index(alg).vertex_bit
     index = modcat.BitIndex(chain.pop()[0], (), vertex_bit)  # the zero algebra
-    quiver, supports = HasseQuiver((0,), ()), [0]
+    masks, supports, arrows = [0], [0], []
     while chain:
         a, j = chain.pop()  # popped, so each stage algebra and its caches go once lifted
         index = modcat.BitIndex(a, index.indecs, vertex_bit)
-        n2, lifts, supports = lift_through_rejection(index, j, quiver.vertices, supports)
-        quiver = HasseQuiver(tuple(lifts), double_hasse(quiver, n2).arrows)
-    pairs = tuple(tautilt.is_support_tau_tilting(alg, index.decode(m)) for m in quiver.vertices)
+        n2, lifts, supports = lift_through_rejection(index, j, masks, supports)
+        arrows = double_hasse(arrows, len(masks), n2)
+        masks = lifts
+    if len(set(masks)) < len(masks):
+        twice = next(m for m, c in Counter(masks).items() if c > 1)
+        raise InvariantViolation(f"lift {index.decode(twice)} appears twice over {alg!r}")
+    pairs = tuple(tautilt.is_support_tau_tilting(alg, index.decode(m)) for m in masks)
     if None in pairs:
-        module = index.decode(quiver.vertices[pairs.index(None)])
+        module = index.decode(masks[pairs.index(None)])
         raise InvariantViolation(f"lift {module} is not support tau-tilting over {alg!r}")
-    return _canonical(HasseQuiver(pairs, quiver.arrows))
+    return _canonical(HasseQuiver(pairs, arrows))
 
 
-# -- poset isomorphism -------------------------------------------------------
+def rejection_isomorphism(alg, j):
+    """The reduction step's order isomorphism stt(alg) -> stt(reject(alg,
+    j)) when j lies on a cycle of m vertices and loewy[j] > m: P_j goes to
+    P_j/soc P_j, every other summand and the killed set stay.  On the
+    cycle a non-projective tau-rigid module is shorter than m (Adachi-
+    Iyama-Reiten), so neither module competes with another summand of top
+    j.  Returns the map as a dict.
 
-
-def poset_isomorphic(p1, p2):
-    """An order isomorphism elements(p1) -> elements(p2) if one exists.
-
-    Backtracking over signature-compatible assignments; signatures start
-    from (down-set size, up-set size, cover degrees) and are refined in
-    lockstep by cover multisets until stable.
+    NotInDomain for any other j; InvalidPoset if the map is not a
+    bijection or does not carry each down-set onto its image's.
     """
-    k = len(p1.elements)
-    if k != len(p2.elements):
-        return None
-
-    def structure(poset):
-        h = poset.hasse()
-        covers_down = [[] for _ in range(k)]
-        covers_up = [[] for _ in range(k)]
-        for a, b in h.arrows:
-            covers_down[a].append(b)
-            covers_up[b].append(a)
-        up = [0] * k
-        for i in range(k):
-            for j in range(k):
-                if i != j and poset.down[i] >> j & 1:
-                    up[j] |= 1 << i
-        base = [
-            (
-                poset.down[i].bit_count(),
-                up[i].bit_count(),
-                len(covers_down[i]),
-                len(covers_up[i]),
-            )
-            for i in range(k)
-        ]
-        return covers_down, covers_up, base
-
-    cd1, cu1, sig1 = structure(p1)
-    cd2, cu2, sig2 = structure(p2)
-    table = {v: i for i, v in enumerate(sorted(set(sig1) | set(sig2)))}
-    sig1 = [table[v] for v in sig1]
-    sig2 = [table[v] for v in sig2]
-    for _ in range(k):
-        table = {}
-
-        def refine(sig, cd, cu):
-            out = []
-            for i in range(k):
-                key = (
-                    sig[i],
-                    tuple(sorted(sig[j] for j in cd[i])),
-                    tuple(sorted(sig[j] for j in cu[i])),
-                )
-                out.append(table.setdefault(key, len(table)))
-            return out
-
-        new1 = refine(sig1, cd1, cu1)
-        new2 = refine(sig2, cd2, cu2)
-        if sorted(new1) != sorted(new2):
-            return None
-        stable = len(set(new1)) == len(set(sig1))
-        sig1, sig2 = new1, new2
-        if stable:
-            break
-    if sorted(sig1) != sorted(sig2):
-        return None
-    order = sorted(range(k), key=lambda i: (sig1.count(sig1[i]), i))
-    image = [None] * k
-    used = [False] * k
-
-    def fits(i, j):
-        for a in range(k):
-            b = image[a]
-            if b is None:
-                continue
-            if (p1.down[i] >> a & 1) != (p2.down[j] >> b & 1):
-                return False
-            if (p1.down[a] >> i & 1) != (p2.down[b] >> j & 1):
-                return False
-        return True
-
-    def search(pos):
-        if pos == k:
-            return True
-        i = order[pos]
-        for j in range(k):
-            if not used[j] and sig1[i] == sig2[j] and fits(i, j):
-                image[i] = j
-                used[j] = True
-                if search(pos + 1):
-                    return True
-                image[i] = None
-                used[j] = False
-        return False
-
-    if not search(0):
-        return None
-    return {p1.elements[i]: p2.elements[image[i]] for i in range(k)}
+    on_cycle = j in alg.loewy and alg.component_is_cyclic(j)
+    if not on_cycle or alg.loewy[j] <= alg.component_size(j):
+        raise NotInDomain(f"P_{j} is not longer than a cycle through {j} over {alg!r}")
+    source, target = stt_poset(alg), stt_poset(reject(alg, j))
+    p, r = Indec(j, alg.loewy[j]), Indec(j, alg.loewy[j] - 1)
+    image = [
+        tautilt.SttPair(tuple(sorted(r if s == p else s for s in pair.module)), pair.killed)
+        for pair in source.elements
+    ]
+    where = {pair: i for i, pair in enumerate(target.elements)}
+    perm = [where.get(pair) for pair in image]
+    if len(perm) != len(where) or set(perm) != set(range(len(where))):
+        raise InvalidPoset(f"P_{j} -> P_{j}/soc P_{j} is not a bijection of the pairs of {alg!r}")
+    for i, down in enumerate(source.down):
+        if sum(1 << perm[b] for b in bits(down)) != target.down[perm[i]]:
+            raise InvalidPoset(f"{source.elements[i]} and {image[i]} have different down-sets")
+    return dict(zip(source.elements, image))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -2,10 +2,22 @@
 quiver doubling in nakayama.poset are tested against (one predicate call
 per ordered pair of elements, one scan per ordered pair of indices, the
 doubling done on the order itself), the neighbours of a pair by a scan of
-every pair, and the order and quiver queries that only the tests use."""
+every pair, and the order and quiver queries and copy labels that only the
+tests use."""
+
+from typing import Any, NamedTuple
 
 from nakayama.errors import InvariantViolation
-from nakayama.poset import HasseQuiver, Plus, Poset, geq
+from nakayama.poset import HasseQuiver, Poset, double_hasse, geq
+
+
+class Plus(NamedTuple):
+    """Label of the shifted copy of a vertex in a doubled poset or quiver."""
+
+    base: Any
+
+    def __repr__(self):
+        return f"{self.base!r}+"
 
 
 def le(poset, x, y):
@@ -58,6 +70,14 @@ def double_poset(poset, chosen):
                 mask |= 1 << pos[c]
         down.append(mask)
     return Poset(elements, down)
+
+
+def double_labelled(quiver, chosen):
+    """double_hasse on a labelled quiver: the copies of the chosen vertices,
+    in increasing order, are labelled Plus(original)."""
+    arrows = double_hasse(list(quiver.arrows), len(quiver.vertices), chosen)
+    copies = tuple(Plus(quiver.vertices[i]) for i in sorted(chosen))
+    return HasseQuiver(tuple(quiver.vertices) + copies, tuple(arrows))
 
 
 def from_relation(elements, le):

@@ -8,17 +8,12 @@ bijections, and quiver constructions at desk scale.
 import random
 import time
 
-from poset_oracles import degree_sequence, double_poset, same_labelled_graph
+from poset_oracles import degree_sequence, double_labelled, double_poset, same_labelled_graph
 
 from nakayama import counting
 from nakayama.algebra import make_cyclic, make_linear
 from nakayama.geometry import SignedTriangulation, enumerate_triangulations, flip, signed_to_stt
-from nakayama.poset import (
-    Poset,
-    double_hasse,
-    hasse_direct,
-    mutations,
-)
+from nakayama.poset import Poset, hasse_direct, mutations
 from nakayama.tautilt import (
     drop_to_proper_part,
     enumerate_ps_tau_tilt,
@@ -153,7 +148,7 @@ def test_criterion_6_structural_invariants():
                     chosen.add(x)
                     changed = True
         ok &= same_labelled_graph(
-            double_poset(p, chosen).hasse(), double_hasse(p.hasse(), chosen)
+            double_poset(p, chosen).hasse(), double_labelled(p.hasse(), chosen)
         )
 
     elapsed = time.time() - start

@@ -137,6 +137,24 @@ def test_verify_bundles(capsys):
     assert "bijections n=2" in out and "rejection cyclic n=2" in out
 
 
+def test_verify_rejection_isomorphism_failure(capsys, monkeypatch):
+    from nakayama import poset
+    from nakayama.errors import InvalidPoset
+
+    def broken(alg, j):
+        raise InvalidPoset("patched")
+
+    monkeypatch.setattr(poset, "rejection_isomorphism", broken)
+    code = main(["verify", "--rejection", "4", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "stt posets of the 3-vertex algebras r=4 and r=3 isomorphic",
+        "FAIL (1)",
+    ]
+    assert "Traceback" not in out + err
+
+
 def test_trace_with_picks(capsys):
     code, out = run(
         capsys, "hasse", "--cyclic", "3", "--r", "4", "--method", "rejection",

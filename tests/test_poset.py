@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 from poset_oracles import (
+    Plus,
     degree_sequence,
+    double_labelled,
     double_poset,
     fac_order,
     le,
@@ -37,17 +40,15 @@ from nakayama.errors import (
 from nakayama.modcat import BitIndex, Indec, bits
 from nakayama.poset import (
     HasseQuiver,
-    Plus,
     Poset,
     classify_quotient_pairs,
-    double_hasse,
     geq,
     hasse_by_rejection,
     hasse_direct,
     lift_through_rejection,
     mutations,
     pair_label,
-    poset_isomorphic,
+    rejection_isomorphism,
     stt_poset,
 )
 from nakayama.tautilt import SttPair, enumerate_stt, make_pair
@@ -222,20 +223,20 @@ def test_double_single_vertex():
     assert d.elements == ["w", Plus("w")]
     h = d.hasse()
     assert h.labelled_arrows() == {(Plus("w"), "w")}
-    hq = double_hasse(p.hasse(), {0})
+    hq = double_labelled(p.hasse(), {0})
     assert same_labelled_graph(hq, h)
 
 
 def test_double_empty_set_is_identity():
     p = Poset(["a", "b"], [0b01, 0b11])
     assert double_poset(p, set()).elements == p.elements
-    assert double_hasse(p.hasse(), set()) == p.hasse()
+    assert double_labelled(p.hasse(), set()) == p.hasse()
 
 
 def test_double_diamond_sketch():
     # four-vertex sketch: w1 -> n1 -> n2 -> w2 with a direct w1 -> w2
     q = HasseQuiver(("w1", "n1", "n2", "w2"), ((0, 1), (0, 3), (1, 2), (2, 3)))
-    d = double_hasse(q, {1, 2})
+    d = double_labelled(q, {1, 2})
     assert d.labelled_arrows() == {
         ("w1", "w2"),
         ("w1", Plus("n1")),
@@ -281,7 +282,7 @@ def test_doubling_identity_on_random_posets():
         p = _random_poset(rng, k)
         chosen = _convexify(p, {i for i in range(k) if rng.random() < 0.35})
         lhs = double_poset(p, chosen).hasse()
-        rhs = double_hasse(p.hasse(), chosen)
+        rhs = double_labelled(p.hasse(), chosen)
         assert same_labelled_graph(lhs, rhs)
 
 
@@ -442,7 +443,7 @@ def test_one_rejection_step_gives_the_direct_quiver(alg):
     sub = hasse_direct(reject(alg, j))
     index = BitIndex(alg)
     n2, lifts = _lift(index, j, _masks(index, sub.vertices))
-    doubled = double_hasse(sub, set(n2))
+    doubled = double_labelled(sub, set(n2))
     assert len(lifts) == len(doubled.vertices)
     lifted = HasseQuiver(tuple(_pairs(index, lifts)), doubled.arrows)
     assert same_labelled_graph(lifted, hasse_direct(alg))
@@ -596,6 +597,52 @@ def test_misclassified_lift_raises(monkeypatch, source, target):
         assert verdicts[False] == 0
 
 
+def _move_first_class_1(stage, moved):
+    """classify_quotient_pairs with the first class 1 pair of the given
+    stage (counted from 1, from the zero algebra up) handed over as class
+    3; appends the stage to moved when it does so."""
+    calls = []
+
+    def classify(index, j, masks):
+        n1, n2, n3 = classify_quotient_pairs(index, j, masks)
+        calls.append(j)
+        if len(calls) == stage and n1:
+            moved.append(stage)
+            return n1[1:], n2, sorted(n3 + n1[:1])
+        return n1, n2, n3
+
+    return classify
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [make_cyclic(2, 2), make_cyclic(2, 3), make_cyclic(3, 2), L33, make_linear([1, 2, 3])],
+    ids=["cyclic(2,2)", "cyclic(2,3)", "cyclic(3,2)", "cyclic(3,3)", "linear(1,2,3)"],
+)
+def test_class_1_lifted_as_class_3_raises(monkeypatch, alg):
+    # a class 1 pair lifted as M | R | Q can be a good pair, equal to the
+    # class 2 copy of another: no stage check and not the final check over
+    # alg sees it, so hasse_by_rejection checks that its lifts are distinct
+    repeated = 0
+    for stage in range(1, len(rejection_chain(alg))):
+        moved = []
+        monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first_class_1(stage, moved))
+        try:
+            hasse_by_rejection(alg)
+        except InvariantViolation as e:
+            repeated += "appears twice" in str(e)
+        else:
+            assert not moved, f"stage {stage}: the moved pair went through"
+    assert repeated > 0
+
+
+def test_repeated_lift_names_the_module(monkeypatch):
+    monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first_class_1(3, []))
+    module = (Indec(2, 1), Indec(2, 2))
+    with pytest.raises(InvariantViolation, match=re.escape(f"lift {module} appears twice")):
+        hasse_by_rejection(make_cyclic(2, 2))
+
+
 _OPTIMIZED_MISCLASSIFIED = """
 import sys
 from nakayama import poset, tautilt
@@ -739,26 +786,73 @@ def test_published_chain_and_isomorphism():
     chain = rejection_chain(make_cyclic(3, 4), picks=[1, 2, 3, 1, 2, 1, 3, 2, 3])
     semisimple = chain[9][0]
     assert sorted(semisimple.loewy.values()) == [1, 1, 1]
-    p34 = stt_poset(make_cyclic(3, 4))
-    p33 = stt_poset(make_cyclic(3, 3))
-    iso = poset_isomorphic(p34, p33)
-    assert iso is not None
-    for a in p34.elements:
-        for b in p34.elements:
-            assert le(p34, a, b) == le(p33, iso[a], iso[b])
-    # every stage of the chain with all Loewy lengths >= 3 has the same poset
-    reference = p33
-    for alg, _ in chain[:4]:
-        assert min(alg.loewy.values()) >= 3
-        assert poset_isomorphic(stt_poset(alg), reference) is not None
+    # each of the first three steps rejects a projective longer than the
+    # cycle, so it is an order isomorphism; together they take (4,4,4) to
+    # (3,3,3)
+    assert chain[3][0] == make_cyclic(3, 3)
+    for alg, j in chain[:3]:
+        p, q = stt_poset(alg), stt_poset(reject(alg, j))
+        iso = rejection_isomorphism(alg, j)
+        assert set(iso) == set(p.elements) and set(iso.values()) == set(q.elements)
+        for a in p.elements:
+            for b in p.elements:
+                assert le(p, a, b) == le(q, iso[a], iso[b])
 
 
-def test_isomorphism_negative_and_self():
-    chain = Poset(list("abc"), [0b001, 0b011, 0b111])
-    antichain = Poset(list("xyz"), [0b001, 0b010, 0b100])
-    assert poset_isomorphic(chain, antichain) is None
-    assert poset_isomorphic(chain, chain) is not None
-    assert poset_isomorphic(antichain, antichain) is not None
+def _isomorphism_cases():
+    """Every cyclic series with n <= 4 and entries <= n + 3, with each
+    projective-injective j longer than the cycle."""
+    for n in range(1, 5):
+        for ks in valid_cyclic_series(n, n + 3):
+            alg = cyclic_algebra(ks)
+            for j in sorted(projective_injectives(alg)):
+                if alg.loewy[j] > n:
+                    yield alg, j
+
+
+def test_rejection_isomorphism_on_the_cyclic_grid():
+    cases = list(_isomorphism_cases())
+    assert len(cases) == 278
+    for alg, j in cases:
+        iso = rejection_isomorphism(alg, j)
+        assert sorted(iso) == enumerate_stt(alg)
+        assert sorted(iso.values()) == enumerate_stt(reject(alg, j))
+        p, r = Indec(j, alg.loewy[j]), Indec(j, alg.loewy[j] - 1)
+        for pair, image in iso.items():
+            assert image.killed == pair.killed
+            swapped = {r if s == p else s for s in pair.module}
+            assert set(image.module) == swapped and len(image.module) == len(pair.module)
+
+
+@pytest.mark.parametrize(
+    "alg, j",
+    [(L33, 1), (make_cyclic(3, 4), 4), (make_linear([1, 2, 3, 4]), 4), (ZERO, 1)],
+    ids=["cyclic(3,3) j=1", "not a vertex", "linear", "zero"],
+)
+def test_rejection_isomorphism_domain(alg, j):
+    with pytest.raises(NotInDomain):
+        rejection_isomorphism(alg, j)
+
+
+def test_rejection_isomorphism_rejects_a_wrong_quotient(monkeypatch):
+    # a quotient whose pairs are not the images: not a bijection
+    monkeypatch.setattr(poset, "reject", lambda alg, j: L33)
+    with pytest.raises(InvalidPoset, match="not a bijection"):
+        rejection_isomorphism(make_cyclic(3, 4), 1)
+
+
+def test_rejection_isomorphism_rejects_a_wrong_order(monkeypatch):
+    # the right pairs under the discrete order: every down-set of a
+    # non-minimal pair differs from its image's
+    alg, real = make_cyclic(3, 4), poset.stt_poset
+
+    def discrete_quotient(a, pairs=None):
+        p = real(a, pairs)
+        return p if a == alg else Poset(p.elements, [1 << i for i in range(len(p.elements))])
+
+    monkeypatch.setattr(poset, "stt_poset", discrete_quotient)
+    with pytest.raises(InvalidPoset, match="different down-sets"):
+        rejection_isomorphism(alg, 1)
 
 
 def test_forbidden_class_transitions():
