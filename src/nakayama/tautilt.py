@@ -35,10 +35,13 @@ class SttPair(NamedTuple):
 
     @staticmethod
     def from_json(data):
-        return SttPair(
-            tuple(sorted(Indec.from_json(s) for s in data["summands"])),
-            tuple(sorted(data["killed"])),
-        )
+        summands, killed = data["summands"], data["killed"]
+        if not (type(summands) is type(killed) is list and all(type(v) is int for v in killed)):
+            raise NotInDomain(f"pair {data} needs a summand list and integer killed vertices")
+        module = tuple(sorted({Indec.from_json(s) for s in summands}))
+        if len(module) < len(summands) or len(set(killed)) < len(killed):
+            raise NotInDomain(f"pair {data} repeats a summand or a killed vertex")
+        return SttPair(module, tuple(sorted(killed)))
 
 
 def make_pair(alg, module):
@@ -93,23 +96,30 @@ def compatibility_graph(alg):
     return index.graph
 
 
-def enumerate_stt(alg):
-    """All basic support tau-tilting pairs, canonically ordered.
-
-    Distributes over connected components by Cartesian product; the zero
-    algebra contributes the single empty pair.
-    """
-    parts = [modcat.maximal_cliques(*compatibility_graph(c), c.n) for c in components(alg)]
-    pairs = []
-    for combo in itertools.product(*parts):
-        module = tuple(sorted(itertools.chain.from_iterable(combo)))
-        pairs.append(make_pair(alg, module))
+def _over_components(alg, pair, modules_only=False):
+    """pair(module) for each choice of one maximal clique per component (among
+    the module nodes alone with modules_only), sorted; the zero algebra has one."""
+    parts = []
+    for c in components(alg):
+        nbr, nodes, labels = compatibility_graph(c)
+        if modules_only:
+            nodes &= (1 << len(labels)) - 1
+        parts.append(modcat.maximal_cliques(nbr, nodes, labels, c.n))
+    pairs = [pair(tuple(sorted(itertools.chain.from_iterable(combo))))
+             for combo in itertools.product(*parts)]
     pairs.sort(key=lambda p: p.module)
     return pairs
 
 
+def enumerate_stt(alg):
+    """All basic support tau-tilting pairs, canonically ordered."""
+    return _over_components(alg, lambda module: make_pair(alg, module))
+
+
 def enumerate_tau_tilt(alg):
-    return [p for p in enumerate_stt(alg) if not p.killed]
+    """All tau-tilting modules, in the order of enumerate_stt; each has n members
+    by Bongartz completion (Adachi-Iyama-Reiten, Thm 2.10), and that is checked."""
+    return _over_components(alg, lambda module: SttPair(module, ()), modules_only=True)
 
 
 def enumerate_ps_tau_tilt(alg):

@@ -16,7 +16,7 @@ from nakayama.modcat import (
     pair_tau_rigid,
     tau,
 )
-from nakayama.tautilt import SttPair
+from nakayama.tautilt import SttPair, enumerate_stt
 
 
 def projective_injectives_socle_scan(alg):
@@ -112,3 +112,9 @@ def enumerate_component_dfs(alg):
 
     extend([], 0, rigid)
     return found
+
+
+def enumerate_tau_tilt_filter(alg):
+    """The tau-tilting modules as the support tau-tilting pairs with no
+    killed vertex, in the order of enumerate_stt."""
+    return [p for p in enumerate_stt(alg) if not p.killed]

@@ -180,6 +180,8 @@ def test_unknown_flag_exit_code(capsys):
     capsys.readouterr()
 
 
+FROM_MODULE = ["translate", "--cyclic", "3", "--r", "3", "--from", "module", "--to", "arcs",
+               "--payload"]
 BAD_INPUT = [
     (["enumerate", "--linear", "--kupisch", "1,x"], "'1,x'"),
     (["hasse", "--cyclic", "3", "--r", "3", "--method", "rejection", "--picks", "x"], "'x'"),
@@ -211,6 +213,12 @@ BAD_INPUT = [
      "integer top and len"),
     (["translate", "--cyclic", "3", "--r", "3", "--from", "arcs", "--to", "seq",
       "--payload", "<*,1> <*,2> <*,\u0663>"], "<*,\u0663>"),
+    ([*FROM_MODULE, '{"summands":[],"killed":"32"}'], "integer killed vertices"),
+    ([*FROM_MODULE, '{"summands":[],"killed":[2.0,true]}'], "integer killed vertices"),
+    ([*FROM_MODULE, '{"summands":[{"top":1,"len":3},{"top":1,"len":3},{"top":2,"len":3}],'
+                    '"killed":[]}'], "repeats a summand"),
+    ([*FROM_MODULE, '{"summands":[{"top":1,"len":3},{"top":2,"len":3}],"killed":[3,3]}'],
+     "repeats a summand or a killed vertex"),
 ]
 
 

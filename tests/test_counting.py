@@ -1,6 +1,7 @@
 import math
 
-from nakayama.algebra import make_cyclic, make_gamma, make_linear, quotient_by_idempotent
+from nakayama import tautilt
+from nakayama.algebra import ZERO, make_cyclic, make_gamma, make_linear, quotient_by_idempotent
 from nakayama.counting import (
     CountReport,
     catalan,
@@ -44,6 +45,35 @@ def test_verify_tables_all_ok():
     reports = verify_tables()
     assert len(reports) == 50
     assert all(r.ok for r in reports)
+
+
+SPLIT_ALGEBRAS = (
+    [make(n, r) for make in (make_gamma, make_cyclic) for n in range(1, 6) for r in range(1, 6)]
+    + [
+        quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}),
+        quotient_by_idempotent(make_cyclic(5, 4), {1, 3}),
+        ZERO,
+    ]
+)
+
+
+def test_clique_counts_match_enumerate_stt():
+    # the counts behind the reference table, against the killed/unkilled
+    # split of the pairs that enumerate_stt lists
+    for alg in SPLIT_ALGEBRAS:
+        pairs = enumerate_stt(alg)
+        tt = sum(1 for p in pairs if not p.killed)
+        assert enumerated_counts(alg) == (tt, len(pairs) - tt, len(pairs)), alg
+    assert enumerated_counts(ZERO) == (1, 0, 1)
+
+
+def test_counts_build_no_pair(monkeypatch):
+    # two components: (linear 1) x (linear 1,2) has 2 x 5 pairs, of which
+    # 1 x 2 are tau-tilting
+    alg = quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})
+    monkeypatch.setattr(tautilt, "SttPair", None)
+    monkeypatch.setattr(tautilt, "make_pair", None)
+    assert enumerated_counts(alg) == (2, 8, 10)
 
 
 def test_table_spot_values():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from module_oracles import (
     enumerate_component_dfs,
+    enumerate_tau_tilt_filter,
     is_support_tau_tilting_oracle,
     support_oracle,
 )
@@ -295,6 +296,41 @@ def test_pair_json_text_round_trip(pair):
     assert SttPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair
 
 
+# any pair of distinct summands and distinct killed vertices, valid over an
+# algebra or not: from_json reads pair literals before any algebra is known
+literal_pairs = st.builds(
+    lambda summands, killed: SttPair(tuple(sorted(summands)), tuple(sorted(killed))),
+    st.sets(st.builds(Indec, st.integers(-3, 9), st.integers(-3, 9)), max_size=6),
+    st.sets(st.integers(-3, 9), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(literal_pairs)
+def test_any_pair_json_text_round_trip(pair):
+    assert SttPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair
+
+
+P1, P2 = {"top": 1, "len": 3}, {"top": 2, "len": 3}
+
+
+@pytest.mark.parametrize("data", [
+    {"summands": [], "killed": "32"},
+    {"summands": [], "killed": ""},
+    {"summands": [], "killed": [2.0, True]},
+    {"summands": [], "killed": [1, "2"]},
+    {"summands": [], "killed": [None]},
+    {"summands": [], "killed": {"1": 2}},
+    {"summands": [], "killed": [1, 1]},
+    {"summands": [P1, P1, P2], "killed": []},
+    {"summands": [P1, dict(P1)], "killed": [3]},
+    {"summands": {"top": 1, "len": 3}, "killed": []},
+])
+def test_pair_json_takes_distinct_summands_and_integer_vertices(data):
+    with pytest.raises(NotInDomain):
+        SttPair.from_json(data)
+
+
 # -- the bit index against the pairwise, set-based oracles --------------------
 
 INDEX_ALGEBRAS = (
@@ -353,6 +389,46 @@ def test_enumerate_stt_matches_dfs_oracle(alg):
         key=lambda p: p.module,
     )
     assert enumerate_stt(alg) == expected
+
+
+# -- the tau-tilting clique search against the filter oracle ------------------
+
+TAU_TILT_ALGEBRAS = {
+    "cyclic n<=5, entries<=n+2": [
+        cyclic_algebra(list(ks)) for n in range(1, 6) for ks in valid_cyclic_series(n, n + 2)
+    ],
+    "linear n<=5, entries<=5": [
+        make_linear(list(ks)) for n in range(1, 6) for ks in valid_linear_series(n, 5)
+    ],
+    "disconnected quotients": [
+        quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}),
+        quotient_by_idempotent(make_cyclic(5, 4), {1, 3}),
+        quotient_by_idempotent(make_linear(list(range(1, 9))), {3, 6}),
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", TAU_TILT_ALGEBRAS)
+def test_enumerate_tau_tilt_matches_filter_oracle(grid):
+    # the module-only clique search against the unkilled pairs of
+    # enumerate_stt over the same compatibility graph, in order
+    for alg in TAU_TILT_ALGEBRAS[grid]:
+        assert enumerate_tau_tilt(alg) == enumerate_tau_tilt_filter(alg), alg
+
+
+def test_tau_tilt_search_raises_on_a_missing_edge():
+    # without the edge S1 -- P2 of the linear A2 algebra, S1 has no module
+    # neighbour (S1 + S2 is not tau-rigid): a maximal clique of one member
+    # on two vertices; enumerate_stt completes it by killing vertex 2 and
+    # loses the pair S1 + P2 without a word
+    alg = make_linear([1, 2])
+    nbr, _, labels = tautilt.compatibility_graph(alg)
+    s1, p2 = labels.index(Indec(1, 1)), labels.index(Indec(2, 2))
+    nbr[s1] &= ~(1 << p2)
+    nbr[p2] &= ~(1 << s1)
+    with pytest.raises(InvariantViolation, match="has 1 members, not 2"):
+        enumerate_tau_tilt(alg)
+    assert len(enumerate_stt(alg)) == 4
 
 
 def test_invalid_summand_wins_over_non_rigid_pair():
