@@ -174,22 +174,16 @@ class NakayamaAlgebra:
     def component_size(self, j):
         return self._component_info[self._component_of[j]][0]
 
-    def source_vertex(self, j=None):
-        """The arrow-free end of a path component (its unique source).
-
-        With no argument the algebra must be connected and linear.
-        """
-        if j is None:
-            comps = self.component_vertices()
-            if len(comps) != 1:
-                raise NotLinear("algebra is not connected")
-            j = comps[0][0]
-        if self.component_is_cyclic(j):
+    def source_vertex(self):
+        """The arrow-free end of a connected linear algebra (its unique
+        source)."""
+        if len(self.component_vertices()) != 1:
+            raise NotLinear("algebra is not connected")
+        if self.component_is_cyclic(self.vertices[0]):
             raise NotLinear("component is a cycle")
-        comp = {v for v in self.vertices if self._component_of[v] == self._component_of[j]}
-        sources = [v for v in comp if self._up.get(v) is None]
+        sources = [v for v in self.vertices if self._up.get(v) is None]
         if len(sources) != 1:
-            raise InvariantViolation(f"path component of {j} has sources {sorted(sources)}")
+            raise InvariantViolation(f"path has sources {sorted(sources)}")
         return sources[0]
 
 

@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from . import modcat, tautilt
 from .algebra import components, make_cyclic, make_gamma
@@ -86,21 +85,21 @@ def count_stt_gamma2_jasso(n):
 @dataclass
 class CountReport:
     algebra: str
-    counts: tuple            # (tau_tilt, proper, stt)
-    method: str              # enumerated | recurrence | closed-form
-    expected: Optional[tuple] = None
+    counts: tuple            # (tau_tilt, proper, stt), enumerated
+    expected: tuple          # the table's (tau_tilt, proper, stt)
     notes: list = field(default_factory=list)
 
     @property
     def ok(self):
-        agrees = self.expected is None or self.counts == self.expected
-        return agrees and not self.notes
+        return self.counts == self.expected and not self.notes
 
     def __str__(self):
         status = "ok" if self.ok else "MISMATCH"
-        exp = "" if self.expected is None else f" expected={self.expected}"
         notes = ("  " + "; ".join(self.notes)) if self.notes else ""
-        return f"{status:8s} {self.algebra:12s} counts={self.counts}{exp} [{self.method}]{notes}"
+        return (
+            f"{status:8s} {self.algebra:12s} counts={self.counts} "
+            f"expected={self.expected} [enumerated]{notes}"
+        )
 
 
 def enumerated_counts(alg):
@@ -125,7 +124,7 @@ def verify_tables():
         for r, n in itertools.product(range(1, 6), repeat=2):
             counts = enumerated_counts(make(n, r))
             tt, stt = tt_table[r - 1][n - 1], stt_table[r - 1][n - 1]
-            rep = CountReport(f"{shape} n={n} r={r}", counts, "enumerated", (tt, stt - tt, stt))
+            rep = CountReport(f"{shape} n={n} r={r}", counts, (tt, stt - tt, stt))
             notes = rep.notes
             if shape == "linear":
                 if count_gamma_recurrence(n, r) != counts[0]:

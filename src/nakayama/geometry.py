@@ -3,8 +3,11 @@
 Boundary points 1..n sit counterclockwise on a once-punctured n-gon.  An
 inner arc runs from point i to point j along the boundary path of length
 t in [2, n] (i = j gives the loop of length n around the puncture); a
-projective arc joins the puncture to a boundary point.  Crossing is decided
-purely combinatorially by cyclic-interval conditions; no coordinates.
+projective arc joins the puncture to a boundary point.  Crossing is read off
+the universal cover of the boundary, where the inner arc <i, i+t> lifts to
+the integer interval [i, i+t]: two arcs cross when some of their lifts
+interleave strictly, and a projective arc crosses an inner arc when its
+point lies strictly inside a lift.  No coordinates, no case analysis.
 """
 
 from __future__ import annotations
@@ -98,28 +101,22 @@ def _arc_table(n):
     return arcs, {a: x for x, a in enumerate(arcs)}, tuple(compat)
 
 
-def _in_window(x, a, width, n):
-    """x in {a, a+1, ..., a+width} read mod n (window of width+1 points)."""
-    if width >= n - 1:
-        return True
-    return (x - a) % n <= width
-
-
 def crossing(a, b, n):
-    """Combinatorial crossing test for two admissible arcs."""
-    if a.is_projective and b.is_projective:
-        return False
-    if a.is_projective or b.is_projective:
-        p, inner = (a.j, b) if a.is_projective else (b.j, a)
-        t = inner.length(n)
-        # p strictly inside the boundary path of the inner arc
-        return t >= 2 and _in_window(p, inner.i + 1, t - 2, n)
-    s, t = a.length(n), b.length(n)
-    if _in_window(a.j, b.i + 1, t - 2, n) and _in_window((b.i + 1) % n or n, a.i + 2, s - 2, n):
-        return True
-    if _in_window(b.j, a.i + 1, s - 2, n) and _in_window((a.i + 1) % n or n, b.i + 2, t - 2, n):
-        return True
-    return False
+    """Whether two admissible arcs cross: with a lifted to [a.i, a.i+s] and
+    b to [b.i, b.i+t] shifted by d = (b.i - a.i) % n, b starts strictly
+    inside a and ends beyond it, or its lift one turn back ends strictly
+    inside a.  A projective arc at p crosses an inner arc <i, i+t> when
+    0 < (p - i) % n < t."""
+    if a.is_projective:
+        if b.is_projective:
+            return False
+        a, b = b, a
+    s = a.length(n)
+    if b.is_projective:
+        return 0 < (b.j - a.i) % n < s
+    t = b.length(n)
+    d = (b.i - a.i) % n
+    return 0 < d < s < d + t or 0 < d + t - n < s
 
 
 def compatible(a, b, n):
@@ -203,21 +200,32 @@ def _triangulations(n):
     out = []
     for arcs in sorted(cliques, key=lambda c: sorted(map(rank.get, c))):
         x = make_triangulation(n, arcs)
-        longest = [0] * n
-        for a in x.arcs:
-            if not a.is_projective:
-                longest[a.j - 1] = max(longest[a.j - 1], a.length(n))
-        out.append((x, tuple(longest)))
+        out.append((x, longest_inner_arcs(n, x.arcs)))
     return tuple(out)
+
+
+def longest_inner_arcs(n, arcs):
+    """Per terminal j = 1..n, the length of the longest inner arc of arcs
+    ending at j (0 where there is none)."""
+    longest = [0] * n
+    for a in arcs:
+        if not a.is_projective:
+            longest[a.j - 1] = max(longest[a.j - 1], a.length(n))
+    return tuple(longest)
+
+
+def length_caps(n, bounds):
+    """Per terminal j = 1..n, the largest longest_inner_arcs entry that
+    bounds (boundary point -> max length) admits: a terminal without an
+    inner arc passes any bound there, a negative one included."""
+    return [max(bounds[j], 0) for j in range(1, n + 1)]
 
 
 def enumerate_restricted(n, bounds):
     """Triangulations whose inner arcs respect per-terminal length bounds
     (bounds maps boundary point -> max length), in the order of
     enumerate_triangulations."""
-    # a triangulation without inner arcs at j passes any bound there, a
-    # negative one included
-    caps = [max(bounds[j], 0) for j in range(1, n + 1)]
+    caps = length_caps(n, bounds)
     return [x for x, longest in _triangulations(n) if all(map(le, longest, caps))]
 
 
@@ -435,10 +443,10 @@ def _polygon_triangles(fan, base, width, n):
     return tris
 
 
-def triangulation_dot(x, name="triangulation"):
+def triangulation_dot(x):
     """DOT graph with one node per arc and an edge whenever two arcs bound
     a common triangle."""
-    lines = [f'graph "{name}" {{']
+    lines = ['graph "triangulation" {']
     ids = {a: f"a{i}" for i, a in enumerate(x.arcs)}
     for a in x.arcs:
         lines.append(f'  {ids[a]} [label="{a}"];')

@@ -89,14 +89,13 @@ class HasseQuiver(NamedTuple):
         }
 
 
-def stt_poset(alg, pairs=None):
+def stt_poset(alg):
     """The support tau-tilting poset (elements in canonical order).
 
     One pair lies below another when each of its summands is a quotient of
     a summand of the other: same top, no greater length.
     """
-    if pairs is None:
-        pairs = tautilt.enumerate_stt(alg)
+    pairs = tautilt.enumerate_stt(alg)
     contains = {}
     for idx, pair in enumerate(pairs):
         for s in pair.module:
@@ -337,8 +336,8 @@ def pair_label(alg, pair):
     return label
 
 
-def hasse_dot(alg, quiver, name="hasse"):
-    lines = [f'digraph "{name}" {{', "  rankdir=TB;"]
+def hasse_dot(alg, quiver):
+    lines = ['digraph "hasse" {', "  rankdir=TB;"]
     for i, v in enumerate(quiver.vertices):
         lines.append(f'  n{i} [label="{pair_label(alg, v)}"];')
     for a, b in quiver.arrows:

@@ -4,11 +4,13 @@ Each sequence carries the shifted prefix-sum profile a'_i = sum_{j<=i}
 (a_j - 1), read n-periodically (a'_0 = a'_n = 0); its value set is an
 integer interval, the maximum is the norm, and positions attaining the
 norm are flagged by delta.  The profile drives the explicit triangulation
-construction and its terminal-length function.
+construction: read backwards it rises by at most one per step, so one walk
+back from each terminal meets the anchors of its inner arcs in order.  The
+terminal lengths are read off those arcs.
 
-Per-sequence data (profile, drop positions, arcs, terminal lengths) is
-cached on the sequence, and the sequences of each n are built once and
-shared, so that data carries over from one algebra to the next.
+Per-sequence data (profile, arcs, terminal lengths) is cached on the
+sequence, and the sequences of each n are built once and shared, so that
+data carries over from one algebra to the next.
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ from functools import cached_property
 from operator import le
 
 from .errors import InvariantViolation, NotInDomain
-from .geometry import Arc, make_triangulation
+from .geometry import Arc, length_caps, longest_inner_arcs, make_triangulation
 
 
 class SeqA:
     """Element of the sequence model for a fixed n; equality on the tuple."""
 
-    __slots__ = ("a", "_drop_tables", "__dict__")
-
     def __init__(self, a):
         self.a = tuple(int(x) for x in a)
-        # per residue r of l-1 mod n, filled by drop_position on first use
-        self._drop_tables = None
         if any(x < 0 for x in self.a) or sum(self.a) != len(self.a):
             raise NotInDomain(f"{self.a} is not a nonnegative n-tuple summing to n")
 
@@ -59,56 +57,41 @@ class SeqA:
     def delta(self, p):
         return 1 if self.profile_at(p) == self.norm else 0
 
-    def drop_position(self, l, s):
-        """Largest k < l-1 with a'_k = a'_{l-1} + s (profile read
-        periodically) and k >= l-1-n, or None when there is none.
-
-        One backward scan from l-1 fills the table that serves every s;
-        later calls are a lookup.
-        """
-        prof, n = self.profile, len(self.a)
-        m = l - 1
-        r = m % n
-        tables = self._drop_tables
-        if tables is None:
-            tables = self._drop_tables = [None] * n
-        table = tables[r]
-        if table is None:
-            # each profile value mapped to its distance back from l-1, over
-            # the profile from l-1-n up to l-2: nearer positions overwrite
-            start = (r - 1) % n
-            ring = prof[start:] + prof[:start]
-            table = tables[r] = {v: n - i for i, v in enumerate(ring)}
-        d = table.get(prof[(m - 1) % n] + s)
-        return None if d is None else m - d
-
     @cached_property
     def arcs(self):
         """The arcs of the triangulation with this terminal histogram:
         projective arcs at norm positions, plus for each terminal l one
         inner arc per unit of a_l above delta_l, anchored at the drop
-        positions for s = 1, 2, ..."""
+        positions for s = 1, 2, ...: the largest k < l-1 with
+        a'_k = a'_{l-1} + s (profile read periodically), which lies within
+        n steps by the interval property.
+
+        Read backwards the profile rises by at most one per step, since
+        a'_{k-1} = a'_k + 1 - a_k, so a single walk back from l-1 meets the
+        drop positions for s = 1, 2, ... in order.
+        """
         prof, n, norm = self.profile, len(self.a), self.norm
         arcs = []
         for l, (a, p) in enumerate(zip(self.a, prof), 1):
             if p == norm:
                 arcs.append(Arc(None, l))
                 a -= 1
+            k, level = l - 1, prof[l - 2]
             for s in range(1, a + 1):
-                arcs.append(Arc((_drop_position(self, l, s) - 1) % n + 1, l))
+                level += 1
+                k -= 1
+                while prof[(k - 1) % n] != level:
+                    k -= 1
+                    if k < l - 1 - n:
+                        raise InvariantViolation(f"no drop position for l={l}, s={s} in {self}")
+                arcs.append(Arc((k - 1) % n + 1, l))
         return tuple(arcs)
 
     @cached_property
     def terminal_lengths(self):
         """Per terminal j, the maximal inner-arc length at j in the
-        triangulation of the sequence (0 when there is none): the arc
-        anchored at the drop for the largest s."""
-        prof, n, norm = self.profile, len(self.a), self.norm
-        out = []
-        for j, (a, p) in enumerate(zip(self.a, prof), 1):
-            extra = a - (p == norm)
-            out.append((j - _drop_position(self, j, extra) - 1) % n + 1 if extra else 0)
-        return tuple(out)
+        triangulation of the sequence (0 when there is none)."""
+        return longest_inner_arcs(self.n, self.arcs)
 
     def __eq__(self, other):
         return isinstance(other, SeqA) and self.a == other.a
@@ -134,30 +117,15 @@ def top_of_triangulation(x):
     return SeqA(counts) if seq is None else seq
 
 
-def _drop_position(seq, l, s):
-    """Largest k < l-1 with a'_k = a'_{l-1} + s (profile read periodically);
-    exists within n steps by the interval property."""
-    k = seq.drop_position(l, s)
-    if k is None:
-        raise InvariantViolation(f"no drop position for l={l}, s={s} in {seq}")
-    return k
-
-
 def x_of_sequence(seq):
     """The triangulation with the given terminal histogram, on the arcs of
     SeqA.arcs; make_triangulation validates it on every call."""
     return make_triangulation(seq.n, seq.arcs)
 
 
-def terminal_length(seq, j):
-    """Maximal inner-arc length at terminal j in the triangulation of the
-    sequence (0 when there is none)."""
-    return seq.terminal_lengths[j - 1]
-
-
 def in_restricted(seq, bounds):
     """Membership in the restricted model: terminal lengths within bounds."""
-    return all(map(le, seq.terminal_lengths, [bounds[j] for j in range(1, seq.n + 1)]))
+    return all(map(le, seq.terminal_lengths, length_caps(seq.n, bounds)))
 
 
 # n -> {tuple: SeqA} in lexicographic order, filled by _all_sequences
@@ -189,7 +157,7 @@ def enumerate_Z(n):
 def enumerate_Z_restricted(n, bounds):
     """The sequences that satisfy in_restricted, in the order of
     enumerate_Z."""
-    caps = [bounds[j] for j in range(1, n + 1)]
+    caps = length_caps(n, bounds)
     return [seq for seq in _all_sequences(n).values() if all(map(le, seq.terminal_lengths, caps))]
 
 

@@ -1,6 +1,7 @@
-"""Reference implementations that the drop-position lookup in
-nakayama.sequences, and the restricted triangulation enumeration and the
-flips in nakayama.geometry, are tested against."""
+"""Reference implementations that nakayama.geometry and nakayama.sequences
+are tested against: the crossing test by cyclic windows, the drop positions
+by a linear scan (and the sequence arcs anchored at them), the restricted
+triangulations by a DFS and the flips by a scan of every arc."""
 
 from nakayama.errors import InvariantViolation
 from nakayama.geometry import (
@@ -13,6 +14,32 @@ from nakayama.geometry import (
 )
 
 
+def _in_window(x, a, width, n):
+    """x in {a, a+1, ..., a+width} read mod n (window of width+1 points)."""
+    if width >= n - 1:
+        return True
+    return (x - a) % n <= width
+
+
+def crossing_windows(a, b, n):
+    """Crossing test for two admissible arcs by cyclic windows: a point
+    strictly inside the boundary path of an inner arc, or each inner arc
+    ending strictly inside the other and starting outside it."""
+    if a.is_projective and b.is_projective:
+        return False
+    if a.is_projective or b.is_projective:
+        p, inner = (a.j, b) if a.is_projective else (b.j, a)
+        t = inner.length(n)
+        # p strictly inside the boundary path of the inner arc
+        return t >= 2 and _in_window(p, inner.i + 1, t - 2, n)
+    s, t = a.length(n), b.length(n)
+    if _in_window(a.j, b.i + 1, t - 2, n) and _in_window((b.i + 1) % n or n, a.i + 2, s - 2, n):
+        return True
+    if _in_window(b.j, a.i + 1, s - 2, n) and _in_window((a.i + 1) % n or n, b.i + 2, t - 2, n):
+        return True
+    return False
+
+
 def drop_position_scan(seq, l, s):
     """Largest k < l-1 with a'_k = a'_{l-1} + s (profile read periodically)
     by a linear scan back over at most n positions; None when there is
@@ -23,6 +50,23 @@ def drop_position_scan(seq, l, s):
         if prof[(k - 1) % n] == target:
             return k
     return None
+
+
+def arcs_by_scan(seq):
+    """The arcs of SeqA.arcs, each inner arc anchored at drop_position_scan:
+    a projective arc at each norm position, and for each terminal l one
+    inner arc per unit of a_l above delta_l."""
+    n, arcs = seq.n, []
+    for l in range(1, n + 1):
+        extra = seq.a[l - 1] - seq.delta(l)
+        if seq.delta(l):
+            arcs.append(Arc(None, l))
+        for s in range(1, extra + 1):
+            k = drop_position_scan(seq, l, s)
+            if k is None:
+                raise InvariantViolation(f"no drop position for l={l}, s={s} in {seq}")
+            arcs.append(Arc((k - 1) % n + 1, l))
+    return tuple(arcs)
 
 
 def enumerate_restricted_dfs(n, bounds):

@@ -125,8 +125,8 @@ def test_source_projective_recurrence_general():
 
 
 def test_report_formatting():
-    rep = CountReport("cyclic n=3 r=3", (10, 10, 20), "enumerated", (10, 10, 20))
+    rep = CountReport("cyclic n=3 r=3", (10, 10, 20), (10, 10, 20))
     assert rep.ok
-    assert "ok" in str(rep)
-    bad = CountReport("cyclic n=3 r=3", (10, 10, 20), "enumerated", (9, 11, 20))
+    assert str(rep) == "ok       cyclic n=3 r=3 counts=(10, 10, 20) expected=(10, 10, 20) [enumerated]"
+    bad = CountReport("cyclic n=3 r=3", (10, 10, 20), (9, 11, 20))
     assert not bad.ok and "MISMATCH" in str(bad)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from model_oracles import enumerate_restricted_dfs, flip_scan
+from model_oracles import crossing_windows, enumerate_restricted_dfs, flip_scan
 
 from nakayama import geometry, tautilt
 from nakayama.algebra import make_cyclic, make_linear, quotient_by_idempotent
@@ -27,6 +27,7 @@ from nakayama.geometry import (
     all_arcs,
     arc_to_indec,
     compatible,
+    crossing,
     enumerate_restricted,
     enumerate_triangulations,
     fan_arcs,
@@ -117,6 +118,18 @@ def test_compatible_examples():
     for p in range(1, 5):
         expected = p == 2
         assert compatible(Arc(None, p), Arc(2, 2), 4) == expected
+
+
+def test_crossing_matches_window_oracle():
+    # interleaved lifts against the cyclic-window case analysis, on every
+    # ordered pair of admissible arcs with n <= 12
+    cases = 0
+    for n in range(1, 13):
+        arcs = all_arcs(n)
+        for a, b in itertools.product(arcs, repeat=2):
+            cases += 1
+            assert crossing(a, b, n) == crossing_windows(a, b, n), (n, a, b)
+    assert cases == 60_710
 
 
 def test_enumeration_counts():

@@ -1,21 +1,20 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from model_oracles import drop_position_scan
+from model_oracles import arcs_by_scan
 
 from nakayama import sequences
 from nakayama.errors import InvariantViolation, NotInDomain
 from nakayama.geometry import Arc, enumerate_restricted, enumerate_triangulations, make_triangulation
 from nakayama.sequences import (
     SeqA,
-    _drop_position,
     enumerate_Y,
     enumerate_Z,
     enumerate_Z_restricted,
     in_restricted,
-    terminal_length,
     top_of_triangulation,
     x_of_sequence,
 )
@@ -67,10 +66,9 @@ def test_x_of_sequence_examples():
 
 
 def test_terminal_length_examples():
-    ones = SeqA((1, 1, 1, 1))
-    assert all(terminal_length(ones, j) == 0 for j in range(1, 5))
-    assert terminal_length(SeqA((2, 1, 0)), 1) == 2
-    assert terminal_length(SeqA((0, 3, 0)), 2) == 3
+    assert SeqA((1, 1, 1, 1)).terminal_lengths == (0, 0, 0, 0)
+    assert SeqA((2, 1, 0)).terminal_lengths == (2, 0, 0)
+    assert SeqA((0, 3, 0)).terminal_lengths == (0, 3, 0)
 
 
 def test_round_trips():
@@ -100,7 +98,7 @@ def test_terminal_length_matches_longest_arc():
             for j in range(1, n + 1):
                 lengths = [arc.length(n) for arc in x.arcs
                            if not arc.is_projective and arc.j == j]
-                assert terminal_length(a, j) == (max(lengths) if lengths else 0)
+                assert a.terminal_lengths[j - 1] == (max(lengths) if lengths else 0)
 
 
 def test_restricted_bijection():
@@ -113,6 +111,20 @@ def test_restricted_bijection():
             assert {top_of_triangulation(x) for x in xs} == set(zs)
             for a in zs:
                 assert in_restricted(top_of_triangulation(x_of_sequence(a)), bounds)
+
+
+def test_restricted_models_agree_on_bounds_below_one():
+    # a terminal without an inner arc passes any bound, 0 and negative ones
+    # included, in both models alike
+    for n in range(1, 6):
+        for ks in itertools.product((-2, 0, 1, 2, n), repeat=n):
+            bounds = dict(zip(range(1, n + 1), ks))
+            tops = [top_of_triangulation(x) for x in enumerate_restricted(n, bounds)]
+            zs = enumerate_Z_restricted(n, bounds)
+            assert len(set(tops)) == len(tops) == len(zs) and set(tops) == set(zs), ks
+            assert [a for a in enumerate_Z(n) if in_restricted(a, bounds)] == zs, ks
+    assert len(enumerate_Z_restricted(2, {1: -1, 2: 2})) == 2
+    assert len(enumerate_Z_restricted(2, {1: -2, 2: -2})) == 1
 
 
 def test_catalan_subset():
@@ -156,35 +168,34 @@ def test_sequence_invariants_raise():
     seq.a = (2, 2, 0)  # past the constructor's check
     with pytest.raises(InvariantViolation, match="ends at 1"):
         seq.profile
-    # the profile of (2,1,0) is (1,1,0): nothing lies 5 above a'_0
-    with pytest.raises(InvariantViolation, match="no drop position"):
-        _drop_position(SeqA((2, 1, 0)), 1, 5)
+
+
+@pytest.mark.parametrize(
+    "a, profile, l, s",
+    [
+        # flat: nothing lies 1 above a'_0, and the walk from l = 1 finds no s = 1
+        ((2, 1, 0), (0, 0, 0), 1, 1),
+        # the walk from l = 2 finds s = 1 at k = 0 and then no s = 2
+        ((0, 3, 0), (-1, 0, 0), 2, 2),
+    ],
+)
+def test_missing_drop_position_raises(a, profile, l, s):
+    seq = SeqA(a)
+    seq.__dict__["profile"] = profile  # past the profile's own check
+    with pytest.raises(InvariantViolation, match=rf"^no drop position for l={l}, s={s} in "):
+        seq.arcs
 
 
 def test_drop_lookup_matches_scan_oracle():
-    # every sequence with n <= 8, every terminal and every s in 0..n+1,
-    # including the positions that do not exist; _drop_position raises
-    # there, which is checked up to n = 6
-    cases, wrong, missing = 0, [], []
+    # the backward walk against arcs anchored by a linear scan, on every
+    # sequence with n <= 8, fresh and shared
+    cases = 0
     for n in range(1, 9):
         for seq in enumerate_Z(n):
-            lookup = seq.drop_position
-            for l in range(1, n + 1):
-                for s in range(n + 2):
-                    cases += 1
-                    expected = drop_position_scan(seq, l, s)
-                    if lookup(l, s) != expected:
-                        wrong.append((seq, l, s))
-                    elif expected is None and n <= 6:
-                        missing.append((seq, l, s))
-    assert cases == 650_511 and not wrong, wrong[:5]
-    assert missing
-    for seq, l, s in missing:
-        try:
-            _drop_position(seq, l, s)
-        except InvariantViolation:
-            continue
-        raise AssertionError(f"no InvariantViolation for l={l}, s={s} in {seq}")
+            cases += 1
+            expected = arcs_by_scan(seq)
+            assert seq.arcs == expected == SeqA(seq.a).arcs, seq
+    assert cases == 8788
 
 
 def test_top_of_triangulation_returns_shared_sequences():
