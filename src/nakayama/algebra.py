@@ -3,11 +3,15 @@
 An algebra is a finite vertex set, a partial successor map ``next_down``
 (the unique arrow out of each vertex, when the projective there is not
 simple), and the Kupisch series ``loewy`` giving the Loewy length of each
-indecomposable projective.  Connected pieces are directed paths or cycles;
-disconnected algebras arise from idempotent quotients and rejection and are
-first-class.  Vertex labels are stable: operations delete labels but never
-renumber them, so modules and Hasse vertices can be compared across a
-rejection chain.
+indecomposable projective.  Connected pieces are directed paths or cycles,
+read off one cached table per algebra (each vertex's component and whether
+it is a cycle); disconnected algebras arise from idempotent quotients and
+rejection and are first-class, and each component is the quotient by the
+other vertices.  Vertex labels are stable: operations delete labels but
+never renumber them, so modules and Hasse vertices can be compared across a
+rejection chain.  The connected shapes are built, and recognised, in the
+standard labelling ``standard_arrows``: vertices 1..n, arrows j -> j-1,
+closed by 1 -> n on a cycle.
 """
 
 from __future__ import annotations
@@ -113,11 +117,7 @@ class NakayamaAlgebra:
 
     @cached_property
     def _up(self):
-        return {
-            self.next_down[j]: j
-            for j in self.vertices
-            if self.loewy[j] >= 2 and j in self.next_down
-        }
+        return {k: j for j in self.vertices if (k := self.arrow_target(j)) is not None}
 
     def walk_down(self, j, steps):
         """Vertex reached from j after ``steps`` ambient edges; None if the
@@ -130,49 +130,37 @@ class NakayamaAlgebra:
         return v
 
     @cached_property
-    def _component_of(self):
-        comp = {}
-        for root in self.vertices:
-            if root in comp:
+    def _components(self):
+        """vertex -> (sorted vertices of its component, whether they form a
+        cycle).  The arrows walked from each source trace the path
+        components; every vertex left over lies on a cycle of arrows."""
+        table = {}
+        sources = [v for v in self.vertices if v not in self._up]
+        for start in sources + list(self.vertices):
+            if start in table:
                 continue
-            stack, seen = [root], {root}
-            while stack:
-                v = stack.pop()
-                for w in (self.arrow_target(v), self._up.get(v)):
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            label = min(seen)
-            for v in seen:
-                comp[v] = label
-        return comp
+            walk, v = [start], self.arrow_target(start)
+            while v is not None and v != start:
+                walk.append(v)
+                v = self.arrow_target(v)
+            entry = (tuple(sorted(walk)), v == start)
+            for w in walk:
+                table[w] = entry
+        return table
 
     def component_vertices(self):
         """Vertex sets of the connected components, ordered by least label."""
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(self._component_of[v], []).append(v)
-        return [tuple(sorted(groups[k])) for k in sorted(groups)]
+        return sorted({vs for vs, _ in self._components.values()})
 
     def is_connected(self):
         return len(self.component_vertices()) <= 1
 
-    @cached_property
-    def _component_info(self):
-        """component label -> (size, is_cyclic)."""
-        stats = {}
-        for v in self.vertices:
-            c = self._component_of[v]
-            size, cyc = stats.get(c, (0, True))
-            stats[c] = (size + 1, cyc and self.arrow_target(v) is not None)
-        return stats
-
     def component_is_cyclic(self, j):
         """True if j lies on a full cycle of arrows of the Gabriel quiver."""
-        return self._component_info[self._component_of[j]][1]
+        return self._components[j][1]
 
     def component_size(self, j):
-        return self._component_info[self._component_of[j]][0]
+        return len(self._components[j][0])
 
     def source_vertex(self):
         """The arrow-free end of a connected linear algebra (its unique
@@ -187,16 +175,24 @@ class NakayamaAlgebra:
         return sources[0]
 
 
-def cyclic_algebra(kupisch):
-    """Cyclic Nakayama algebra on vertices 1..n with the given Kupisch
-    series (loewy(1), ..., loewy(n)): the quiver is a single oriented
-    cycle, next_down(j) = j-1 and next_down(1) = n."""
+def standard_arrows(n, cyclic):
+    """The standard labelling of a connected quiver on vertices 1..n:
+    next_down(j) = j-1, closed by next_down(1) = n when cyclic."""
+    return {j: j - 1 or n for j in range(1 if cyclic else 2, n + 1)}
+
+
+def _standard_algebra(kupisch, cyclic):
     n = len(kupisch)
     if n < 1:
         raise InvalidKupisch("empty Kupisch series")
     vertices = range(1, n + 1)
-    next_down = {j: (j - 1) if j > 1 else n for j in vertices}
-    return NakayamaAlgebra(vertices, next_down, dict(zip(vertices, kupisch)))
+    return NakayamaAlgebra(vertices, standard_arrows(n, cyclic), dict(zip(vertices, kupisch)))
+
+
+def cyclic_algebra(kupisch):
+    """Cyclic Nakayama algebra on the standard cycle 1 -> n -> ... -> 2 -> 1
+    with the given Kupisch series (loewy(1), ..., loewy(n))."""
+    return _standard_algebra(kupisch, True)
 
 
 def make_cyclic(n, r):
@@ -208,19 +204,7 @@ def make_cyclic(n, r):
 def make_linear(kupisch):
     """Linear Nakayama algebra with quiver n -> n-1 -> ... -> 1 and the
     given Kupisch series (loewy(1), ..., loewy(n))."""
-    n = len(kupisch)
-    if n < 1:
-        raise InvalidKupisch("empty Kupisch series")
-    if kupisch[0] != 1:
-        raise InvalidKupisch("path sink must have loewy 1")
-    for j in range(1, n):
-        if kupisch[j] > kupisch[j - 1] + 1:
-            raise InvalidKupisch(
-                f"loewy({j + 1}) = {kupisch[j]} exceeds loewy({j}) + 1"
-            )
-    vertices = range(1, n + 1)
-    next_down = {j: j - 1 for j in range(2, n + 1)}
-    return NakayamaAlgebra(vertices, next_down, dict(zip(vertices, kupisch)))
+    return _standard_algebra(kupisch, False)
 
 
 ZERO = NakayamaAlgebra((), {}, {})
@@ -299,12 +283,7 @@ def components(alg):
     comps = alg.component_vertices()
     if len(comps) == 1:
         return [alg]
-    out = []
-    for comp in comps:
-        cs = set(comp)
-        nd = {j: k for j, k in alg.next_down.items() if j in cs and k in cs}
-        out.append(NakayamaAlgebra(comp, nd, {v: alg.loewy[v] for v in comp}))
-    return out
+    return [quotient_by_idempotent(alg, set(alg.vertices) - set(c)) for c in comps]
 
 
 def rejection_chain(alg, picks=None):
@@ -316,20 +295,17 @@ def rejection_chain(alg, picks=None):
     first component is used.
     """
     chain = []
-    picks = list(picks) if picks is not None else None
-    step = 0
+    picks = list(picks or ())
     while not alg.is_zero():
         pis = projective_injectives(alg)
-        if picks is not None and step < len(picks):
-            j = picks[step]
+        if len(chain) < len(picks):
+            j = picks[len(chain)]
             if j not in pis:
                 raise NotProjectiveInjective(f"pick {j} is not projective-injective")
         else:
-            first = alg.component_vertices()[0]
-            j = min(v for v in pis if v in first)
+            j = min(pis & set(alg.component_vertices()[0]))
         chain.append((alg, j))
         alg = reject(alg, j)
-        step += 1
     chain.append((alg, None))
     return chain
 
@@ -339,15 +315,10 @@ def rejection_chain(alg, picks=None):
 def algebra_to_json(alg):
     if alg.is_zero():
         return {"kind": "general", "vertices": [], "next_down": {}, "loewy": {}}
-    standard = tuple(range(1, alg.n + 1))
-    if alg.vertices == standard and alg.next_down == {
-        j: (j - 1) if j > 1 else alg.n for j in standard
-    }:
-        return {"kind": "cyclic", "kupisch": [alg.loewy[j] for j in alg.vertices]}
-    if alg.vertices == standard and alg.next_down == {
-        j: j - 1 for j in range(2, alg.n + 1)
-    }:
-        return {"kind": "linear", "kupisch": [alg.loewy[j] for j in alg.vertices]}
+    if alg.vertices == tuple(range(1, alg.n + 1)):
+        for kind, cyclic in (("cyclic", True), ("linear", False)):
+            if alg.next_down == standard_arrows(alg.n, cyclic):
+                return {"kind": kind, "kupisch": [alg.loewy[j] for j in alg.vertices]}
     return {
         "kind": "general",
         "vertices": list(alg.vertices),

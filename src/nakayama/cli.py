@@ -184,22 +184,18 @@ def cmd_verify(args, out):
     if args.rejection is not None and min(args.rejection) < 1:
         n_max, r_max = args.rejection
         raise NakayamaError(f"--rejection sizes must be positive integers, got {n_max} {r_max}")
-    failures = 0
+    from . import verify
+
+    bundles = []
     if args.tables:
-        for rep in counting.verify_tables():
-            out.write(str(rep) + "\n")
-            failures += 0 if rep.ok else 1
+        bundles.append(counting.verify_tables())
     if args.bijections is not None:
-        from .verify import verify_bijections
-
-        for line, ok in verify_bijections(args.bijections):
-            out.write(line + "\n")
-            failures += 0 if ok else 1
+        bundles.append(verify.verify_bijections(args.bijections))
     if args.rejection is not None:
-        from .verify import verify_rejection
-
-        n_max, r_max = args.rejection
-        for line, ok in verify_rejection(n_max, r_max):
+        bundles.append(verify.verify_rejection(*args.rejection))
+    failures = 0
+    for bundle in bundles:
+        for line, ok in bundle:
             out.write(line + "\n")
             failures += 0 if ok else 1
     out.write(("PASS" if failures == 0 else f"FAIL ({failures})") + "\n")

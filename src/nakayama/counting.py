@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import modcat, tautilt
@@ -82,24 +81,13 @@ def count_stt_gamma2_jasso(n):
     return 2 * count_stt_gamma2_jasso(n - 1) + count_stt_gamma2_jasso(n - 2)
 
 
-@dataclass
-class CountReport:
-    algebra: str
-    counts: tuple            # (tau_tilt, proper, stt), enumerated
-    expected: tuple          # the table's (tau_tilt, proper, stt)
-    notes: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return self.counts == self.expected and not self.notes
-
-    def __str__(self):
-        status = "ok" if self.ok else "MISMATCH"
-        notes = ("  " + "; ".join(self.notes)) if self.notes else ""
-        return (
-            f"{status:8s} {self.algebra:12s} counts={self.counts} "
-            f"expected={self.expected} [enumerated]{notes}"
-        )
+def table_line(algebra, counts, expected, notes=()):
+    """One verify report (line, ok): enumerated (tau_tilt, proper, stt)
+    against the table's, with any failed cross-check as a note."""
+    ok = counts == expected and not notes
+    status = "ok" if ok else "MISMATCH"
+    tail = ("  " + "; ".join(notes)) if notes else ""
+    return f"{status:8s} {algebra:12s} counts={counts} expected={expected} [enumerated]{tail}", ok
 
 
 def enumerated_counts(alg):
@@ -115,7 +103,8 @@ def enumerated_counts(alg):
 
 def verify_tables():
     """Re-derive all 100 table entries by counting and cross-check the
-    recurrences and closed forms.  Returns one report per (shape, n, r)."""
+    recurrences and closed forms.  Returns one report (line, ok) per
+    (shape, n, r)."""
     reports = []
     for shape, make, tt_table, stt_table in (
         ("linear", make_gamma, TAU_TILT_LINEAR, STT_LINEAR),
@@ -124,8 +113,7 @@ def verify_tables():
         for r, n in itertools.product(range(1, 6), repeat=2):
             counts = enumerated_counts(make(n, r))
             tt, stt = tt_table[r - 1][n - 1], stt_table[r - 1][n - 1]
-            rep = CountReport(f"{shape} n={n} r={r}", counts, (tt, stt - tt, stt))
-            notes = rep.notes
+            notes = []
             if shape == "linear":
                 if count_gamma_recurrence(n, r) != counts[0]:
                     notes.append(f"recurrence gives {count_gamma_recurrence(n, r)}")
@@ -138,5 +126,5 @@ def verify_tables():
                     notes.append("semisimple count is not 2^n")
                 if r >= n and counts[2] != central_binomial(n):
                     notes.append(f"count is not binom(2n,n)={central_binomial(n)}")
-            reports.append(rep)
+            reports.append(table_line(f"{shape} n={n} r={r}", counts, (tt, stt - tt, stt), notes))
     return reports

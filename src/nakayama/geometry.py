@@ -18,6 +18,7 @@ from operator import le
 from typing import NamedTuple, Optional
 
 from . import modcat, tautilt
+from .algebra import standard_arrows
 from .errors import (
     ArcNotPresent,
     ArcTooLong,
@@ -251,19 +252,19 @@ def fan_arcs(x, i, j):
 def _arc_dictionary(alg):
     """Memos (arc -> module, module -> arc) of the dictionary over alg.
 
-    The dictionary needs vertices 1..n with arrows along j -> j-1
-    (cyclically); both cyclic and linear quivers qualify.  The algebra is
-    immutable, so the memos are kept on it once its labels pass; an algebra
-    that fails keeps nothing and raises again on every call.
+    The dictionary needs vertices 1..n whose edges all lie on the standard
+    cycle ``standard_arrows(n, True)``; both cyclic and linear quivers in
+    the standard labelling qualify.  The algebra is immutable, so the memos
+    are kept on it once its labels pass; an algebra that fails keeps
+    nothing and raises again on every call.
     """
     memo = alg.__dict__.get("_arc_dictionary")
     if memo is None:
         n = alg.n
         if n == 0 or alg.vertices != tuple(range(1, n + 1)):
             raise NotInDomain("arc dictionary needs vertices labelled 1..n")
-        for j, k in alg.next_down.items():
-            if k != (j - 2) % n + 1:
-                raise NotInDomain("arc dictionary needs arrows along the cycle order")
+        if not alg.next_down.items() <= standard_arrows(n, True).items():
+            raise NotInDomain("arc dictionary needs arrows along the cycle order")
         memo = alg.__dict__["_arc_dictionary"] = ({}, {})
     return memo
 

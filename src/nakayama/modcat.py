@@ -54,14 +54,6 @@ def comp_factors(alg, m):
     return out
 
 
-def socle_vertex(alg, m):
-    check_valid(alg, m)
-    v = alg.walk_down(m.top, m.length - 1)
-    if v is None:
-        raise InvariantViolation(f"{m} runs off the quiver before its socle")
-    return v
-
-
 def is_projective(alg, m):
     check_valid(alg, m)
     return m.length == alg.loewy[m.top]

@@ -27,9 +27,13 @@ class SeqA:
     """Element of the sequence model for a fixed n; equality on the tuple."""
 
     def __init__(self, a):
-        self.a = tuple(int(x) for x in a)
-        if any(x < 0 for x in self.a) or sum(self.a) != len(self.a):
-            raise NotInDomain(f"{self.a} is not a nonnegative n-tuple summing to n")
+        self.a = tuple(a)
+        if (
+            not self.a
+            or any(type(x) is not int or x < 0 for x in self.a)
+            or sum(self.a) != len(self.a)
+        ):
+            raise NotInDomain(f"{self.a} is not n >= 1 nonnegative integers summing to n")
 
     @property
     def n(self):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import modcat
 from .algebra import components, quotient_by_idempotent
-from .errors import InvariantViolation, NotCyclicConnected, NotInDomain, NotLinear, NotTauTilting
+from .errors import InvariantViolation, NotCyclicConnected, NotInDomain, NotTauTilting
 from .modcat import Indec
 
 
@@ -183,10 +183,9 @@ def split_at_source(alg, pair):
 
     Returns (killed_vertex, pair over the one-vertex idempotent quotient);
     the killed vertex is the unique one missing from the remainder's
-    support and lies within reach of the source projective.
+    support and lies within reach of the source projective.  NotLinear
+    (from source_vertex) unless alg is connected and linear.
     """
-    if alg.is_zero() or not alg.is_connected():
-        raise NotLinear("algebra must be connected")
     s = alg.source_vertex()
     checked = is_support_tau_tilting(alg, pair.module)
     if pair.killed or checked is None or checked.killed:
@@ -210,8 +209,6 @@ def split_at_source(alg, pair):
 
 def unsplit_at_source(alg, v, pair):
     """Inverse of split_at_source: adjoin the source projective back."""
-    if alg.is_zero() or not alg.is_connected():
-        raise NotLinear("algebra must be connected")
     s = alg.source_vertex()
     if pair.killed:
         raise NotTauTilting("pair must be tau-tilting over the quotient")

@@ -55,20 +55,24 @@ def triple_bijection_holds(alg):
     return seq_images == set(zs)
 
 
+def _report(line, failing):
+    """(line, ok) for a bundle check; a failing line names the first
+    failing Kupisch series."""
+    if failing:
+        line += "; first failure: kupisch " + ",".join(map(str, failing[0]))
+    return line, not failing
+
+
 def verify_bijections(n_max):
     """Triple-bijection bundle over every valid cyclic Kupisch series with
     entries at most n+2.  Yields (message, ok) per polygon size."""
     for n in range(1, n_max + 1):
-        total, bad = 0, 0
-        for ks in valid_cyclic_series(n, n + 2):
-            total += 1
-            if not triple_bijection_holds(cyclic_algebra(ks)):
-                bad += 1
-        ok = bad == 0
-        yield (
-            f"bijections n={n}: {total} cyclic Kupisch series, "
-            f"{total - bad} in elementwise bijection",
-            ok,
+        series = list(valid_cyclic_series(n, n + 2))
+        failing = [ks for ks in series if not triple_bijection_holds(cyclic_algebra(ks))]
+        yield _report(
+            f"bijections n={n}: {len(series)} cyclic Kupisch series, "
+            f"{len(series) - len(failing)} in elementwise bijection",
+            failing,
         )
 
 
@@ -82,15 +86,16 @@ def verify_rejection(n_max, r_max):
     published 10-step rejection chain and the rejection isomorphisms of its
     first three steps when the grid covers them."""
     for n in range(1, n_max + 1):
-        ok = all(
-            rejection_matches_direct(make_cyclic(n, r)) for r in range(1, r_max + 1)
-        )
-        yield (f"rejection cyclic n={n}, r<={r_max}: label-exact equality", ok)
-        ok = all(
-            rejection_matches_direct(make_linear(list(ks)))
-            for ks in valid_linear_series(n, r_max)
-        )
-        yield (f"rejection linear n={n}, entries<={r_max}: label-exact equality", ok)
+        failing = [
+            (r,) * n for r in range(1, r_max + 1)
+            if not rejection_matches_direct(make_cyclic(n, r))
+        ]
+        yield _report(f"rejection cyclic n={n}, r<={r_max}: label-exact equality", failing)
+        failing = [
+            ks for ks in valid_linear_series(n, r_max)
+            if not rejection_matches_direct(make_linear(list(ks)))
+        ]
+        yield _report(f"rejection linear n={n}, entries<={r_max}: label-exact equality", failing)
     if n_max >= 4 and r_max >= 5:
         yield (
             "rejection cyclic n=5, r=5: label-exact equality",

@@ -1,9 +1,9 @@
-"""Reference implementations that the projective-injective closed form
-in nakayama.algebra, the Hom test, the pair test and the support masks in
+"""Reference implementations that the component table, the components and
+the projective-injective closed form in nakayama.algebra, the Hom test, the pair test and the support masks in
 nakayama.modcat, and the bit-index validation and the maximal-clique
 enumeration in nakayama.tautilt are tested against."""
 
-from nakayama.algebra import socle_vertex_of_projective
+from nakayama.algebra import NakayamaAlgebra, socle_vertex_of_projective
 from nakayama.errors import InvariantViolation, ZeroAlgebra
 from nakayama.modcat import (
     all_tau_rigid_indecs,
@@ -17,6 +17,39 @@ from nakayama.modcat import (
     tau,
 )
 from nakayama.tautilt import SttPair, enumerate_stt
+
+
+def component_table_oracle(alg):
+    """vertex -> (sorted vertices of its component, whether it is a cycle),
+    by a two-way search along the arrows and their reverses; a component is
+    a cycle when every vertex of it has an arrow out."""
+    up = {alg.arrow_target(v): v for v in alg.vertices if alg.arrow_target(v) is not None}
+    table = {}
+    for root in alg.vertices:
+        if root in table:
+            continue
+        stack, seen = [root], {root}
+        while stack:
+            v = stack.pop()
+            for w in (alg.arrow_target(v), up.get(v)):
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comp = tuple(sorted(seen))
+        entry = (comp, all(alg.arrow_target(v) is not None for v in comp))
+        for v in comp:
+            table[v] = entry
+    return table
+
+
+def components_oracle(alg):
+    """Components as sub-algebras built by hand: each component's vertices,
+    the edges between them and their Loewy lengths unchanged."""
+    out = []
+    for comp in sorted({c for c, _ in component_table_oracle(alg).values()}):
+        nd = {j: k for j, k in alg.next_down.items() if j in comp and k in comp}
+        out.append(NakayamaAlgebra(comp, nd, {v: alg.loewy[v] for v in comp}))
+    return out
 
 
 def projective_injectives_socle_scan(alg):

@@ -4,11 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from module_oracles import projective_injectives_socle_scan
+from module_oracles import (
+    component_table_oracle,
+    components_oracle,
+    projective_injectives_socle_scan,
+)
 
 from nakayama import algebra
 from nakayama.algebra import (
     ZERO,
+    NakayamaAlgebra,
     algebra_from_json,
     algebra_to_json,
     components,
@@ -20,6 +25,7 @@ from nakayama.algebra import (
     reject,
     rejection_chain,
     socle_vertex_of_projective,
+    standard_arrows,
 )
 from nakayama.errors import (
     InvalidKupisch,
@@ -62,9 +68,11 @@ def test_make_linear_radical_square_zero():
 
 
 def test_make_linear_rejects_jump():
-    with pytest.raises(InvalidKupisch):
+    with pytest.raises(InvalidKupisch, match=r"^loewy\(2\) = 3 exceeds loewy\(1\) \+ 1$"):
         make_linear([1, 3])
-    with pytest.raises(InvalidKupisch):
+    with pytest.raises(InvalidKupisch, match=r"^loewy\(4\) = 4 exceeds loewy\(3\) \+ 1$"):
+        make_linear([1, 2, 2, 4])
+    with pytest.raises(InvalidKupisch, match="vertex 1 has no outgoing edge"):
         make_linear([2, 2])
 
 
@@ -174,6 +182,64 @@ def test_quotient_splits_path():
     q = quotient_by_idempotent(make_linear([1, 2, 3]), {2})
     assert len(components(q)) == 2
     assert all(c.n == 1 for c in components(q))
+
+
+def _grid_with_quotients():
+    """Every cyclic series of n <= 5 and linear series of n <= 6 with
+    entries <= 6, each with all of its idempotent quotients."""
+    algs = [cyclic_algebra(ks) for n in range(1, 6) for ks in valid_cyclic_series(n, 6)]
+    algs += [make_linear(list(ks)) for n in range(1, 7) for ks in valid_linear_series(n, 6)]
+    for a in algs:
+        for mask in range(1 << a.n):
+            yield quotient_by_idempotent(a, {v for i, v in enumerate(a.vertices) if mask >> i & 1})
+
+
+def _assert_components_match_oracle(a):
+    oracle = component_table_oracle(a)
+    comps = sorted({c for c, _ in oracle.values()})
+    assert a.component_vertices() == comps, a
+    assert a.is_connected() == (len(comps) <= 1), a
+    for v in a.vertices:
+        assert a.component_is_cyclic(v) == oracle[v][1], (a, v)
+        assert a.component_size(v) == len(oracle[v][0]), (a, v)
+
+
+def test_component_table_matches_two_way_search():
+    count = 0
+    for a in _grid_with_quotients():
+        _assert_components_match_oracle(a)
+        count += 1
+    assert count == 28830
+    # every stage of a rejection chain: dead ambient edges, cycles opening
+    chain = rejection_chain(make_cyclic(4, 5))
+    assert len(chain) == 21
+    for a, _ in chain:
+        _assert_components_match_oracle(a)
+
+
+def test_components_are_the_hand_built_sub_algebras():
+    split = 0
+    for a in _grid_with_quotients():
+        comps = components(a)
+        assert comps == components_oracle(a), a
+        split += len(comps) > 1
+    assert split == 13834
+    for a, _ in rejection_chain(make_cyclic(4, 5)):
+        assert components(a) == components_oracle(a)
+
+
+def test_standard_arrows():
+    assert standard_arrows(3, True) == {1: 3, 2: 1, 3: 2}
+    assert standard_arrows(3, False) == {2: 1, 3: 2}
+    assert standard_arrows(1, True) == {1: 1}
+    assert standard_arrows(1, False) == {}
+    # both shapes are built and recognised in this labelling
+    assert cyclic_algebra([2, 2, 2]).next_down == standard_arrows(3, True)
+    assert make_linear([1, 2, 2]).next_down == standard_arrows(3, False)
+    assert algebra_to_json(cyclic_algebra([2, 2, 2]))["kind"] == "cyclic"
+    assert algebra_to_json(make_linear([1, 2, 2]))["kind"] == "linear"
+    reversed_cycle = NakayamaAlgebra((1, 2, 3), {1: 2, 2: 3, 3: 1}, {1: 2, 2: 2, 3: 2})
+    assert algebra_to_json(reversed_cycle)["kind"] == "general"
 
 
 def test_components():

@@ -155,6 +155,37 @@ def test_verify_rejection_isomorphism_failure(capsys, monkeypatch):
     assert "Traceback" not in out + err
 
 
+def test_verify_failure_names_the_first_failing_algebra(capsys, monkeypatch):
+    from nakayama import verify
+
+    real = verify.triple_bijection_holds
+    monkeypatch.setattr(
+        verify, "triple_bijection_holds",
+        lambda alg: alg.loewy != {1: 2, 2: 3} and real(alg),
+    )
+    code, out = run(capsys, "verify", "--bijections", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "bijections n=1: 3 cyclic Kupisch series, 3 in elementwise bijection",
+        "bijections n=2: 10 cyclic Kupisch series, 9 in elementwise bijection;"
+        " first failure: kupisch 2,3",
+        "FAIL (1)",
+    ]
+
+    def wrong(alg):
+        return alg.loewy not in ({1: 2, 2: 2}, {1: 1, 2: 2, 3: 2}, {1: 1, 2: 2, 3: 3})
+
+    monkeypatch.setattr(verify, "rejection_matches_direct", wrong)
+    code, out = run(capsys, "verify", "--rejection", "3", "3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if "first failure" in line]
+    assert failed == [
+        "rejection cyclic n=2, r<=3: label-exact equality; first failure: kupisch 2,2",
+        "rejection linear n=3, entries<=3: label-exact equality; first failure: kupisch 1,2,2",
+    ]
+    assert out.splitlines()[-1] == "FAIL (2)"
+
+
 def test_trace_with_picks(capsys):
     code, out = run(
         capsys, "hasse", "--cyclic", "3", "--r", "4", "--method", "rejection",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from model_oracles import crossing_windows, enumerate_restricted_dfs, flip_scan
 
 from nakayama import geometry, tautilt
-from nakayama.algebra import make_cyclic, make_linear, quotient_by_idempotent
+from nakayama.algebra import NakayamaAlgebra, make_cyclic, make_linear, quotient_by_idempotent
 from nakayama.errors import (
     ArcNotPresent,
     ArcTooLong,
@@ -208,6 +208,17 @@ def test_crossing_arcs_are_named():
         make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(None, 4)])
     with pytest.raises(NotInDomain, match="expected 3 arcs, got 2"):
         make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(None, 2)])
+
+
+def test_arc_dictionary_needs_arrows_along_the_cycle_order():
+    # labelled 1..n, but the arrows run j -> j+1, against the cycle order
+    backwards = NakayamaAlgebra((1, 2, 3), {1: 2, 2: 3, 3: 1}, {1: 2, 2: 2, 3: 2})
+    for _ in range(2):
+        with pytest.raises(NotInDomain, match="cycle order"):
+            arc_to_indec(backwards, Arc(None, 1))
+    assert "_arc_dictionary" not in backwards.__dict__
+    # a subset of the cycle's edges qualifies: the linear quiver
+    assert arc_to_indec(make_linear([1, 2, 3]), Arc(None, 3)) == Indec(3, 3)
 
 
 def test_standard_label_memo_records_only_success():

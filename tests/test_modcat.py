@@ -15,7 +15,6 @@ from nakayama.modcat import (
     is_tau_rigid_indec,
     maximal_cliques,
     pair_tau_rigid,
-    socle_vertex,
     support,
     tau,
 )
@@ -39,9 +38,10 @@ def test_comp_factors_cache_cannot_be_changed_through_a_result():
 
 
 def test_socle_vertex_examples():
-    assert socle_vertex(L33, Indec(1, 3)) == 2
-    assert socle_vertex(L33, Indec(2, 1)) == 2
-    assert socle_vertex(L45, Indec(3, 5)) == 3
+    # the socle is the last composition factor
+    assert comp_factors(L33, Indec(1, 3))[-1] == 2
+    assert comp_factors(L33, Indec(2, 1))[-1] == 2
+    assert comp_factors(L45, Indec(3, 5))[-1] == 3
 
 
 def test_invalid_module_rejected():
@@ -228,13 +228,6 @@ def test_pair_test_checks_both_modules():
         pair_tau_rigid(L33, Indec(1, 1), Indec(1, 4))
     with pytest.raises(InvalidModule):
         pair_tau_rigid(L33, Indec(4, 1), Indec(1, 1))
-
-
-def test_socle_off_the_quiver_raises(monkeypatch):
-    alg = make_cyclic(3, 3)
-    monkeypatch.setattr(alg, "walk_down", lambda j, steps: None)
-    with pytest.raises(InvariantViolation, match="socle"):
-        socle_vertex(alg, Indec(1, 2))
 
 
 # the square a-b-c-d-a: its maximal cliques are its four sides

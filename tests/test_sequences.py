@@ -29,6 +29,13 @@ def test_seq_validation():
         SeqA((-1, 2, 2))
 
 
+@pytest.mark.parametrize("a", [[2.5, 0], [2.0, 0], ["1", "1"], [True, True], (), "11"])
+def test_seq_rejects_entries_that_are_not_integers_and_the_empty_tuple(a):
+    # entries are never converted: a float, a string or a bool is not an entry
+    with pytest.raises(NotInDomain):
+        SeqA(a)
+
+
 def test_profile_and_norm():
     a = SeqA((0, 4, 1, 0, 1, 0, 2, 0))
     assert a.profile == (-1, 2, 2, 1, 1, 0, 1, 0)

@@ -27,6 +27,7 @@ from nakayama.errors import (
     InvariantViolation,
     NotCyclicConnected,
     NotInDomain,
+    NotLinear,
     NotTauTilting,
 )
 from nakayama.modcat import Indec, all_indecs, all_tau_rigid_indecs, pair_tau_rigid, support
@@ -483,6 +484,21 @@ def test_split_at_source_guards_raise(monkeypatch):
                    lambda alg, module: real(alg, module) if alg.n == 3 else None)
         with pytest.raises(InvariantViolation, match="over the quotient"):
             split_at_source(g, m)
+
+
+@pytest.mark.parametrize(
+    "alg, match",
+    [
+        (ZERO, "not connected"),
+        (quotient_by_idempotent(make_linear([1, 2, 3]), {2}), "not connected"),
+        (make_cyclic(3, 2), "cycle"),
+    ],
+)
+def test_split_at_source_needs_a_connected_linear_algebra(alg, match):
+    with pytest.raises(NotLinear, match=match):
+        split_at_source(alg, SttPair((), ()))
+    with pytest.raises(NotLinear, match=match):
+        unsplit_at_source(alg, 1, SttPair((), ()))
 
 
 def test_split_at_source_validates_the_pair():
