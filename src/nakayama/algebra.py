@@ -22,6 +22,7 @@ from functools import cached_property
 from .errors import (
     InvalidKupisch,
     InvariantViolation,
+    NotInDomain,
     NotLinear,
     NotProjectiveInjective,
     ZeroAlgebra,
@@ -48,6 +49,9 @@ class NakayamaAlgebra:
     # -- construction and validation ------------------------------------
 
     def _validate(self):
+        for v in self.vertices:
+            if type(v) is not int:
+                raise InvalidKupisch(f"vertex label {v!r} must be an integer")
         vs = set(self.vertices)
         if len(self.vertices) != len(vs):
             raise InvalidKupisch("duplicate vertex labels")
@@ -292,7 +296,8 @@ def rejection_chain(alg, picks=None):
     Returns a list of (algebra, rejected_vertex) pairs ending with the zero
     algebra paired with None.  ``picks`` optionally forces the vertex chosen
     at each step; by default the smallest projective-injective label of the
-    first component is used.
+    first component is used.  Picks left when the zero algebra is reached
+    raise NotInDomain.
     """
     chain = []
     picks = list(picks or ())
@@ -306,6 +311,8 @@ def rejection_chain(alg, picks=None):
             j = min(pis & set(alg.component_vertices()[0]))
         chain.append((alg, j))
         alg = reject(alg, j)
+    if len(chain) < len(picks):
+        raise NotInDomain(f"picks {picks[len(chain):]} left over at the zero algebra")
     chain.append((alg, None))
     return chain
 

@@ -71,10 +71,9 @@ def cmd_enumerate(args, out):
     }[args.which]
     pairs = which(alg)
     if args.format == "json":
-        out.write(_json_dumps([p.to_json() for p in pairs]) + "\n")
+        out.write(poset.pairs_json(pairs) + "\n")
     else:
-        for p in pairs:
-            out.write(poset.pair_label(alg, p) + "\n")
+        out.write("".join(label + "\n" for label in poset.pair_labels(alg, pairs)))
     return 0
 
 

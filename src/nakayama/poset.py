@@ -9,6 +9,7 @@ over a BitIndex per stage; both routes must agree label-for-label.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from itertools import compress
@@ -81,12 +82,6 @@ class HasseQuiver(NamedTuple):
 
     def labelled_arrows(self):
         return {(self.vertices[a], self.vertices[b]) for a, b in self.arrows}
-
-    def to_json(self):
-        return {
-            "vertices": [v.to_json() for v in self.vertices],
-            "arrows": [list(a) for a in self.arrows],
-        }
 
 
 def stt_poset(alg):
@@ -320,31 +315,65 @@ def rejection_isomorphism(alg, j):
 # -- rendering ---------------------------------------------------------------
 
 
+class _Memo(dict):
+    """f(key) for each key, computed on the first lookup."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
+def _stack(alg, s):
+    return "/".join(map(str, modcat.comp_factors(alg, s)))
+
+
+def _label(pair, stack):
+    label = " + ".join(map(stack, pair.module)) or "0"
+    if pair.killed:
+        label += " [" + ",".join(map(str, pair.killed)) + "]"
+    return label
+
+
 def pair_label(alg, pair):
     """Compact text form: summands as stacked tops joined with '+', killed
     vertices in brackets."""
-    if pair.module:
-        parts = [
-            "/".join(str(v) for v in modcat.comp_factors(alg, s))
-            for s in pair.module
-        ]
-        label = " + ".join(parts)
-    else:
-        label = "0"
-    if pair.killed:
-        label += " [" + ",".join(str(v) for v in pair.killed) + "]"
-    return label
+    return _label(pair, functools.partial(_stack, alg))
+
+
+def pair_labels(alg, pairs):
+    """The pair_label of each pair, each distinct summand stacked once."""
+    stack = _Memo(functools.partial(_stack, alg)).__getitem__
+    return [_label(pair, stack) for pair in pairs]
 
 
 def hasse_dot(alg, quiver):
     lines = ['digraph "hasse" {', "  rankdir=TB;"]
-    for i, v in enumerate(quiver.vertices):
-        lines.append(f'  n{i} [label="{pair_label(alg, v)}"];')
+    for i, label in enumerate(pair_labels(alg, quiver.vertices)):
+        lines.append(f'  n{i} [label="{label}"];')
     for a, b in quiver.arrows:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def pairs_json(pairs):
+    """json.dumps([p.to_json() for p in pairs], sort_keys=True, separators=
+    (",", ":")), with each distinct summand and killed tuple dumped once and
+    the keys written in sorted order.  Two caches, since Indec(2, 3) ==
+    (2, 3)."""
+    summand = _Memo(lambda s: json.dumps(s.to_json(), sort_keys=True, separators=(",", ":")))
+    killed = _Memo(lambda k: json.dumps(list(k), separators=(",", ":")))
+    return "[" + ",".join(
+        '{"killed":' + killed[p.killed] + ',"summands":['
+        + ",".join(map(summand.__getitem__, p.module)) + "]}"
+        for p in pairs
+    ) + "]"
+
+
 def hasse_json(quiver):
-    return json.dumps(quiver.to_json(), sort_keys=True, separators=(",", ":"))
+    """The quiver as {"arrows": index pairs, "vertices": pairs_json}."""
+    arrows = ",".join(f"[{a},{b}]" for a, b in quiver.arrows)
+    return '{"arrows":[' + arrows + '],"vertices":' + pairs_json(quiver.vertices) + "}"

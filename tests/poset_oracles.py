@@ -2,11 +2,14 @@
 quiver doubling in nakayama.poset are tested against (one predicate call
 per ordered pair of elements, one scan per ordered pair of indices, the
 doubling done on the order itself), the neighbours of a pair by a scan of
-every pair, and the order and quiver queries and copy labels that only the
-tests use."""
+every pair, the JSON and DOT renderings built one pair at a time through
+json.dumps and the per-pair label, and the order and quiver queries and
+copy labels that only the tests use."""
 
+import json
 from typing import Any, NamedTuple
 
+from nakayama import modcat
 from nakayama.errors import InvariantViolation
 from nakayama.poset import HasseQuiver, Poset, double_hasse, geq
 
@@ -133,3 +136,38 @@ def mutations_scan(alg, pair, universe):
             raise InvariantViolation(f"{pair} has {len(found)} other completions without {slot}")
         out.append(found[0])
     return sorted(out, key=lambda p: p.module)
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def pairs_json_dumps(pairs):
+    """A pair list as JSON: one to_json dict per pair through json.dumps."""
+    return _dumps([p.to_json() for p in pairs])
+
+
+def hasse_json_dumps(quiver):
+    """A quiver as JSON: a dict of vertex dicts and arrow lists through
+    json.dumps."""
+    return _dumps({
+        "vertices": [v.to_json() for v in quiver.vertices],
+        "arrows": [list(a) for a in quiver.arrows],
+    })
+
+
+def pair_label_one(alg, pair):
+    """The text label of one pair, every summand stacked afresh."""
+    parts = ["/".join(str(v) for v in modcat.comp_factors(alg, s)) for s in pair.module]
+    label = " + ".join(parts) if parts else "0"
+    if pair.killed:
+        label += " [" + ",".join(str(v) for v in pair.killed) + "]"
+    return label
+
+
+def hasse_dot_one(alg, quiver):
+    """The DOT text of a quiver, one pair_label_one call per vertex."""
+    lines = ['digraph "hasse" {', "  rankdir=TB;"]
+    lines += [f'  n{i} [label="{pair_label_one(alg, v)}"];' for i, v in enumerate(quiver.vertices)]
+    lines += [f"  n{a} -> n{b};" for a, b in quiver.arrows]
+    return "\n".join(lines + ["}"]) + "\n"

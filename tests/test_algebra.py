@@ -30,6 +30,7 @@ from nakayama.algebra import (
 from nakayama.errors import (
     InvalidKupisch,
     InvariantViolation,
+    NotInDomain,
     NotProjectiveInjective,
     ZeroAlgebra,
 )
@@ -167,6 +168,19 @@ def test_rejection_chain_with_explicit_picks():
     # the eighth step rejects a projective of Loewy length 2
     a8, j8 = chain[7]
     assert a8.loewy[j8] == 2
+
+
+def test_rejection_chain_rejects_leftover_picks():
+    assert rejection_chain(make_cyclic(1, 1), picks=[1])[-1] == (ZERO, None)
+    with pytest.raises(NotInDomain, match=r"\[5, 7\]"):
+        rejection_chain(make_cyclic(1, 1), picks=[1, 5, 7])
+    # a full pick list is accepted and one pick more is left over
+    alg = make_cyclic(3, 4)
+    full = [j for _, j in rejection_chain(alg)[:-1]]
+    assert len(full) == alg.dimension()
+    assert [j for _, j in rejection_chain(alg, picks=full)[:-1]] == full
+    with pytest.raises(NotInDomain):
+        rejection_chain(alg, picks=full + [1])
 
 
 def test_quotient_examples():
@@ -320,6 +334,10 @@ def test_make_cyclic_rejects_empty_or_nonpositive(n, r):
         '{"kind": "cyclic"}',
         '{"kind": "linear", "kupisch": 3}',
         '{"kind": "general", "vertices": [1], "next_down": {}, "loewy": {"x": 1}}',
+        '{"kind": "general", "vertices": [1.0, 2], "next_down": {"2": 1}, '
+        '"loewy": {"1": 1, "2": 2}}',
+        '{"kind": "general", "vertices": [true, 2], "next_down": {"2": 1}, '
+        '"loewy": {"1": 1, "2": 2}}',
         '{"kind": "spiral"}',
         "[1]",
         "{bad",

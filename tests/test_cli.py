@@ -250,6 +250,14 @@ BAD_INPUT = [
                     '"killed":[]}'], "repeats a summand"),
     ([*FROM_MODULE, '{"summands":[{"top":1,"len":3},{"top":2,"len":3}],"killed":[3,3]}'],
      "repeats a summand or a killed vertex"),
+    (["hasse", "--cyclic", "1", "--r", "1", "--method", "rejection", "--picks", "1,5,7",
+      "--trace"], "[5, 7] left over"),
+    (["hasse", "--cyclic", "1", "--r", "1", "--method", "rejection", "--picks", "1,1"],
+     "[1] left over"),
+    (["enumerate", "--algebra-json", '{"kind":"general","vertices":[1.0,2],"next_down":{"2":1},'
+      '"loewy":{"1":1,"2":2}}', "--format", "json"], "vertex label 1.0"),
+    (["count", "--algebra-json", '{"kind":"general","vertices":[true,2],"next_down":{"2":1},'
+      '"loewy":{"1":1,"2":2}}'], "vertex label True"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -13,8 +14,12 @@ from poset_oracles import (
     double_labelled,
     double_poset,
     fac_order,
+    hasse_dot_one,
+    hasse_json_dumps,
     le,
     mutations_scan,
+    pair_label_one,
+    pairs_json_dumps,
     same_labelled_graph,
     transitive_reduction,
 )
@@ -30,6 +35,7 @@ from nakayama.algebra import (
     reject,
     rejection_chain,
 )
+from nakayama.cli import main
 from nakayama.errors import (
     InvalidModule,
     InvalidPoset,
@@ -45,9 +51,13 @@ from nakayama.poset import (
     geq,
     hasse_by_rejection,
     hasse_direct,
+    hasse_dot,
+    hasse_json,
     lift_through_rejection,
     mutations,
     pair_label,
+    pair_labels,
+    pairs_json,
     rejection_isomorphism,
     stt_poset,
 )
@@ -885,8 +895,6 @@ def test_forbidden_class_transitions():
 
 
 def test_pair_label_and_dot():
-    from nakayama.poset import hasse_dot, hasse_json
-
     full = _pair(L33, [(1, 3), (2, 3), (3, 3)])
     assert pair_label(L33, full) == "1/3/2 + 2/1/3 + 3/2/1"
     empty = _pair(L33, [])
@@ -897,3 +905,44 @@ def test_pair_label_and_dot():
     assert "1/3/2 + 2/1/3 + 3/2/1" in dot
     js = hasse_json(h)
     assert js.startswith('{"arrows"')
+
+
+def _rendering_test_algebras():
+    algs = [cyclic_algebra(ks) for n in range(1, 5) for ks in valid_cyclic_series(n, n + 2)]
+    algs += [make_linear(list(ks)) for n in range(1, 6) for ks in valid_linear_series(n, n + 1)]
+    algs.append(quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}))
+    algs.append(ZERO)
+    return algs
+
+
+def test_json_rendering_matches_json_dumps_oracle():
+    algs = _rendering_test_algebras()
+    assert L33 in algs
+    for alg in algs:
+        direct, rejection = hasse_direct(alg), hasse_by_rejection(alg)
+        for quiver in (direct, rejection):
+            assert hasse_json(quiver) == hasse_json_dumps(quiver), alg.loewy
+        for pairs in (direct.vertices, tautilt.enumerate_tau_tilt(alg)):
+            assert pairs_json(pairs) == pairs_json_dumps(pairs), alg.loewy
+
+
+def test_json_rendering_keeps_summands_and_killed_tuples_apart():
+    # cyclic(3,3) has the killed set (2, 3) and the summand Indec(2, 3),
+    # which are equal as tuples; a shared fragment cache mixes them up
+    pairs = enumerate_stt(L33)
+    assert any(p.killed == (2, 3) for p in pairs)
+    assert any(Indec(2, 3) in p.module for p in pairs)
+    for ps in (pairs, pairs[::-1]):
+        assert pairs_json(ps) == pairs_json_dumps(ps)
+    assert json.loads(pairs_json(pairs)) == [p.to_json() for p in pairs]
+
+
+def test_text_rendering_matches_per_pair_labels(capsys):
+    for alg in _rendering_test_algebras()[::7] + [L33]:
+        quiver = hasse_direct(alg)
+        labels = [pair_label_one(alg, v) for v in quiver.vertices]
+        assert pair_labels(alg, quiver.vertices) == labels
+        assert [pair_label(alg, v) for v in quiver.vertices] == labels
+        assert hasse_dot(alg, quiver) == hasse_dot_one(alg, quiver)
+        assert main(["enumerate", "--algebra-json", json.dumps(algebra.algebra_to_json(alg))]) == 0
+        assert capsys.readouterr().out == "".join(label + "\n" for label in labels)
