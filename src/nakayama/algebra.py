@@ -41,6 +41,10 @@ class NakayamaAlgebra:
     __slots__ = ("vertices", "next_down", "loewy", "__dict__")
 
     def __init__(self, vertices, next_down, loewy):
+        vertices = tuple(vertices)
+        for v in vertices:  # before sorting, which would raise TypeError
+            if type(v) is not int:
+                raise InvalidKupisch(f"vertex label {v!r} must be an integer")
         self.vertices = tuple(sorted(vertices))
         self.next_down = dict(next_down)
         self.loewy = dict(loewy)
@@ -49,9 +53,6 @@ class NakayamaAlgebra:
     # -- construction and validation ------------------------------------
 
     def _validate(self):
-        for v in self.vertices:
-            if type(v) is not int:
-                raise InvalidKupisch(f"vertex label {v!r} must be an integer")
         vs = set(self.vertices)
         if len(self.vertices) != len(vs):
             raise InvalidKupisch("duplicate vertex labels")
@@ -136,8 +137,9 @@ class NakayamaAlgebra:
     @cached_property
     def _components(self):
         """vertex -> (sorted vertices of its component, whether they form a
-        cycle).  The arrows walked from each source trace the path
-        components; every vertex left over lies on a cycle of arrows."""
+        cycle, the vertices in arrow order).  The arrows walked from each
+        source trace the path components; every vertex left over lies on a
+        cycle of arrows."""
         table = {}
         sources = [v for v in self.vertices if v not in self._up]
         for start in sources + list(self.vertices):
@@ -147,14 +149,19 @@ class NakayamaAlgebra:
             while v is not None and v != start:
                 walk.append(v)
                 v = self.arrow_target(v)
-            entry = (tuple(sorted(walk)), v == start)
+            entry = (tuple(sorted(walk)), v == start, tuple(walk))
             for w in walk:
                 table[w] = entry
         return table
 
     def component_vertices(self):
         """Vertex sets of the connected components, ordered by least label."""
-        return sorted({vs for vs, _ in self._components.values()})
+        return sorted({vs for vs, _, _ in self._components.values()})
+
+    def arrow_orders(self):
+        """Each component's vertices in arrow order, from the source on a
+        path, ordered by least label."""
+        return [walk for _, _, walk in sorted(set(self._components.values()))]
 
     def is_connected(self):
         return len(self.component_vertices()) <= 1

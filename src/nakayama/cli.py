@@ -79,7 +79,7 @@ def cmd_enumerate(args, out):
 
 def cmd_count(args, out):
     alg = _algebra_from_args(args)
-    tt, proper, stt = counting.enumerated_counts(alg)
+    tt, proper, stt = counting.dp_counts(alg)
     if args.format == "json":
         out.write(_json_dumps({"tau_tilt": tt, "proper": proper, "stt": stt}) + "\n")
     else:
@@ -176,10 +176,12 @@ def cmd_triangulate(args, out):
 
 
 def cmd_verify(args, out):
-    if not args.tables and args.bijections is None and args.rejection is None:
-        raise NakayamaError("verify needs --tables, --bijections, or --rejection")
-    if args.bijections is not None and args.bijections < 1:
-        raise NakayamaError(f"--bijections must be a positive integer, got {args.bijections}")
+    if not args.tables and all(x is None for x in (args.bijections, args.counts, args.rejection)):
+        raise NakayamaError("verify needs --tables, --bijections, --counts, or --rejection")
+    for flag in ("bijections", "counts"):
+        n_max = getattr(args, flag)
+        if n_max is not None and n_max < 1:
+            raise NakayamaError(f"--{flag} must be a positive integer, got {n_max}")
     if args.rejection is not None and min(args.rejection) < 1:
         n_max, r_max = args.rejection
         raise NakayamaError(f"--rejection sizes must be positive integers, got {n_max} {r_max}")
@@ -190,6 +192,8 @@ def cmd_verify(args, out):
         bundles.append(counting.verify_tables())
     if args.bijections is not None:
         bundles.append(verify.verify_bijections(args.bijections))
+    if args.counts is not None:
+        bundles.append(verify.verify_counts(args.counts))
     if args.rejection is not None:
         bundles.append(verify.verify_rejection(*args.rejection))
     failures = 0
@@ -251,6 +255,7 @@ def build_parser():
     pv = sub.add_parser("verify", help="verification bundles")
     pv.add_argument("--tables", action="store_true")
     pv.add_argument("--bijections", type=int, metavar="N_MAX")
+    pv.add_argument("--counts", type=int, metavar="N_MAX")
     pv.add_argument(
         "--rejection", type=int, nargs=2, metavar=("N_MAX", "R_MAX")
     )

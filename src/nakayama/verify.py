@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import geometry, poset, sequences, tautilt
+from . import counting, geometry, poset, sequences, tautilt
 from .algebra import cyclic_algebra, make_cyclic, make_linear, rejection_chain
 from .errors import InvalidPoset
 
@@ -74,6 +74,24 @@ def verify_bijections(n_max):
             f"{len(series) - len(failing)} in elementwise bijection",
             failing,
         )
+
+
+def verify_counts(n_max):
+    """dp_counts against enumerated_counts on every cyclic Kupisch series with
+    entries at most n+2 and every linear one with entries at most n+1."""
+    for n in range(1, n_max + 1):
+        cyclic = [("cyclic", ks, cyclic_algebra(ks)) for ks in valid_cyclic_series(n, n + 2)]
+        linear = [("linear", ks, make_linear(list(ks))) for ks in valid_linear_series(n, n + 1)]
+        failing = [
+            (shape, ks) for shape, ks, alg in cyclic + linear
+            if counting.dp_counts(alg) != counting.enumerated_counts(alg)
+        ]
+        line, ok = _report(
+            f"counts n={n}: {len(cyclic)} cyclic and {len(linear)} linear Kupisch series, "
+            f"{len(cyclic) + len(linear) - len(failing)} with DP counts equal to enumerated",
+            [ks for _, ks in failing],
+        )
+        yield (line if ok else f"{line} ({failing[0][0]})"), ok
 
 
 def rejection_matches_direct(alg):

@@ -348,6 +348,14 @@ def test_malformed_algebra_literal_is_invalid_kupisch(literal):
         algebra_from_json(literal)
 
 
+@pytest.mark.parametrize("vertices", [["a", 1], [1, "a"], [None, 2], [(1,), 1]])
+def test_non_int_labels_raise_invalid_kupisch_before_sorting(vertices):
+    # mixed labels cannot be sorted: the label check comes first
+    loewy = {v: 1 for v in vertices}
+    with pytest.raises(InvalidKupisch, match="must be an integer"):
+        NakayamaAlgebra(vertices, {}, loewy)
+
+
 def test_algebra_invariants_raise(monkeypatch):
     a = make_linear([1, 2, 3])
     assert a.source_vertex() == 3

@@ -186,6 +186,30 @@ def test_verify_failure_names_the_first_failing_algebra(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL (2)"
 
 
+def test_verify_counts_names_the_first_failing_series(capsys, monkeypatch):
+    from nakayama import counting
+
+    code, out = run(capsys, "verify", "--counts", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "counts n=1: 3 cyclic and 1 linear Kupisch series, 4 with DP counts equal to enumerated",
+        "counts n=2: 10 cyclic and 2 linear Kupisch series, 12 with DP counts equal to enumerated",
+        "PASS",
+    ]
+    real = counting.dp_counts
+    monkeypatch.setattr(
+        counting, "dp_counts", lambda alg: (0, 0, 0) if alg.loewy == {1: 1, 2: 2} else real(alg)
+    )
+    code, out = run(capsys, "verify", "--counts", "2")
+    assert code == 1
+    # the cyclic series 1,2 comes first in the grid and fails as well
+    assert out.splitlines()[1:] == [
+        "counts n=2: 10 cyclic and 2 linear Kupisch series, 10 with DP counts equal to"
+        " enumerated; first failure: kupisch 1,2 (cyclic)",
+        "FAIL (1)",
+    ]
+
+
 def test_trace_with_picks(capsys):
     code, out = run(
         capsys, "hasse", "--cyclic", "3", "--r", "4", "--method", "rejection",
@@ -258,6 +282,8 @@ BAD_INPUT = [
       '"loewy":{"1":1,"2":2}}', "--format", "json"], "vertex label 1.0"),
     (["count", "--algebra-json", '{"kind":"general","vertices":[true,2],"next_down":{"2":1},'
       '"loewy":{"1":1,"2":2}}'], "vertex label True"),
+    (["verify", "--counts", "0"], "positive"),
+    (["verify", "--counts", "-3"], "positive"),
 ]
 
 
@@ -345,6 +371,7 @@ FLAG_VALUES = {
     "--r": one_int,
     "--n": one_int,
     "--bijections": one_int,
+    "--counts": one_int,
     "--rejection": st.tuples(one_int, one_int).map(lambda vs: vs[0] + vs[1]),
     "--kupisch": one_list,
     "--picks": one_list,
@@ -388,7 +415,7 @@ SPEC = {
     "hasse": ([algebra], ["--method", "--format", "--trace", "--picks"]),
     "translate": ([algebra, flag("--from"), flag("--to"), flag("--payload")], ["--format"]),
     "triangulate": ([flag("--n")], ["--bounds", "--format"]),
-    "verify": ([], ["--bijections", "--rejection"]),
+    "verify": ([], ["--bijections", "--counts", "--rejection"]),
 }
 
 

@@ -1,19 +1,35 @@
+import functools
+import json
 import math
 
-from nakayama import tautilt
-from nakayama.algebra import ZERO, make_cyclic, make_gamma, make_linear, quotient_by_idempotent
+import pytest
+
+from nakayama import counting, tautilt
+from nakayama.algebra import (
+    ZERO,
+    NakayamaAlgebra,
+    cyclic_algebra,
+    make_cyclic,
+    make_gamma,
+    make_linear,
+    quotient_by_idempotent,
+)
+from nakayama.cli import main
 from nakayama.counting import (
     catalan,
     central_binomial,
     count_gamma_recurrence,
     count_stt_gamma2_jasso,
+    dp_counts,
     enumerated_counts,
     table_line,
     verify_tables,
 )
+from nakayama.errors import InvariantViolation
+from nakayama.modcat import Indec
 from nakayama.sequences import enumerate_Z
 from nakayama.tautilt import enumerate_stt, enumerate_tau_tilt
-from nakayama.verify import valid_linear_series
+from nakayama.verify import valid_cyclic_series, valid_linear_series
 
 
 def test_catalan_values():
@@ -139,3 +155,112 @@ def test_report_formatting():
         "  recurrence gives 3",
         False,
     )
+
+
+# -- the interval DP against the clique enumeration ---------------------------
+
+GRID = [
+    (shape, ks)
+    for n in range(1, 6)
+    for shape, series in (
+        ("cyclic", valid_cyclic_series(n, n + 2)), ("linear", valid_linear_series(n, n + 1))
+    )
+    for ks in series
+]
+
+
+def grid_algebra(shape, ks):
+    return cyclic_algebra(ks) if shape == "cyclic" else make_linear(list(ks))
+
+
+@functools.cache
+def grid_enumerated(shape, ks):
+    return enumerated_counts(grid_algebra(shape, ks))
+
+
+def test_dp_counts_equal_enumerated_on_the_grid():
+    assert len(GRID) == 889
+    for shape, ks in GRID:
+        assert dp_counts(grid_algebra(shape, ks)) == grid_enumerated(shape, ks), (shape, ks)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2}),
+        quotient_by_idempotent(make_cyclic(5, 4), {2, 4}),
+        # a path 5 -> 3 -> 2 -> 1 and a cycle 1 -> 5 -> 2 -> 3 -> 1, neither
+        # in label order
+        NakayamaAlgebra([1, 2, 3, 5], {5: 3, 3: 2, 2: 1}, {1: 1, 2: 2, 3: 3, 5: 3}),
+        NakayamaAlgebra([1, 2, 3, 5], {1: 5, 5: 2, 2: 3, 3: 1}, {1: 3, 2: 3, 3: 2, 5: 4}),
+        *(cyclic_algebra([r]) for r in range(1, 4)),
+        ZERO,
+    ],
+    ids=repr,
+)
+def test_dp_counts_equal_enumerated_off_the_standard_labelling(alg):
+    assert dp_counts(alg) == enumerated_counts(alg)
+
+
+def test_dp_closed_forms_up_to_60():
+    for n in range(1, 61):
+        tt, proper, stt = dp_counts(make_cyclic(n, n))
+        assert (tt, proper, stt) == (
+            math.comb(2 * n - 1, n - 1), math.comb(2 * n - 1, n - 1), central_binomial(n)
+        ), n
+        tt, _, stt = dp_counts(make_linear(list(range(1, n + 1))))
+        assert (tt, stt) == (catalan(n), catalan(n + 1)), n
+
+
+def test_dp_matches_the_recurrences():
+    for n in range(1, 31):
+        for r in range(1, 8):
+            assert dp_counts(make_gamma(n, r))[0] == count_gamma_recurrence(n, r), (n, r)
+        assert dp_counts(make_gamma(n, 2))[2] == count_stt_gamma2_jasso(n), n
+
+
+def test_dp_catches_an_enumeration_that_loses_a_pair():
+    # without the edge S1 -- P2 of the linear A2 algebra's cached graph the
+    # clique search loses the pair S1 + P2 without an error; the DP, which
+    # never reads the graph, still counts 5 pairs
+    alg = make_linear([1, 2])
+    nbr, _, labels = tautilt.compatibility_graph(alg)
+    s1, p2 = labels.index(Indec(1, 1)), labels.index(Indec(2, 2))
+    nbr[s1] &= ~(1 << p2)
+    nbr[p2] &= ~(1 << s1)
+    assert enumerated_counts(alg)[2] == 4
+    assert dp_counts(alg) == (2, 3, 5)
+    assert dp_counts(alg) != enumerated_counts(alg)
+
+
+def test_verify_tables_notes_a_dp_disagreement(monkeypatch):
+    real = counting.dp_counts
+    monkeypatch.setattr(
+        counting, "dp_counts", lambda alg: (0, 0, 0) if alg == make_cyclic(2, 2) else real(alg)
+    )
+    bad = [(line, ok) for line, ok in verify_tables() if not ok]
+    assert bad == [(
+        "MISMATCH cyclic n=2 r=2 counts=(3, 3, 6) expected=(3, 3, 6) [enumerated]"
+        "  DP gives (0, 0, 0)",
+        False,
+    )]
+
+
+def test_a_component_without_tau_tilting_modules_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(counting, "_component_counts", lambda loewy: (0, 1))
+    with pytest.raises(InvariantViolation, match="0 tau-tilting modules"):
+        dp_counts(make_cyclic(2, 2))
+
+
+def test_count_prints_the_enumerated_counts(capsys):
+    for shape, ks in GRID:
+        flags = ["--cyclic", str(len(ks))] if shape == "cyclic" else ["--linear"]
+        argv = ["count", *flags, "--kupisch", ",".join(map(str, ks))]
+        tt, proper, stt = grid_enumerated(shape, ks)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"tau-tilt: {tt}\nproper: {proper}\nstt: {stt}\n"
+        assert main([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(
+            {"tau_tilt": tt, "proper": proper, "stt": stt}, sort_keys=True, separators=(",", ":")
+        ) + "\n"
