@@ -136,10 +136,11 @@ class NakayamaAlgebra:
 
     @cached_property
     def _components(self):
-        """vertex -> (sorted vertices of its component, whether they form a
-        cycle, the vertices in arrow order).  The arrows walked from each
-        source trace the path components; every vertex left over lies on a
-        cycle of arrows."""
+        """vertex -> (sorted vertices of its component, the component's
+        cycle size (0 on a path), its vertices in arrow order, the vertex's
+        position in that order); the vertices of one component share the
+        first three, as the same objects.  The arrows walked from each source
+        trace the path components; every vertex left over lies on a cycle."""
         table = {}
         sources = [v for v in self.vertices if v not in self._up]
         for start in sources + list(self.vertices):
@@ -149,26 +150,26 @@ class NakayamaAlgebra:
             while v is not None and v != start:
                 walk.append(v)
                 v = self.arrow_target(v)
-            entry = (tuple(sorted(walk)), v == start, tuple(walk))
-            for w in walk:
-                table[w] = entry
+            vs, size, walk = tuple(sorted(walk)), len(walk) if v == start else 0, tuple(walk)
+            for pos, w in enumerate(walk):
+                table[w] = (vs, size, walk, pos)
         return table
 
     def component_vertices(self):
         """Vertex sets of the connected components, ordered by least label."""
-        return sorted({vs for vs, _, _ in self._components.values()})
+        return sorted({vs for vs, _, _, _ in self._components.values()})
 
     def arrow_orders(self):
         """Each component's vertices in arrow order, from the source on a
         path, ordered by least label."""
-        return [walk for _, _, walk in sorted(set(self._components.values()))]
+        return sorted({walk for _, _, walk, _ in self._components.values()}, key=min)
 
     def is_connected(self):
         return len(self.component_vertices()) <= 1
 
     def component_is_cyclic(self, j):
         """True if j lies on a full cycle of arrows of the Gabriel quiver."""
-        return self._components[j][1]
+        return self._components[j][1] > 0
 
     def component_size(self, j):
         return len(self._components[j][0])

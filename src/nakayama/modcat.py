@@ -87,12 +87,9 @@ def is_tau_rigid_indec(alg, m):
 
 
 def _rigid(alg, m):
-    """is_tau_rigid_indec for a module already checked."""
-    return (
-        m.length == alg.loewy[m.top]
-        or not alg.component_is_cyclic(m.top)
-        or m.length < alg.component_size(m.top)
-    )
+    """is_tau_rigid_indec for a checked module; size is the cycle size, 0 on a path."""
+    size = alg._components[m.top][1]
+    return not size or m.length < size or m.length == alg.loewy[m.top]
 
 
 def pair_tau_rigid(alg, x, y):
@@ -119,11 +116,19 @@ def _pair_tau_rigid(alg, x, y):
 
 
 def _hom_into_tau(alg, x, y):
-    """Whether Hom(x, tau y) != 0 for checked x and y; tau y has the
-    length of y and the top one step down, and is a module of alg."""
+    """Whether Hom(x, tau y) != 0 for checked x and y: top(x) lies at a step
+    d in [len y - len x, len y) below top(tau y) on the universal cover of
+    the arrow walk (the least lift past the lower end, on a cycle)."""
     if y.length == alg.loewy[y.top]:
         return False
-    return x.top in comp_factors(alg, Indec(alg.next_down[y.top], y.length))[-x.length:]
+    vs, size, _, pos_x = alg._components[x.top]
+    ws, _, _, pos_y = alg._components[y.top]
+    if vs is not ws:
+        return False
+    lo, d = max(0, y.length - x.length), pos_x - pos_y - 1
+    if size:
+        d = lo + (d - lo) % size
+    return lo <= d < y.length
 
 
 def in_fac(alg, x, module):
@@ -210,8 +215,10 @@ class BitIndex(dict):
     of the pair table is filled on its own: tested[p] masks the positions q
     that p has been tested against through pair_tau_rigid, compat[p] those
     where the pair is tau-rigid; bit p of compat[p] is the indecomposable's
-    own tau-rigidity.  Filling row q later asks for the same pair again,
-    and pair_tau_rigid's cache answers it.  graph holds the algebra's
+    own tau-rigidity.  The relation is symmetric, so tilting_support fills
+    row p only at the positions from p on and asks for each unordered pair
+    once; a full-row fill asks for the pair again from row q, and
+    pair_tau_rigid's cache answers it.  graph holds the algebra's
     compatibility graph once tautilt.compatibility_graph has built it.
     """
 
@@ -266,7 +273,8 @@ class BitIndex(dict):
             p = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             supp |= self.supp[p]
-            if mask & ~self.compat[p] and mask & ~self.test(p, mask):
+            upper = mask >> p << p
+            if upper & ~self.compat[p] and upper & ~self.test(p, upper):
                 return None
         return supp if supp.bit_count() == mask.bit_count() else None
 

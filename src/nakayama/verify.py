@@ -2,28 +2,33 @@
 
 from __future__ import annotations
 
-import itertools
-
 from . import counting, geometry, poset, sequences, tautilt
 from .algebra import cyclic_algebra, make_cyclic, make_linear, rejection_chain
 from .errors import InvalidPoset
 
 
+def _series(n, max_entry, first):
+    """The tuples of n entries in [1, max_entry], the first entry at most
+    first and each later one at most its predecessor plus one, in
+    lexicographic order: each prefix grows only by the entries it allows."""
+    level = [()]
+    for _ in range(n):
+        level = [ks + (k,) for ks in level
+                 for k in range(1, min(max_entry, ks[-1] + 1 if ks else first) + 1)]
+    return level
+
+
 def valid_cyclic_series(n, max_entry):
     """All Kupisch series of a connected cyclic quiver on n vertices with
     entries in [1, max_entry] (each entry at most its predecessor plus one,
-    read around the cycle)."""
-    for ks in itertools.product(range(1, max_entry + 1), repeat=n):
-        if all(ks[j] <= ks[j - 1] + 1 for j in range(n)):
-            yield ks
+    read around the cycle), in lexicographic order."""
+    return [ks for ks in _series(n, max_entry, max_entry) if not ks or ks[0] <= ks[-1] + 1]
 
 
 def valid_linear_series(n, max_entry):
     """All Kupisch series of the linear quiver on n vertices with entries
-    at most max_entry."""
-    for ks in itertools.product(range(1, max_entry + 1), repeat=n):
-        if ks[0] == 1 and all(ks[j] <= ks[j - 1] + 1 for j in range(1, n)):
-            yield ks
+    at most max_entry, in lexicographic order."""
+    return _series(n, max_entry, 1)
 
 
 def triple_bijection_holds(alg):

@@ -1,22 +1,38 @@
 """Reference implementations that the component table, the components and
-the projective-injective closed form in nakayama.algebra, the Hom test, the pair test and the support masks in
-nakayama.modcat, and the bit-index validation and the maximal-clique
+the projective-injective closed form in nakayama.algebra, the Kupisch series
+walks in nakayama.verify, the Hom test, the pair test and the support masks
+in nakayama.modcat, and the bit-index validation and the maximal-clique
 enumeration in nakayama.tautilt are tested against."""
+
+import itertools
 
 from nakayama.algebra import NakayamaAlgebra, socle_vertex_of_projective
 from nakayama.errors import InvariantViolation, ZeroAlgebra
 from nakayama.modcat import (
+    Indec,
     all_tau_rigid_indecs,
     bit_index,
     bits,
     check_valid,
     comp_factors,
-    hom_nonzero,
-    is_tau_rigid_indec,
-    pair_tau_rigid,
-    tau,
 )
 from nakayama.tautilt import SttPair, enumerate_stt
+
+
+def cyclic_series_filter(n, max_entry):
+    """The Kupisch series of the n-cycle with entries at most max_entry, by
+    filtering every tuple of entries in [1, max_entry]."""
+    for ks in itertools.product(range(1, max_entry + 1), repeat=n):
+        if all(ks[j] <= ks[j - 1] + 1 for j in range(n)):
+            yield ks
+
+
+def linear_series_filter(n, max_entry):
+    """The Kupisch series of the n-path with entries at most max_entry, by
+    filtering every tuple of entries in [1, max_entry]."""
+    for ks in itertools.product(range(1, max_entry + 1), repeat=n):
+        if ks[0] == 1 and all(ks[j] <= ks[j - 1] + 1 for j in range(1, n)):
+            yield ks
 
 
 def component_table_oracle(alg):
@@ -83,16 +99,28 @@ def hom_dim_oracle(alg, m, n):
     return count
 
 
-def pair_tau_rigid_oracle(alg, x, y):
-    """Whether x + y is tau-rigid, through the public primitives: both
-    summands tau-rigid and no Hom from either into the other's tau."""
-    if not (is_tau_rigid_indec(alg, x) and is_tau_rigid_indec(alg, y)):
+def hom_into_tau_walk(alg, x, y):
+    """Whether Hom(x, tau y) != 0, by walking the composition factors of
+    tau y: top(x) is among the last len x of them."""
+    if y.length == alg.loewy[y.top]:
         return False
-    ty, tx = tau(alg, y), tau(alg, x)
-    return not (
-        (ty is not None and hom_nonzero(alg, x, ty))
-        or (tx is not None and hom_nonzero(alg, y, tx))
-    )
+    return x.top in comp_factors(alg, Indec(alg.next_down[y.top], y.length))[-x.length:]
+
+
+def _tau_oracle(alg, m):
+    """tau m, the module of the same length one step down, or None when m
+    is projective."""
+    check_valid(alg, m)
+    if m.length == alg.loewy[m.top]:
+        return None
+    return Indec(alg.next_down[m.top], m.length)
+
+
+def pair_tau_rigid_oracle(alg, x, y):
+    """Whether x + y is tau-rigid: no Hom from x or y into tau x or tau y,
+    each Hom decided by hom_dim_oracle's factor-list overlap."""
+    taus = [t for t in (_tau_oracle(alg, x), _tau_oracle(alg, y)) if t is not None]
+    return all(hom_dim_oracle(alg, m, t) == 0 for m in (x, y) for t in taus)
 
 
 def support_oracle(alg, module):
@@ -111,7 +139,7 @@ def is_support_tau_tilting_oracle(alg, module):
         check_valid(alg, s)
     for i, x in enumerate(module):
         for y in module[i:]:
-            if not pair_tau_rigid(alg, x, y):
+            if not pair_tau_rigid_oracle(alg, x, y):
                 return None
     supp = support_oracle(alg, module)
     killed = tuple(v for v in alg.vertices if v not in supp)

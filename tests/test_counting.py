@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from module_oracles import cyclic_series_filter, linear_series_filter
 
 from nakayama import counting, tautilt
 from nakayama.algebra import (
@@ -155,6 +156,17 @@ def test_report_formatting():
         "  recurrence gives 3",
         False,
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_series_walks_list_the_filtered_products_in_order(n):
+    for max_entry in (0, 1, n + 1, n + 2, n + 3):
+        assert valid_cyclic_series(n, max_entry) == list(cyclic_series_filter(n, max_entry))
+        assert valid_linear_series(n, max_entry) == list(linear_series_filter(n, max_entry))
+
+
+def test_the_empty_cycle_has_one_series():
+    assert valid_cyclic_series(0, 3) == list(cyclic_series_filter(0, 3)) == [()]
 
 
 # -- the interval DP against the clique enumeration ---------------------------

@@ -1,10 +1,18 @@
 import pytest
-from module_oracles import hom_dim_oracle, pair_tau_rigid_oracle
+from module_oracles import hom_dim_oracle, hom_into_tau_walk, pair_tau_rigid_oracle
 
-from nakayama.algebra import make_cyclic, make_gamma, make_linear
+from nakayama.algebra import (
+    NakayamaAlgebra,
+    make_cyclic,
+    make_gamma,
+    make_linear,
+    quotient_by_idempotent,
+    rejection_chain,
+)
 from nakayama.errors import InvalidModule, InvariantViolation
 from nakayama.modcat import (
     Indec,
+    _hom_into_tau,
     all_indecs,
     all_tau_rigid_indecs,
     comp_factors,
@@ -211,16 +219,36 @@ def test_rigid_count_bounded_by_vertices():
                 assert len(pair.module) <= alg.n
 
 
+def _pair_test_algebras():
+    """Cycles with entries at or past the cycle size and their idempotent
+    quotients, paths, rejection stages with dead ambient edges, and a cycle
+    and a path labelled out of arrow order."""
+    cyclic = [cyclic_algebra(ks) for n in range(1, 5) for ks in valid_cyclic_series(n, n + 3)]
+    for alg in cyclic:
+        vs = alg.vertices
+        for mask in range(1 << alg.n):
+            yield quotient_by_idempotent(alg, {v for i, v in enumerate(vs) if mask >> i & 1})
+    yield from (make_linear(list(ks)) for ks in valid_linear_series(4, 4))
+    for alg in (make_cyclic(3, 4), make_cyclic(4, 5)):
+        yield from (stage for stage, _ in rejection_chain(alg))
+    yield NakayamaAlgebra([1, 2, 3, 5], {1: 5, 5: 2, 2: 3, 3: 1}, {1: 3, 2: 3, 3: 2, 5: 4})
+    yield NakayamaAlgebra([1, 2, 3, 5], {5: 3, 3: 2, 2: 1}, {1: 1, 2: 2, 3: 3, 5: 3})
+
+
 def test_pair_test_matches_public_primitives():
-    # every pair, both orders, on a cold algebra: the one-check pair test
-    # agrees with rigidity, tau and Hom through their public checks
-    algs = [cyclic_algebra(ks) for ks in valid_cyclic_series(3, 4)]
-    algs += [make_linear(list(ks)) for ks in valid_linear_series(4, 4)]
+    # every pair, both orders, on a cold algebra: the pair test by arithmetic
+    # on the universal cover agrees with Hom by factor-list overlap, and its
+    # Hom into tau with the walk along tau's composition factors
+    algs = list(_pair_test_algebras())
+    count = 0
     for alg in algs:
         ms = all_indecs(alg)
         for x in ms:
             for y in ms:
-                assert pair_tau_rigid(alg, x, y) == pair_tau_rigid_oracle(alg, x, y)
+                assert pair_tau_rigid(alg, x, y) == pair_tau_rigid_oracle(alg, x, y), (alg, x, y)
+                assert _hom_into_tau(alg, x, y) == hom_into_tau_walk(alg, x, y), (alg, x, y)
+                count += 1
+    assert (len(algs), count) == (3486, 100517)
 
 
 def test_pair_test_checks_both_modules():

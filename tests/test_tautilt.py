@@ -363,6 +363,35 @@ def test_bit_index_matches_pairwise_oracle(alg):
             assert support(filling, module) == support_oracle(alg, module)
 
 
+def test_cold_support_check_asks_for_each_unordered_pair_once(monkeypatch):
+    # every tau-rigid part of a support tau-tilting module: k distinct
+    # summands make k(k+1)/2 pair tests on a cold index, none of them a
+    # mirror of another, and none on a warm one
+    calls, real = [], modcat.pair_tau_rigid
+
+    def counted(alg, x, y):
+        calls.append(frozenset((x, y)))
+        return real(alg, x, y)
+
+    monkeypatch.setattr(modcat, "pair_tau_rigid", counted)
+    for alg in INDEX_ALGEBRAS:
+        warm = _fresh(alg)
+        tautilt.compatibility_graph(warm)
+        for pair in enumerate_stt(alg):
+            for k in range(len(pair.module) + 1):
+                for module in itertools.combinations(pair.module, k):
+                    cold = _fresh(alg)
+                    calls.clear()
+                    expected = is_support_tau_tilting_oracle(alg, module)
+                    assert is_support_tau_tilting(cold, module) == expected
+                    assert len(calls) == k * (k + 1) // 2
+                    assert len(set(calls)) == len(calls)
+                    calls.clear()
+                    assert is_support_tau_tilting(cold, module[::-1]) == expected
+                    assert is_support_tau_tilting(warm, module) == expected
+                    assert calls == []
+
+
 # -- the maximal-clique enumeration against the DFS oracle --------------------
 
 ENUMERATION_ALGEBRAS = (
