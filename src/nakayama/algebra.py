@@ -4,14 +4,15 @@ An algebra is a finite vertex set, a partial successor map ``next_down``
 (the unique arrow out of each vertex, when the projective there is not
 simple), and the Kupisch series ``loewy`` giving the Loewy length of each
 indecomposable projective.  Connected pieces are directed paths or cycles,
-read off one cached table per algebra (each vertex's component and whether
-it is a cycle); disconnected algebras arise from idempotent quotients and
-rejection and are first-class, and each component is the quotient by the
-other vertices.  Vertex labels are stable: operations delete labels but
-never renumber them, so modules and Hasse vertices can be compared across a
-rejection chain.  The connected shapes are built, and recognised, in the
-standard labelling ``standard_arrows``: vertices 1..n, arrows j -> j-1,
-closed by 1 -> n on a cycle.
+read off one cached table per algebra (each vertex's component, whether it
+is a cycle, and the arrow walk that gives composition factors); disconnected
+algebras arise from idempotent quotients and rejection and are first-class,
+and each component is the quotient by the other vertices.  Vertex labels
+are stable: operations delete labels but never renumber them, so modules
+and Hasse vertices can be compared across a rejection chain.  The connected
+shapes are built, and recognised, in the standard labelling
+``standard_arrows``: vertices 1..n, arrows j -> j-1, closed by 1 -> n on a
+cycle.
 """
 
 from __future__ import annotations
@@ -124,23 +125,13 @@ class NakayamaAlgebra:
     def _up(self):
         return {k: j for j in self.vertices if (k := self.arrow_target(j)) is not None}
 
-    def walk_down(self, j, steps):
-        """Vertex reached from j after ``steps`` ambient edges; None if the
-        path leaves the quiver."""
-        v = j
-        for _ in range(steps):
-            v = self.next_down.get(v)
-            if v is None:
-                return None
-        return v
-
     @cached_property
     def _components(self):
-        """vertex -> (sorted vertices of its component, the component's
-        cycle size (0 on a path), its vertices in arrow order, the vertex's
-        position in that order); the vertices of one component share the
-        first three, as the same objects.  The arrows walked from each source
-        trace the path components; every vertex left over lies on a cycle."""
+        """vertex -> (sorted vertices of its component, its cycle size (0 on
+        a path), its vertices in arrow order, the vertex's position in that
+        order, that order repeated past the longest projective on a cycle),
+        all but the position shared per component as the same objects.  The
+        arrows walked from each source trace the paths; the rest are cycles."""
         table = {}
         sources = [v for v in self.vertices if v not in self._up]
         for start in sources + list(self.vertices):
@@ -151,21 +142,25 @@ class NakayamaAlgebra:
                 walk.append(v)
                 v = self.arrow_target(v)
             vs, size, walk = tuple(sorted(walk)), len(walk) if v == start else 0, tuple(walk)
+            unrolled = walk * (max(map(self.loewy.get, walk)) // size + 2) if size else walk
             for pos, w in enumerate(walk):
-                table[w] = (vs, size, walk, pos)
+                table[w] = (vs, size, walk, pos, unrolled)
         return table
+
+    def factors(self, j, length):
+        """The composition factors, top to socle, of the uniserial with top
+        j and that Loewy length: a slice of the arrow walk from j."""
+        _, _, _, pos, unrolled = self._components[j]
+        return unrolled[pos:pos + length]
 
     def component_vertices(self):
         """Vertex sets of the connected components, ordered by least label."""
-        return sorted({vs for vs, _, _, _ in self._components.values()})
+        return sorted({entry[0] for entry in self._components.values()})
 
     def arrow_orders(self):
         """Each component's vertices in arrow order, from the source on a
         path, ordered by least label."""
-        return sorted({walk for _, _, walk, _ in self._components.values()}, key=min)
-
-    def is_connected(self):
-        return len(self.component_vertices()) <= 1
+        return sorted({entry[2] for entry in self._components.values()}, key=min)
 
     def component_is_cyclic(self, j):
         """True if j lies on a full cycle of arrows of the Gabriel quiver."""
@@ -229,10 +224,11 @@ def make_gamma(n, r):
 
 
 def socle_vertex_of_projective(alg, j):
-    v = alg.walk_down(j, alg.loewy[j] - 1)
-    if v is None:
+    """The last composition factor of P_j."""
+    fs = alg.factors(j, alg.loewy[j])
+    if len(fs) < alg.loewy[j]:
         raise InvariantViolation(f"P_{j} runs off the quiver before its socle")
-    return v
+    return fs[-1]
 
 
 def projective_injectives(alg):
@@ -247,7 +243,7 @@ def projective_injectives(alg):
 
 def quotient_by_idempotent(alg, killed):
     """Kill a set of vertices: delete them, sever arrows through them, and
-    clamp each surviving Loewy length to (longest remaining path) + 1."""
+    cut each surviving projective before its first killed factor."""
     killed = set(killed)
     if not killed <= set(alg.vertices):
         raise InvalidKupisch("killed vertices not in the algebra")
@@ -259,11 +255,8 @@ def quotient_by_idempotent(alg, killed):
     }
     loewy = {}
     for v in survivors:
-        depth, w = 0, v
-        while depth < alg.loewy[v] - 1 and w in next_down:
-            w = next_down[w]
-            depth += 1
-        loewy[v] = depth + 1
+        fs = alg.factors(v, alg.loewy[v])
+        loewy[v] = next((i for i, w in enumerate(fs) if w in killed), len(fs))
     return NakayamaAlgebra(survivors, next_down, loewy)
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: enumerate, hasse, translate, triangulate, count, verify.
 Output is deterministic (canonical ordering everywhere, stable JSON);
-exit codes: 0 success, 1 verification mismatch, 2 usage error.
+exit codes: 0 success, 1 verification mismatch, 2 usage error or closed pipe.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import counting, geometry, poset, sequences, tautilt
@@ -269,11 +270,20 @@ def main(argv=None):
         # NakayamaError from _int_list as the --picks type passes through
         # argparse and is reported like every other input error
         args = build_parser().parse_args(argv)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     except NakayamaError as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except BrokenPipeError:
+        # the reader went away: devnull takes the flush at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error: output pipe closed\n")
         return 2
 
 

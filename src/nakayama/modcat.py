@@ -40,43 +40,13 @@ def check_valid(alg, m):
 
 def comp_factors(alg, m):
     """Composition factors from top to socle (tuple of vertices)."""
-    cache = alg.__dict__.setdefault("_factors", {})
-    hit = cache.get(m)
-    if hit is not None:
-        return hit
     check_valid(alg, m)
-    out = [m.top]
-    v = m.top
-    for _ in range(m.length - 1):
-        v = alg.next_down[v]
-        out.append(v)
-    out = cache[m] = tuple(out)
-    return out
+    return alg.factors(m.top, m.length)
 
 
 def is_projective(alg, m):
     check_valid(alg, m)
     return m.length == alg.loewy[m.top]
-
-
-def tau(alg, m):
-    """Auslander-Reiten translate: None for projectives, else the module
-    with the same length and top shifted one step down the quiver."""
-    if is_projective(alg, m):
-        return None
-    return Indec(alg.next_down[m.top], m.length)
-
-
-def hom_nonzero(alg, m, n):
-    """Whether Hom(m, n) != 0.
-
-    Uniserial overlap witness: some length-t top quotient of m coincides
-    with the length-t submodule of n, i.e. top(m) is among the len(m)
-    factors of n nearest its socle.  Works uniformly on cyclic and linear
-    components; across components it is vacuously false.
-    """
-    check_valid(alg, m)
-    return m.top in comp_factors(alg, n)[-m.length:]
 
 
 def is_tau_rigid_indec(alg, m):
@@ -121,8 +91,8 @@ def _hom_into_tau(alg, x, y):
     the arrow walk (the least lift past the lower end, on a cycle)."""
     if y.length == alg.loewy[y.top]:
         return False
-    vs, size, _, pos_x = alg._components[x.top]
-    ws, _, _, pos_y = alg._components[y.top]
+    vs, size, _, pos_x, _ = alg._components[x.top]
+    ws, _, _, pos_y, _ = alg._components[y.top]
     if vs is not ws:
         return False
     lo, d = max(0, y.length - x.length), pos_x - pos_y - 1

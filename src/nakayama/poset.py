@@ -80,9 +80,6 @@ class HasseQuiver(NamedTuple):
     vertices: tuple
     arrows: tuple
 
-    def labelled_arrows(self):
-        return {(self.vertices[a], self.vertices[b]) for a, b in self.arrows}
-
 
 def stt_poset(alg):
     """The support tau-tilting poset (elements in canonical order).

@@ -163,8 +163,3 @@ def enumerate_Z_restricted(n, bounds):
     enumerate_Z."""
     caps = length_caps(n, bounds)
     return [seq for seq in _all_sequences(n).values() if all(map(le, seq.terminal_lengths, caps))]
-
-
-def enumerate_Y(n):
-    """Sequences with norm 0 (the Catalan subset)."""
-    return [seq for seq in enumerate_Z(n) if seq.norm == 0]

@@ -1,12 +1,15 @@
-"""Reference implementations that the component table, the components and
-the projective-injective closed form in nakayama.algebra, the Kupisch series
-walks in nakayama.verify, the Hom test, the pair test and the support masks
-in nakayama.modcat, and the bit-index validation and the maximal-clique
-enumeration in nakayama.tautilt are tested against."""
+"""Reference implementations that the component table, the arrow walk's
+composition factors and socles, the idempotent quotient's Loewy clamp, the
+components and the projective-injective closed form in nakayama.algebra,
+the Kupisch series walks in nakayama.verify, the Hom test, the pair test and
+the support masks in nakayama.modcat, and the bit-index validation and the
+maximal-clique enumeration in nakayama.tautilt are tested against.  The
+oracles find composition factors by following next_down, not through the
+algebra's component table."""
 
 import itertools
 
-from nakayama.algebra import NakayamaAlgebra, socle_vertex_of_projective
+from nakayama.algebra import NakayamaAlgebra
 from nakayama.errors import InvariantViolation, ZeroAlgebra
 from nakayama.modcat import (
     Indec,
@@ -14,7 +17,6 @@ from nakayama.modcat import (
     bit_index,
     bits,
     check_valid,
-    comp_factors,
 )
 from nakayama.tautilt import SttPair, enumerate_stt
 
@@ -68,6 +70,33 @@ def components_oracle(alg):
     return out
 
 
+def factors_oracle(alg, m):
+    """Composition factors from top to socle, by following next_down from
+    the top."""
+    check_valid(alg, m)
+    out = [m.top]
+    for _ in range(m.length - 1):
+        out.append(alg.next_down[out[-1]])
+    return tuple(out)
+
+
+def quotient_loewy_clamp(alg, killed):
+    """The Loewy lengths of the quotient by the killed vertices: from each
+    survivor, the number of vertices reached along the edges that survive,
+    at most its old Loewy length."""
+    next_down = {j: k for j, k in alg.next_down.items() if j not in killed and k not in killed}
+    loewy = {}
+    for v in alg.vertices:
+        if v in killed:
+            continue
+        depth, w = 0, v
+        while depth < alg.loewy[v] - 1 and w in next_down:
+            w = next_down[w]
+            depth += 1
+        loewy[v] = depth + 1
+    return loewy
+
+
 def projective_injectives_socle_scan(alg):
     """Brute-force socle scan: P_j is injective iff no indecomposable
     longer than P_j has the same socle vertex."""
@@ -76,13 +105,13 @@ def projective_injectives_socle_scan(alg):
     longest_with_socle = {}
     for v in alg.vertices:
         for l in range(1, alg.loewy[v] + 1):
-            s = alg.walk_down(v, l - 1)
+            s = factors_oracle(alg, Indec(v, l))[-1]
             if longest_with_socle.get(s, 0) < l:
                 longest_with_socle[s] = l
     return {
         j
         for j in alg.vertices
-        if longest_with_socle[socle_vertex_of_projective(alg, j)] <= alg.loewy[j]
+        if longest_with_socle[factors_oracle(alg, Indec(j, alg.loewy[j]))[-1]] <= alg.loewy[j]
     }
 
 
@@ -90,8 +119,8 @@ def hom_dim_oracle(alg, m, n):
     """Hom dimension as the number of t for which the top-t factor list of
     m equals the bottom-t factor list of n (maps between uniserials are
     exactly these overlaps)."""
-    fm = comp_factors(alg, m)
-    fn = comp_factors(alg, n)
+    fm = factors_oracle(alg, m)
+    fn = factors_oracle(alg, n)
     count = 0
     for t in range(1, min(len(fm), len(fn)) + 1):
         if fm[:t] == fn[len(fn) - t:]:
@@ -104,7 +133,7 @@ def hom_into_tau_walk(alg, x, y):
     tau y: top(x) is among the last len x of them."""
     if y.length == alg.loewy[y.top]:
         return False
-    return x.top in comp_factors(alg, Indec(alg.next_down[y.top], y.length))[-x.length:]
+    return x.top in factors_oracle(alg, Indec(alg.next_down[y.top], y.length))[-x.length:]
 
 
 def _tau_oracle(alg, m):
@@ -127,7 +156,7 @@ def support_oracle(alg, module):
     """Set of vertices occurring as composition factors, by set unions."""
     out = set()
     for s in module:
-        out.update(comp_factors(alg, s))
+        out.update(factors_oracle(alg, s))
     return out
 
 

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +299,32 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, fragment):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert fragment in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangulate", "--n", "9"],
+        ["hasse", "--cyclic", "6", "--r", "6", "--method", "rejection", "--trace"],
+    ],
+)
+def test_closed_output_pipe_exits_2_with_one_error_line(argv):
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nakayama", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def call(argv):

@@ -1,5 +1,12 @@
 import pytest
-from module_oracles import hom_dim_oracle, hom_into_tau_walk, pair_tau_rigid_oracle
+from module_oracles import (
+    _tau_oracle,
+    factors_oracle,
+    hom_dim_oracle,
+    hom_into_tau_walk,
+    pair_tau_rigid_oracle,
+    quotient_loewy_clamp,
+)
 
 from nakayama.algebra import (
     NakayamaAlgebra,
@@ -8,6 +15,7 @@ from nakayama.algebra import (
     make_linear,
     quotient_by_idempotent,
     rejection_chain,
+    socle_vertex_of_projective,
 )
 from nakayama.errors import InvalidModule, InvariantViolation
 from nakayama.modcat import (
@@ -17,14 +25,12 @@ from nakayama.modcat import (
     all_tau_rigid_indecs,
     comp_factors,
     exchange,
-    hom_nonzero,
     in_fac,
     is_projective,
     is_tau_rigid_indec,
     maximal_cliques,
     pair_tau_rigid,
     support,
-    tau,
 )
 from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
@@ -59,25 +65,12 @@ def test_invalid_module_rejected():
         comp_factors(L33, Indec(5, 1))
 
 
-def test_tau_examples():
-    assert tau(L45, Indec(1, 4)) == Indec(4, 4)
-    assert tau(L45, Indec(2, 1)) == Indec(1, 1)
-    assert tau(L45, Indec(1, 5)) is None  # projective
-
-
-def test_tau_preserves_length():
-    for alg in (L33, L45, make_linear([1, 2, 2, 3])):
-        for m in all_indecs(alg):
-            t = tau(alg, m)
-            if t is not None:
-                assert t.length == m.length
-
-
 def test_hom_examples():
+    # the factor-list overlap that the pair test is checked against
     for m in all_indecs(L33):
-        assert hom_nonzero(L33, m, m)
-    assert not hom_nonzero(L33, Indec(2, 1), Indec(1, 2))
-    assert hom_nonzero(L33, Indec(1, 3), Indec(3, 3))
+        assert hom_dim_oracle(L33, m, m) > 0
+    assert hom_dim_oracle(L33, Indec(2, 1), Indec(1, 2)) == 0
+    assert hom_dim_oracle(L33, Indec(1, 3), Indec(3, 3)) > 0
 
 
 def _interval_member(x, a, b, n):
@@ -97,34 +90,37 @@ def _hom_by_intervals(n, m, other):
 
 
 def test_hom_agrees_with_dimension_oracle_and_intervals():
+    # two independent Hom rules agree: factor-list overlap and intervals
     for size in range(1, 6):
         for r in range(1, 7):
             alg = make_cyclic(size, r)
             ms = all_indecs(alg)
             for m in ms:
                 for other in ms:
-                    got = hom_nonzero(alg, m, other)
-                    assert got == (hom_dim_oracle(alg, m, other) > 0)
+                    got = hom_dim_oracle(alg, m, other) > 0
                     assert got == _hom_by_intervals(size, m, other)
 
 
 def test_hom_dim_oracle_on_linear():
+    # Hom into tau on the universal cover against the factor-list overlap
     for ks in [[1, 2, 3], [1, 2, 2, 2], [1, 2, 3, 3, 4]]:
         alg = make_linear(ks)
         ms = all_indecs(alg)
         for m in ms:
             for other in ms:
-                assert hom_nonzero(alg, m, other) == (hom_dim_oracle(alg, m, other) > 0)
+                t = _tau_oracle(alg, other)
+                want = t is not None and hom_dim_oracle(alg, m, t) > 0
+                assert _hom_into_tau(alg, m, other) == want
 
 
 def test_hom_from_projective_cover():
-    # for l >= k, Hom(m, other) != 0 iff Hom(P_top(m), other) != 0
+    # for len m >= len tau y, Hom(m, tau y) != 0 iff Hom(P_top(m), tau y) != 0
     for alg in (L33, L45):
         for m in all_indecs(alg):
             p = Indec(m.top, alg.loewy[m.top])
             for other in all_indecs(alg):
                 if m.length >= other.length:
-                    assert hom_nonzero(alg, m, other) == hom_nonzero(alg, p, other)
+                    assert _hom_into_tau(alg, m, other) == _hom_into_tau(alg, p, other)
 
 
 def test_tau_rigid_criterion_examples():
@@ -140,8 +136,8 @@ def test_tau_rigid_criterion_against_direct_hom():
         for r in range(1, 9):
             alg = make_cyclic(size, r)
             for m in all_indecs(alg):
-                t = tau(alg, m)
-                direct = t is None or not hom_nonzero(alg, m, t)
+                t = _tau_oracle(alg, m)
+                direct = t is None or hom_dim_oracle(alg, m, t) == 0
                 assert is_tau_rigid_indec(alg, m) == direct
 
 
@@ -155,8 +151,8 @@ def test_pair_examples():
 
 def _quotient_oracle(alg, x, module):
     # x in Fac(module) iff x's factor list is a prefix of some summand's
-    fx = comp_factors(alg, x)
-    return any(comp_factors(alg, s)[: len(fx)] == fx for s in module)
+    fx = factors_oracle(alg, x)
+    return any(factors_oracle(alg, s)[: len(fx)] == fx for s in module)
 
 
 def test_in_fac_examples_and_oracle():
@@ -249,6 +245,27 @@ def test_pair_test_matches_public_primitives():
                 assert _hom_into_tau(alg, x, y) == hom_into_tau_walk(alg, x, y), (alg, x, y)
                 count += 1
     assert (len(algs), count) == (3486, 100517)
+
+
+def test_factors_socles_and_quotient_clamps_match_the_next_down_walk():
+    # the slices of the component table's unrolled walk against next_down
+    # followed by hand: every module's factors, every projective's socle,
+    # and the Loewy lengths of every idempotent quotient
+    algs = list(_pair_test_algebras())
+    quotients = 0
+    for alg in algs:
+        for m in all_indecs(alg):
+            assert comp_factors(alg, m) == factors_oracle(alg, m), (alg, m)
+        for j in alg.vertices:
+            p = Indec(j, alg.loewy[j])
+            assert socle_vertex_of_projective(alg, j) == factors_oracle(alg, p)[-1], (alg, j)
+        vs = alg.vertices
+        for mask in range(1 << alg.n):
+            killed = {v for i, v in enumerate(vs) if mask >> i & 1}
+            got = quotient_by_idempotent(alg, killed).loewy
+            assert got == quotient_loewy_clamp(alg, killed), (alg, killed)
+            quotients += 1
+    assert (len(algs), quotients) == (3486, 17170)
 
 
 def test_pair_test_checks_both_modules():

@@ -11,7 +11,6 @@ from nakayama.errors import InvariantViolation, NotInDomain
 from nakayama.geometry import Arc, enumerate_restricted, enumerate_triangulations, make_triangulation
 from nakayama.sequences import (
     SeqA,
-    enumerate_Y,
     enumerate_Z,
     enumerate_Z_restricted,
     in_restricted,
@@ -135,15 +134,16 @@ def test_restricted_models_agree_on_bounds_below_one():
 
 
 def test_catalan_subset():
-    assert len(enumerate_Y(3)) == 5
+    assert len([a for a in enumerate_Z(3) if a.norm == 0]) == 5
     # norm-zero sequences match the triangulations containing the last
     # projective arc
     for n in range(1, 6):
+        ys = [a for a in enumerate_Z(n) if a.norm == 0]
         with_last = [
             x for x in enumerate_triangulations(n) if Arc(None, n) in x.arcs
         ]
-        assert len(enumerate_Y(n)) == len(with_last)
-        assert {top_of_triangulation(x) for x in with_last} == set(enumerate_Y(n))
+        assert len(ys) == len(with_last)
+        assert {top_of_triangulation(x) for x in with_last} == set(ys)
 
 
 def test_restricted_counts():
