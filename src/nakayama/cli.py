@@ -2,7 +2,7 @@
 
 Subcommands: enumerate, hasse, translate, triangulate, count, verify.
 Output is deterministic (canonical ordering everywhere, stable JSON);
-exit codes: 0 success, 1 verification mismatch, 2 usage error or closed pipe.
+exit codes: 0 success, 1 verification mismatch, 2 usage error or failed output.
 """
 
 from __future__ import annotations
@@ -265,12 +265,29 @@ def build_parser():
     return p
 
 
+class _Whole:
+    """A stream whose writes loop over its byte buffer unless it is line-buffered
+    (a terminal): a large write there returns a short count if the reader leaves."""
+
+    def __init__(self, stream):
+        lines = getattr(stream, "line_buffering", False)
+        self.stream, self.buffer = stream, None if lines else getattr(stream, "buffer", None)
+        stream.flush()  # what the text layer holds goes first
+
+    def write(self, text):
+        if self.buffer is None:
+            return self.stream.write(text)
+        data = memoryview(text.encode(self.stream.encoding, self.stream.errors))
+        while data:
+            data = data[self.buffer.write(data):]
+
+
 def main(argv=None):
     try:
         # NakayamaError from _int_list as the --picks type passes through
         # argparse and is reported like every other input error
         args = build_parser().parse_args(argv)
-        code = args.func(args, sys.stdout)
+        code = args.func(args, _Whole(sys.stdout))
         sys.stdout.flush()
         return code
     except SystemExit as e:
@@ -278,12 +295,13 @@ def main(argv=None):
     except NakayamaError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except BrokenPipeError:
-        # the reader went away: devnull takes the flush at interpreter exit
+    except OSError as e:
+        # the output failed: devnull takes the flush at interpreter exit
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        sys.stderr.write("error: output pipe closed\n")
+        reason = "pipe closed" if isinstance(e, BrokenPipeError) else f"failed: {e}"
+        sys.stderr.write(f"error: output {reason}\n")
         return 2
 
 

@@ -230,22 +230,6 @@ def enumerate_restricted(n, bounds):
     return [x for x, longest in _triangulations(n) if all(map(le, longest, caps))]
 
 
-def fan_arcs(x, i, j):
-    """Inner arcs of x inside the fan spanned by the projective arcs at i
-    and j and the counterclockwise boundary path from i to j (i = j spans
-    the whole boundary)."""
-    n = x.n
-    width = (j - i - 1) % n + 1
-    out = []
-    for a in x.arcs:
-        if a.is_projective:
-            continue
-        off = (a.i - i) % n
-        if off + a.length(n) <= width:
-            out.append(a)
-    return tuple(out)
-
-
 # -- dictionary between arcs and modules ------------------------------------
 
 
@@ -393,54 +377,40 @@ def flip(sx, arc):
 
 def triangles(x):
     """The n triangles of a triangulation, each a tuple of its bounding
-    arcs (boundary edges omitted, so self-folded pieces show two arcs)."""
+    arcs (boundary edges omitted, so self-folded pieces show two arcs).
+
+    A side over [lo, hi] on the universal cover is keyed by its start and
+    length: an inner arc, or a boundary edge (None) when hi = lo + 1.
+    Between consecutive projective arcs at j and k come the triangle at
+    the puncture, then, shortest arc first, the triangle under each inner
+    arc inside [j, k], found by the one corner that splits it.
+    """
     n = x.n
+    sides = {(i, 1): None for i in range(1, n + 1)}
+    sides.update(((a.i, a.length(n)), a) for a in x.arcs if not a.is_projective)
+
+    def key(lo, hi):
+        return (lo - 1) % n + 1, hi - lo
+
     proj = sorted(a.j for a in x.arcs if a.is_projective)
     tris = []
-    r = len(proj)
-    for idx, j in enumerate(proj):
-        jplus = proj[(idx + 1) % r]
-        gap = (jplus - j - 1) % n + 1
-        center = [Arc(None, j)] if r == 1 else [Arc(None, j), Arc(None, jplus)]
-        chord = Arc(j, (j + gap - 1) % n + 1)
+    for j, k in zip(proj, proj[1:] + proj[:1]):
+        gap = (k - j - 1) % n + 1
+        center = (Arc(None, j),) if len(proj) == 1 else (Arc(None, j), Arc(None, k))
         if gap >= 2:
-            tris.append(tuple(center + [chord]))
-        else:
-            tris.append(tuple(center))
-        # polygon part of the fan: inner arcs under the chord
-        tris.extend(_polygon_triangles(fan_arcs(x, j, jplus), j, gap, n))
+            if (j, gap) not in sides:
+                raise InvariantViolation(f"fan over {j} of span {gap} has no chord")
+            center += (sides[j, gap],)
+        tris.append(center)
+        for t, lo in sorted((t, j + (i - j) % n) for i, t in sides if 1 < t <= gap - (i - j) % n):
+            hi = lo + t
+            mids = [m for m in range(lo + 1, hi) if key(lo, m) in sides and key(m, hi) in sides]
+            if len(mids) != 1:
+                raise InvariantViolation(f"fan over {j}: side {(lo, hi)} has split corners {mids}")
+            arcs = (sides[key(lo, mids[0])], sides[key(mids[0], hi)], sides[key(lo, hi)])
+            tris.append(tuple(a for a in arcs if a is not None))
     if len(tris) != n:
         raise InvariantViolation(f"{x} splits into {len(tris)} triangles, not {n}")
-    return tris
-
-
-def _polygon_triangles(fan, base, width, n):
-    """Triangles of the triangulated (width+1)-gon sitting over the chord
-    from base of span width; corners are offsets 0..width from base.
-    Boundary edges are tracked as None and omitted from the output."""
-    if width < 2:
-        return []
-    sides = {}
-    for a in fan:
-        off = (a.i - base) % n
-        sides[(off, off + a.length(n))] = a
-    if (0, width) not in sides:
-        raise InvariantViolation(f"fan over {base} of span {width} has no chord")
-    for off in range(width):
-        sides.setdefault((off, off + 1), None)
-    tris = []
-    for lo, hi in sorted(sides, key=lambda s: (s[1] - s[0], s)):
-        if hi - lo < 2:
-            continue
-        # split corner: the unique mid with both (lo,mid),(mid,hi) present
-        mids = [m for m in range(lo + 1, hi) if (lo, m) in sides and (m, hi) in sides]
-        if len(mids) != 1:
-            raise InvariantViolation(
-                f"fan over {base}: side {(lo, hi)} has split corners {mids}"
-            )
-        m = mids[0]
-        arcs = [sides[s] for s in ((lo, m), (m, hi), (lo, hi)) if sides[s] is not None]
-        tris.append(tuple(arcs))
     return tris
 
 

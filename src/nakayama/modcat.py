@@ -177,11 +177,9 @@ def exchange(nbr, clique, v):
 class BitIndex(dict):
     """Bit positions of the indecomposables of one algebra, filled lazily.
 
-    Maps each indecomposable to its bit position: the seed indecs first, in
-    order, then a missing one gets the next free position on lookup, after
+    A missing indecomposable gets the next free position on lookup, after
     check_valid, so holding a position means being valid.  supp[p] is its
-    support as a mask over vertex_bit, by default bit i for alg.vertices[i];
-    the stages of a rejection chain share the input algebra's.  Row p
+    support as a mask over vertex_bit, bit i for alg.vertices[i].  Row p
     of the pair table is filled on its own: tested[p] masks the positions q
     that p has been tested against through pair_tau_rigid, compat[p] those
     where the pair is tau-rigid; bit p of compat[p] is the indecomposable's
@@ -192,17 +190,16 @@ class BitIndex(dict):
     compatibility graph once tautilt.compatibility_graph has built it.
     """
 
-    def __init__(self, alg, indecs=(), vertex_bit=None):
+    def __init__(self, alg):
         super().__init__()
         self.alg = alg
-        self.vertex_bit = vertex_bit or {v: 1 << i for i, v in enumerate(alg.vertices)}
+        self.vertex_bit = {v: 1 << i for i, v in enumerate(alg.vertices)}
         self.graph = None
         self.indecs = []
         self.supp = []
         self.tested = []
         self.compat = []
         self._vertex_tuples = {}
-        self.encode(indecs)  # the seed takes the first positions, in order
 
     def __missing__(self, m):
         supp = 0

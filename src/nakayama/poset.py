@@ -170,9 +170,9 @@ def double_hasse(arrows, k, chosen):
 # -- rejection ---------------------------------------------------------------
 
 
-def classify_quotient_pairs(index, j, masks):
-    """Split the support tau-tilting pairs of alg/soc P_j, as summand masks
-    over a BitIndex of alg = index.alg, into the three rejection classes.
+def classify_quotient_pairs(alg, index, j, masks):
+    """Split the support tau-tilting pairs of alg/soc P_j, summand masks
+    over the BitIndex of alg or of an algebra above it, into three classes.
 
     With Q = P_j and R = Q/soc Q: class 1 lacks R; class 2 contains R and
     avoids the socle vertex of Q among its composition factors (so Hom into
@@ -180,11 +180,10 @@ def classify_quotient_pairs(index, j, masks):
     class 2.  Returns three lists of indices into masks.
 
     j must be projective-injective, as reject(alg, j) checks.  A module of
-    the quotient has the same composition factors over alg, so each test
-    is one AND: with R's bit, and with the bits of the indecomposables
-    whose support holds the socle vertex.
+    a quotient has the same composition factors over every algebra above
+    it, so each test is one AND: with R's bit, and with the bits of the
+    indecomposables whose support holds the socle vertex.
     """
-    alg = index.alg
     if alg.loewy[j] == 1:
         return [], list(range(len(masks))), []
     r = 1 << index[Indec(j, alg.loewy[j] - 1)]
@@ -201,10 +200,10 @@ def classify_quotient_pairs(index, j, masks):
     return n1, n2, n3
 
 
-def lift_through_rejection(index, j, masks, supports):
-    """One rejection step: the support tau-tilting pairs of alg = index.alg
-    from those of B = alg/soc P_j, as summand masks over the same index,
-    with their supports over index.vertex_bit.
+def lift_through_rejection(alg, index, j, masks, supports):
+    """One rejection step: the support tau-tilting pairs of alg from those
+    of B = alg/soc P_j, as summand masks over one BitIndex (as for
+    classify_quotient_pairs), with their supports over index.vertex_bit.
 
     With Q = P_j and R = Q/soc Q (P_j over B), classes 1 and 2 lift
     unchanged and class 3 lifts as mask ^ (R | Q); class 2 lifts a second
@@ -213,17 +212,17 @@ def lift_through_rejection(index, j, masks, supports):
     per quotient pair and then one per class 2 pair.
 
     On B-modules tau agrees with tau over B away from R (Adachi-Iyama-
-    Reiten), so a lift holding R or Q must lie in their rows of the pair
-    table, the only rows filled here, and every lift needs as many
-    summands as support vertices; otherwise InvariantViolation.
+    Reiten), so only the pairs with R or Q are tested, over alg, and every
+    lift needs as many summands as support vertices; otherwise
+    InvariantViolation.
     """
-    _, n2, n3 = classify_quotient_pairs(index, j, masks)
-    alg = index.alg
-    pq = index[Indec(j, alg.loewy[j])]
-    pr = index[Indec(j, alg.loewy[j] - 1)] if alg.loewy[j] > 1 else pq  # Q simple: no R, no n3
-    every = (1 << len(index.indecs)) - 1
-    q, r, supp_q = 1 << pq, 1 << pr, index.supp[pq]
-    off_q, off_r = every & ~index.test(pq, every), every & ~index.test(pr, every)
+    _, n2, n3 = classify_quotient_pairs(alg, index, j, masks)
+    proj = Indec(j, alg.loewy[j])
+    rad = Indec(j, proj.length - 1) if proj.length > 1 else proj  # Q simple: no R, no n3
+    q, r, supp_q = 1 << index[proj], 1 << index[rad], index.supp[index[proj]]
+    of_alg = [(p, m) for p, m in enumerate(index.indecs) if m.length <= alg.loewy.get(m.top, 0)]
+    off_q = sum(1 << p for p, m in of_alg if not modcat.pair_tau_rigid(alg, proj, m))
+    off_r = sum(1 << p for p, m in of_alg if not modcat.pair_tau_rigid(alg, rad, m))
     lifts, sups = list(masks), list(supports)
     for idx in n3:
         lifts[idx] ^= r | q
@@ -250,23 +249,19 @@ def hasse_by_rejection(alg, picks=None):
     """Hasse quiver by socle rejection along rejection_chain(alg, picks).
 
     From the zero algebra's single vertex, each stage places the lifts of
-    the quotient's pairs on its quiver doubled along class 2.  A pair is a
-    summand mask over a fresh BitIndex per stage, seeded with the
-    quotient's positions, and carries its support over the vertex bits of
-    alg, which every stage shares.  Lifts and doubling use only masks and
-    vertex indices, so a component split needs no special case.  Forced
-    picks apply at every step, and the default pick takes over when they
-    run out.  Checked distinct, decoded, checked over alg and sorted once;
-    label-identical to hasse_direct.
+    the quotient's pairs on its quiver doubled along class 2.  A stage
+    module is a module of alg with the same composition factors, so pairs
+    are summand masks over alg's own BitIndex, with supports over its
+    vertex bits; a component split needs no special case.  Forced picks
+    apply at every step, then the default pick.  Checked distinct, decoded,
+    checked over alg and sorted once; label-identical to hasse_direct.
     """
-    chain = rejection_chain(alg, picks)
-    vertex_bit = modcat.bit_index(alg).vertex_bit
-    index = modcat.BitIndex(chain.pop()[0], (), vertex_bit)  # the zero algebra
+    chain = rejection_chain(alg, picks)[:-1]  # the zero algebra's one pair is masks[0]
+    index = modcat.bit_index(alg)
     masks, supports, arrows = [0], [0], []
     while chain:
         a, j = chain.pop()  # popped, so each stage algebra and its caches go once lifted
-        index = modcat.BitIndex(a, index.indecs, vertex_bit)
-        n2, lifts, supports = lift_through_rejection(index, j, masks, supports)
+        n2, lifts, supports = lift_through_rejection(a, index, j, masks, supports)
         arrows = double_hasse(arrows, len(masks), n2)
         masks = lifts
     if len(set(masks)) < len(masks):

@@ -1,7 +1,8 @@
 """Reference implementations that nakayama.geometry and nakayama.sequences
 are tested against: the crossing test by cyclic windows, the drop positions
 by a linear scan (and the sequence arcs anchored at them), the restricted
-triangulations by a DFS and the flips by a scan of every arc."""
+triangulations by a DFS, the flips by a scan of every arc and the triangles
+fan by fan, with each fan's arcs re-based to offsets from its projective arc."""
 
 from nakayama.errors import InvariantViolation
 from nakayama.geometry import (
@@ -124,3 +125,71 @@ def flip_scan(sx, arc):
     return SignedTriangulation(
         make_triangulation(n, rest + replacements), sx.sign
     )
+
+
+def fan_arcs(x, i, j):
+    """Inner arcs of x inside the fan spanned by the projective arcs at i
+    and j and the counterclockwise boundary path from i to j (i = j spans
+    the whole boundary)."""
+    n = x.n
+    width = (j - i - 1) % n + 1
+    out = []
+    for a in x.arcs:
+        if a.is_projective:
+            continue
+        off = (a.i - i) % n
+        if off + a.length(n) <= width:
+            out.append(a)
+    return tuple(out)
+
+
+def triangles_by_fans(x):
+    """The triangles of geometry.triangles, fan by fan: the triangle at
+    the puncture, then those of the polygon under the fan's chord."""
+    n = x.n
+    proj = sorted(a.j for a in x.arcs if a.is_projective)
+    tris = []
+    r = len(proj)
+    for idx, j in enumerate(proj):
+        jplus = proj[(idx + 1) % r]
+        gap = (jplus - j - 1) % n + 1
+        center = [Arc(None, j)] if r == 1 else [Arc(None, j), Arc(None, jplus)]
+        chord = Arc(j, (j + gap - 1) % n + 1)
+        if gap >= 2:
+            tris.append(tuple(center + [chord]))
+        else:
+            tris.append(tuple(center))
+        tris.extend(_polygon_triangles(fan_arcs(x, j, jplus), j, gap, n))
+    if len(tris) != n:
+        raise InvariantViolation(f"{x} splits into {len(tris)} triangles, not {n}")
+    return tris
+
+
+def _polygon_triangles(fan, base, width, n):
+    """Triangles of the triangulated (width+1)-gon sitting over the chord
+    from base of span width; corners are offsets 0..width from base.
+    Boundary edges are tracked as None and omitted from the output."""
+    if width < 2:
+        return []
+    sides = {}
+    for a in fan:
+        off = (a.i - base) % n
+        sides[(off, off + a.length(n))] = a
+    if (0, width) not in sides:
+        raise InvariantViolation(f"fan over {base} of span {width} has no chord")
+    for off in range(width):
+        sides.setdefault((off, off + 1), None)
+    tris = []
+    for lo, hi in sorted(sides, key=lambda s: (s[1] - s[0], s)):
+        if hi - lo < 2:
+            continue
+        # split corner: the unique mid with both (lo,mid),(mid,hi) present
+        mids = [m for m in range(lo + 1, hi) if (lo, m) in sides and (m, hi) in sides]
+        if len(mids) != 1:
+            raise InvariantViolation(
+                f"fan over {base}: side {(lo, hi)} has split corners {mids}"
+            )
+        m = mids[0]
+        arcs = [sides[s] for s in ((lo, m), (m, hi), (lo, hi)) if sides[s] is not None]
+        tris.append(tuple(arcs))
+    return tris

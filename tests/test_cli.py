@@ -310,14 +310,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv, fragment):
 )
 def test_closed_output_pipe_exits_2_with_one_error_line(argv):
     # the reader takes one line and closes the pipe, as `| head -1` does
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "nakayama", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _nakayama(argv, stdout=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -325,6 +318,51 @@ def test_closed_output_pipe_exits_2_with_one_error_line(argv):
     assert proc.wait(timeout=120) == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def _nakayama(argv, **kwargs):
+    """The CLI as a subprocess on this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "nakayama", *argv],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("run", range(3))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--cyclic", "7", "--r", "7", "--format", "json"],
+        ["hasse", "--cyclic", "6", "--r", "6", "--method", "rejection", "--format", "json"],
+    ],
+    ids=["enumerate", "hasse"],
+)
+def test_large_write_into_a_closed_pipe_exits_2(argv, run):
+    # the output (475 KB and 139 KB) is written at once, far past the pipe
+    # buffer; the reader takes 10 bytes and closes the pipe, as
+    # `| head -c 10` does, while that one write is under way
+    proc = _nakayama(argv, stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: output pipe closed\n", err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_2_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = _nakayama(["enumerate", "--cyclic", "3", "--r", "3"], stdout=full)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "No space left on device" in err
 
 
 def call(argv):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from model_oracles import crossing_windows, enumerate_restricted_dfs, flip_scan
+from model_oracles import (
+    crossing_windows,
+    enumerate_restricted_dfs,
+    fan_arcs,
+    flip_scan,
+    triangles_by_fans,
+)
 
 from nakayama import geometry, tautilt
 from nakayama.algebra import NakayamaAlgebra, make_cyclic, make_linear, quotient_by_idempotent
@@ -23,14 +30,12 @@ from nakayama.geometry import (
     Arc,
     SignedTriangulation,
     Triangulation,
-    _polygon_triangles,
     all_arcs,
     arc_to_indec,
     compatible,
     crossing,
     enumerate_restricted,
     enumerate_triangulations,
-    fan_arcs,
     flip,
     indec_to_arc,
     make_triangulation,
@@ -156,6 +161,8 @@ def test_specific_triangulation():
 
 
 def test_fan_counting():
+    # the oracle's fans: at most width - 1 inner arcs inside [i, j], and
+    # exactly that many when the chord <i, j> is present
     for n in (3, 4, 5):
         for x in enumerate_triangulations(n):
             for i in range(1, n + 1):
@@ -410,6 +417,13 @@ def test_flip_graph_connected_and_regular():
         assert len(seen) == 2 * len(xs)
 
 
+def test_triangles_match_fan_oracle():
+    xs = [x for n in range(1, 8) for x in enumerate_triangulations(n)]
+    assert len(xs) == 2353
+    for x in xs:
+        assert triangles(x) == triangles_by_fans(x), x
+
+
 def test_triangles_count_and_dot():
     for n in (1, 2, 3, 4, 5):
         for x in enumerate_triangulations(n):
@@ -474,16 +488,25 @@ def test_signed_dictionary_guards_raise(monkeypatch):
             signed_to_stt(L33, sx)
 
 
-def test_triangle_guards_raise(monkeypatch):
+def test_triangle_guards_raise():
+    # hand-built literals, which make_triangulation would refuse
     # no chord: the fan over 1 spans the whole boundary without the loop
     with pytest.raises(InvariantViolation, match="no chord"):
         triangles(Triangulation(3, (Arc(None, 1), Arc(2, 1))))
-    # the crossing diagonals <1,3> and <2,4> of the square both split it
-    with pytest.raises(InvariantViolation, match="split corners"):
-        _polygon_triangles((Arc(1, 4), Arc(1, 3), Arc(2, 4)), 1, 3, 4)
-    monkeypatch.setattr(geometry, "_polygon_triangles", lambda fan, base, width, n: [])
-    with pytest.raises(InvariantViolation, match="2 triangles, not 3"):
-        triangles(X3)
+    # the loop at 1 over the crossing diagonals <1,3> and <2,4>: no corner
+    # splits it
+    x = Triangulation(4, (Arc(None, 1), Arc(1, 1), Arc(1, 3), Arc(2, 4)))
+    with pytest.raises(InvariantViolation, match=re.escape("split corners []")):
+        triangles(x)
+    # the same diagonals in the square under the chord <1,4>: two corners
+    # split it
+    x = Triangulation(4, (Arc(None, 1), Arc(None, 4), Arc(1, 4), Arc(1, 3), Arc(2, 4)))
+    with pytest.raises(InvariantViolation, match=re.escape("split corners [2, 3]")):
+        triangles(x)
+    # a projective arc listed twice gives two triangles at the puncture of
+    # the monogon
+    with pytest.raises(InvariantViolation, match="2 triangles, not 1"):
+        triangles(Triangulation(1, (Arc(None, 1), Arc(None, 1))))
 
 
 _OPTIMIZED_CHECK = """

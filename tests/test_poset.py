@@ -44,7 +44,7 @@ from nakayama.errors import (
     NotInDomain,
     NotProjectiveInjective,
 )
-from nakayama.modcat import BitIndex, Indec, bits
+from nakayama.modcat import BitIndex, Indec, all_indecs, bit_index, bits, comp_factors
 from nakayama.poset import (
     HasseQuiver,
     Poset,
@@ -433,7 +433,8 @@ def _support(index, mask):
 def _lift(index, j, masks):
     """lift_through_rejection with the supports read off the index:
     (n2, lifts)."""
-    n2, lifts, _ = lift_through_rejection(index, j, masks, [_support(index, m) for m in masks])
+    supports = [_support(index, m) for m in masks]
+    n2, lifts, _ = lift_through_rejection(index.alg, index, j, masks, supports)
     return n2, lifts
 
 
@@ -468,7 +469,7 @@ def test_classify_semisimple_stage():
     quotient_pairs = enumerate_stt(reject(alg, 3))
     index = BitIndex(alg)
     masks = _masks(index, quotient_pairs)
-    n1, n2, n3 = classify_quotient_pairs(index, 3, masks)
+    n1, n2, n3 = classify_quotient_pairs(alg, index, 3, masks)
     marked = {frozenset(p.module) for p in (quotient_pairs[i] for i in n2)}
     assert marked == {
         frozenset({Indec(3, 1)}),
@@ -491,7 +492,7 @@ def test_classify_empty_middle_class_keeps_size():
     alg = make_cyclic(2, 3)
     quotient_pairs = enumerate_stt(reject(alg, 1))
     index = BitIndex(alg)
-    n1, n2, n3 = classify_quotient_pairs(index, 1, _masks(index, quotient_pairs))
+    n1, n2, n3 = classify_quotient_pairs(alg, index, 1, _masks(index, quotient_pairs))
     assert n2 == []
     assert len(enumerate_stt(alg)) == len(quotient_pairs)
 
@@ -501,7 +502,7 @@ def test_simple_rejection_doubles():
     quotient_pairs = enumerate_stt(ZERO)
     index = BitIndex(alg)
     masks = _masks(index, quotient_pairs)
-    n1, n2, n3 = classify_quotient_pairs(index, 1, masks)
+    n1, n2, n3 = classify_quotient_pairs(alg, index, 1, masks)
     assert (n1, n2, n3) == ([], [0], [])  # the empty pair is middle-class
     _, lifted = _lift(index, 1, masks)
     assert len(lifted) == 2 * len(quotient_pairs)
@@ -512,42 +513,31 @@ def test_lift_count_formula():
         j = min(projective_injectives(alg))
         quotient_pairs = enumerate_stt(reject(alg, j))
         index = BitIndex(alg)
-        n1, n2, n3 = classify_quotient_pairs(index, j, _masks(index, quotient_pairs))
+        n1, n2, n3 = classify_quotient_pairs(alg, index, j, _masks(index, quotient_pairs))
         assert len(enumerate_stt(alg)) == len(quotient_pairs) + len(n2)
-
-
-def test_summand_masks_round_trip_and_keep_quotient_positions():
-    alg = make_cyclic(3, 4)
-    j = min(projective_injectives(alg))
-    quotient = reject(alg, j)
-    pairs = enumerate_stt(quotient)
-    below = BitIndex(quotient)
-    masks = _masks(below, pairs)
-    assert [below.decode(mask) for mask in masks] == [p.module for p in pairs]
-    assert below.decode(0) == () and below.encode(()) == 0
-    # an index of alg seeded from the quotient's: every quotient module
-    # keeps its position, so the quotient's masks decode the same over it
-    stage = BitIndex(alg, below.indecs)
-    assert all(stage[m] == p for p, m in enumerate(below.indecs))
-    assert [stage.decode(mask) for mask in masks] == [p.module for p in pairs]
-    assert _masks(stage, pairs) == masks
-    # the new projective takes a fresh position
-    assert stage[Indec(j, alg.loewy[j])] == len(below.indecs)
 
 
 def _stages(alg):
     """Per stage of the default rejection chain of alg, as the engine runs
-    it: (index, j, masks, supports, lifts, lift supports)."""
+    it over alg's own index: (a, index, j, masks, supports, lifts, lift
+    supports)."""
     chain = rejection_chain(alg)
-    vertex_bit = BitIndex(alg).vertex_bit
-    index = BitIndex(chain.pop()[0], (), vertex_bit)
+    chain.pop()
+    index = bit_index(alg)
     masks, supports = [0], [0]
     while chain:
         a, j = chain.pop()
-        index = BitIndex(a, index.indecs, vertex_bit)
-        _, lifts, lift_supports = lift_through_rejection(index, j, masks, supports)
-        yield index, j, masks, supports, lifts, lift_supports
+        _, lifts, lift_supports = lift_through_rejection(a, index, j, masks, supports)
+        yield a, index, j, masks, supports, lifts, lift_supports
         masks, supports = lifts, lift_supports
+
+
+def _full_check(a, index, mask):
+    """The support vertices of a lift by the full pairwise check over the
+    stage algebra a, on a's own index; None if it fails."""
+    stage = bit_index(a)
+    supp = stage.tilting_support(stage.encode(index.decode(mask)))
+    return None if supp is None else stage.vertices(supp)
 
 
 def _lift_grid():
@@ -559,14 +549,37 @@ def _lift_grid():
     return algs + [quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})]
 
 
-def test_incremental_lift_check_matches_full_check():
-    # every lift the two-row check accepts passes the full pairwise check
-    # over a stage index, with the support the engine carried
+def test_stage_supports_read_over_the_input_index():
+    # every module of a stage algebra is a module of alg with the same
+    # composition factors, so its support mask in alg's own index is the
+    # vertex bits of its composition factors over the stage
     algs = _lift_grid()
     assert len(algs) == 287
     for alg in algs:
-        for index, _, _, _, lifts, supports in _stages(alg):
-            assert [index.tilting_support(mask) for mask in lifts] == supports
+        index = bit_index(alg)
+        for a, _ in rejection_chain(alg)[:-1]:
+            for m in all_indecs(a):
+                factors = sum(index.vertex_bit[v] for v in set(comp_factors(a, m)))
+                assert index.supp[index[m]] == factors, (alg, a, m)
+
+
+def test_summand_masks_round_trip_over_the_input_index():
+    alg = make_cyclic(3, 4)
+    index = bit_index(alg)
+    assert index.decode(0) == () and index.encode(()) == 0
+    for a, _, _, _, _, lifts, _ in _stages(alg):
+        pairs = enumerate_stt(a)
+        assert sorted(index.decode(mask) for mask in lifts) == [p.module for p in pairs]
+        assert sorted(_masks(index, pairs)) == sorted(lifts)
+
+
+def test_incremental_lift_check_matches_full_check():
+    # every lift the two-row check accepts passes the full pairwise check
+    # over its stage algebra, with the support the engine carried
+    for alg in _lift_grid():
+        for a, index, _, _, _, lifts, supports in _stages(alg):
+            full = [_full_check(a, index, mask) for mask in lifts]
+            assert full == [index.vertices(supp) for supp in supports]
 
 
 @pytest.mark.parametrize(
@@ -583,19 +596,18 @@ def test_misclassified_lift_raises(monkeypatch, source, target):
     algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, 4)]
     verdicts = Counter()
     for alg in algs:
-        for index, j, masks, supports, _, _ in _stages(alg):
-            a = index.alg
+        for a, index, j, masks, supports, _, _ in _stages(alg):
             q = 1 << index[Indec(j, a.loewy[j])]
             r = 1 << index[Indec(j, a.loewy[j] - 1)] if a.loewy[j] > 1 else 0
             forced = ([], [], [])
             forced[target - 1].append(0)
-            for idx in classify_quotient_pairs(index, j, masks)[source - 1]:
+            for idx in classify_quotient_pairs(a, index, j, masks)[source - 1]:
                 mask = masks[idx]
                 lifts = {1: [mask], 2: [mask, mask | q], 3: [mask ^ (r | q)]}[target]
-                bad = None in [index.tilting_support(m) for m in lifts]
+                bad = None in [_full_check(a, index, m) for m in lifts]
                 monkeypatch.setattr(poset, "classify_quotient_pairs", lambda *_: forced)
                 try:
-                    lift_through_rejection(index, j, [mask], [supports[idx]])
+                    lift_through_rejection(a, index, j, [mask], [supports[idx]])
                     raised = False
                 except InvariantViolation:
                     raised = True
@@ -613,8 +625,8 @@ def _move_first_class_1(stage, moved):
     3; appends the stage to moved when it does so."""
     calls = []
 
-    def classify(index, j, masks):
-        n1, n2, n3 = classify_quotient_pairs(index, j, masks)
+    def classify(alg, index, j, masks):
+        n1, n2, n3 = classify_quotient_pairs(alg, index, j, masks)
         calls.append(j)
         if len(calls) == stage and n1:
             moved.append(stage)
@@ -663,8 +675,8 @@ if not sys.flags.optimize:
 real = poset.classify_quotient_pairs
 tautilt.is_support_tau_tilting = lambda alg, module: sys.exit("a bad lift passed its stage")
 for source, target in ((2, 0), (0, 2), (2, 1), (0, 1)):
-    def moved(index, j, masks):
-        classes = real(index, j, masks)
+    def moved(alg, index, j, masks):
+        classes = real(alg, index, j, masks)
         classes[target].extend(classes[source])
         classes[source].clear()
         return classes
