@@ -101,16 +101,6 @@ def _hom_into_tau(alg, x, y):
     return lo <= d < y.length
 
 
-def in_fac(alg, x, module):
-    """Whether x lies in Fac of the basic module.
-
-    A uniserial is a factor of a sum iff it is a quotient of a single
-    summand: same top, no greater length.
-    """
-    check_valid(alg, x)
-    return any(s.top == x.top and s.length >= x.length for s in module)
-
-
 def bits(mask):
     """Positions of the set bits of a nonnegative mask, lowest first."""
     digits = bin(mask)[:1:-1]

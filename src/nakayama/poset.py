@@ -22,9 +22,27 @@ from .errors import InvalidPoset, InvariantViolation, NotInDomain
 from .modcat import Indec, bits
 
 
+def _longest(module):
+    """top -> the greatest length among the summands of that top."""
+    out = {}
+    for top, length in module:
+        if length > out.get(top, 0):
+            out[top] = length
+    return out
+
+
 def geq(alg, m, n):
-    """Whether m >= n, i.e. every summand of n is a factor of m."""
-    return all(modcat.in_fac(alg, s, m.module) for s in n.module)
+    """Whether m >= n, i.e. every summand of n is a factor of m.
+
+    A uniserial is a factor of a sum iff it is a quotient of one summand:
+    same top, no greater length.  The summands of n up to the first that
+    is not a factor are checked to be modules of alg (InvalidModule).
+    """
+    reach = _longest(m.module)
+    for s in n.module:
+        if modcat.check_valid(alg, s).length > reach.get(s.top, 0):
+            return False
+    return True
 
 
 class Poset:
@@ -38,38 +56,52 @@ class Poset:
 
     def _check(self):
         """Raise InvalidPoset unless down is a partial order, and return
-        for each element the mask of the elements it covers: those strictly
-        below it and not strictly below another element strictly below it.
+        for each element the indices of the elements it covers, lowest
+        first: those strictly below it and not strictly below another
+        element strictly below it.
         """
         k, elements = len(self.elements), self.elements
         if len(self.down) != k:
             raise InvalidPoset(f"{len(self.down)} down-sets for {k} elements")
         strict = []
         for i, mask in enumerate(self.down):
+            if not isinstance(mask, int):
+                kind = type(mask).__name__
+                raise InvalidPoset(f"down-set of {elements[i]!r} is a {kind}, not an int")
             if mask >> k:
                 raise InvalidPoset(f"down-set of {elements[i]!r} has bits outside the elements")
             if not mask >> i & 1:
                 raise InvalidPoset(f"not reflexive at {elements[i]!r}")
             strict.append(mask & ~(1 << i))
-        covers = []
-        for i, below in enumerate(strict):
-            not_covered = 0
-            for j in bits(below):
-                not_covered |= strict[j]
-            if not_covered & ~self.down[i]:
-                raise InvalidPoset(f"not transitive below {elements[i]!r}")
-            covers.append(below & ~not_covered)
-        # given transitivity, x <= y <= x means equal down-sets
         first = {}
         for i, mask in enumerate(self.down):
             j = first.setdefault(mask, i)
             if j != i:
                 raise InvalidPoset(f"not antisymmetric: {elements[j]!r} and {elements[i]!r}")
+        # Visit strict[i] lowest first, skipping what lies strictly below a
+        # visited element; the covers are the visited elements that lie
+        # strictly below no other visited one.  Only visited elements are
+        # checked for transitivity, and that is enough: each visited j has
+        # down[j] inside down[i], and the down-sets are distinct, so down[j]
+        # is smaller.  By induction on |down|, transitivity holds at j, so
+        # an element skipped for lying below j has its down-set in down[j],
+        # hence in down[i].
+        covers = []
+        for i, rest in enumerate(strict):
+            not_covered, visited = 0, []
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                visited.append(j)
+                not_covered |= strict[j]
+                rest &= ~not_covered & (rest - 1)
+            if not_covered & ~self.down[i]:
+                raise InvalidPoset(f"not transitive below {elements[i]!r}")
+            covers.append([j for j in visited if not not_covered >> j & 1])
         return covers
 
     def hasse(self):
         """Covering relations as a HasseQuiver (arrows point downward)."""
-        arrows = [(i, j) for i, mask in enumerate(self._covers) for j in bits(mask)]
+        arrows = [(i, j) for i, below in enumerate(self._covers) for j in below]
         return HasseQuiver(tuple(self.elements), tuple(arrows))
 
 
@@ -100,12 +132,10 @@ def stt_poset(alg):
     full = (1 << len(pairs)) - 1
     down = []
     for pair in pairs:
-        reach = dict.fromkeys(alg.vertices, 0)
-        for s in pair.module:
-            reach[s.top] = max(reach[s.top], s.length)
+        reach = _longest(pair.module)
         outside = 0
-        for t, l in reach.items():
-            outside |= longer[t][l]
+        for t in alg.vertices:
+            outside |= longer[t][reach.get(t, 0)]
         down.append(full & ~outside)
     return Poset(pairs, down)
 

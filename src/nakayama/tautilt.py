@@ -98,13 +98,27 @@ def compatibility_graph(alg):
 
 def _over_components(alg, pair, modules_only=False):
     """pair(module) for each choice of one maximal clique per component (among
-    the module nodes alone with modules_only), sorted; the zero algebra has one."""
+    the module nodes alone with modules_only), sorted; the zero algebra has one.
+
+    With the killed-vertex nodes, a graph that misses an edge can still give
+    cliques of n members, so each component's clique count is checked
+    against the interval DP's count of its support tau-tilting pairs;
+    InvariantViolation if they differ.
+    """
+    from .counting import dp_counts  # counting imports this module
+
     parts = []
     for c in components(alg):
         nbr, nodes, labels = compatibility_graph(c)
         if modules_only:
             nodes &= (1 << len(labels)) - 1
-        parts.append(modcat.maximal_cliques(nbr, nodes, labels, c.n))
+        cliques = modcat.maximal_cliques(nbr, nodes, labels, c.n)
+        if not modules_only and len(cliques) != dp_counts(c)[2]:
+            raise InvariantViolation(
+                f"component {c!r} has {len(cliques)} maximal cliques, "
+                f"but the DP counts {dp_counts(c)[2]}"
+            )
+        parts.append(cliques)
     pairs = [pair(tuple(sorted(itertools.chain.from_iterable(combo))))
              for combo in itertools.product(*parts)]
     pairs.sort(key=lambda p: p.module)

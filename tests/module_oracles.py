@@ -2,7 +2,8 @@
 composition factors and socles, the idempotent quotient's Loewy clamp, the
 components and the projective-injective closed form in nakayama.algebra,
 the Kupisch series walks in nakayama.verify, the Hom test, the pair test and
-the support masks in nakayama.modcat, and the bit-index validation and the
+the support masks in nakayama.modcat, the Fac order's reach test in
+nakayama.poset, and the bit-index validation and the
 maximal-clique enumeration in nakayama.tautilt are tested against.  The
 oracles find composition factors by following next_down, not through the
 algebra's component table."""
@@ -68,6 +69,16 @@ def components_oracle(alg):
         nd = {j: k for j, k in alg.next_down.items() if j in comp and k in comp}
         out.append(NakayamaAlgebra(comp, nd, {v: alg.loewy[v] for v in comp}))
     return out
+
+
+def in_fac(alg, x, module):
+    """Whether x lies in Fac of the basic module.
+
+    A uniserial is a factor of a sum iff it is a quotient of a single
+    summand: same top, no greater length.
+    """
+    check_valid(alg, x)
+    return any(s.top == x.top and s.length >= x.length for s in module)
 
 
 def factors_oracle(alg, m):

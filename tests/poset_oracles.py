@@ -1,6 +1,8 @@
-"""Reference implementations that the bitset order, the covers and the
-quiver doubling in nakayama.poset are tested against (one predicate call
-per ordered pair of elements, one scan per ordered pair of indices, the
+"""Reference implementations that the bitset order, the covers, the
+poset check, the order test geq and the quiver doubling in nakayama.poset
+are tested against (one predicate call per ordered pair of elements, one
+scan per ordered pair of indices, the strict down-set of every element
+below each element ORed, one Fac membership test per summand, the
 doubling done on the order itself), the neighbours of a pair by a scan of
 every pair, the JSON and DOT renderings built one pair at a time through
 json.dumps and the per-pair label, and the order and quiver queries and
@@ -9,10 +11,11 @@ copy labels that only the tests use."""
 import json
 from typing import Any, NamedTuple
 
-from module_oracles import factors_oracle
+from module_oracles import factors_oracle, in_fac
 
-from nakayama.errors import InvariantViolation
-from nakayama.poset import HasseQuiver, Poset, double_hasse, geq
+from nakayama.errors import InvalidPoset, InvariantViolation
+from nakayama.modcat import bits
+from nakayama.poset import HasseQuiver, Poset, double_hasse
 
 
 class Plus(NamedTuple):
@@ -102,9 +105,46 @@ def from_relation(elements, le):
     return Poset(elements, down)
 
 
+def geq_by_fac(alg, m, n):
+    """Whether m >= n, i.e. every summand of n is a factor of m."""
+    return all(in_fac(alg, s, m.module) for s in n.module)
+
+
 def fac_order(alg, pairs):
-    """The support tau-tilting poset from the definitional order geq."""
-    return from_relation(pairs, lambda x, y: geq(alg, y, x))
+    """The support tau-tilting poset from the definitional order geq_by_fac."""
+    return from_relation(pairs, lambda x, y: geq_by_fac(alg, y, x))
+
+
+def covers_by_full_or(elements, down):
+    """Raise InvalidPoset unless the int masks down are a partial order on
+    elements, and return for each element the mask of the elements it
+    covers: the strict down-set of every element below it is ORed, and what
+    lies in none of them is covered."""
+    k = len(elements)
+    if len(down) != k:
+        raise InvalidPoset(f"{len(down)} down-sets for {k} elements")
+    strict = []
+    for i, mask in enumerate(down):
+        if mask >> k:
+            raise InvalidPoset(f"down-set of {elements[i]!r} has bits outside the elements")
+        if not mask >> i & 1:
+            raise InvalidPoset(f"not reflexive at {elements[i]!r}")
+        strict.append(mask & ~(1 << i))
+    covers = []
+    for i, below in enumerate(strict):
+        not_covered = 0
+        for j in bits(below):
+            not_covered |= strict[j]
+        if not_covered & ~down[i]:
+            raise InvalidPoset(f"not transitive below {elements[i]!r}")
+        covers.append(below & ~not_covered)
+    # given transitivity, x <= y <= x means equal down-sets
+    first = {}
+    for i, mask in enumerate(down):
+        j = first.setdefault(mask, i)
+        if j != i:
+            raise InvalidPoset(f"not antisymmetric: {elements[j]!r} and {elements[i]!r}")
+    return covers
 
 
 def transitive_reduction(poset):

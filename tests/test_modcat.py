@@ -4,6 +4,7 @@ from module_oracles import (
     factors_oracle,
     hom_dim_oracle,
     hom_into_tau_walk,
+    in_fac,
     pair_tau_rigid_oracle,
     quotient_loewy_clamp,
 )
@@ -25,7 +26,6 @@ from nakayama.modcat import (
     all_tau_rigid_indecs,
     comp_factors,
     exchange,
-    in_fac,
     is_projective,
     is_tau_rigid_indec,
     maximal_cliques,

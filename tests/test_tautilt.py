@@ -449,8 +449,9 @@ def test_enumerate_tau_tilt_matches_filter_oracle(grid):
 def test_tau_tilt_search_raises_on_a_missing_edge():
     # without the edge S1 -- P2 of the linear A2 algebra, S1 has no module
     # neighbour (S1 + S2 is not tau-rigid): a maximal clique of one member
-    # on two vertices; enumerate_stt completes it by killing vertex 2 and
-    # loses the pair S1 + P2 without a word
+    # on two vertices; enumerate_stt completes it by killing vertex 2, so
+    # every clique has two members, and only the count shows the lost pair
+    # S1 + P2
     alg = make_linear([1, 2])
     nbr, _, labels = tautilt.compatibility_graph(alg)
     s1, p2 = labels.index(Indec(1, 1)), labels.index(Indec(2, 2))
@@ -458,7 +459,9 @@ def test_tau_tilt_search_raises_on_a_missing_edge():
     nbr[p2] &= ~(1 << s1)
     with pytest.raises(InvariantViolation, match="has 1 members, not 2"):
         enumerate_tau_tilt(alg)
-    assert len(enumerate_stt(alg)) == 4
+    lost = r"\{1:1,2:2\}\) has 4 maximal cliques, but the DP counts 5"
+    with pytest.raises(InvariantViolation, match=lost):
+        enumerate_stt(alg)
 
 
 def test_invalid_summand_wins_over_non_rigid_pair():
