@@ -122,10 +122,6 @@ class NakayamaAlgebra:
         return None
 
     @cached_property
-    def _up(self):
-        return {k: j for j in self.vertices if (k := self.arrow_target(j)) is not None}
-
-    @cached_property
     def _components(self):
         """vertex -> (sorted vertices of its component, its cycle size (0 on
         a path), its vertices in arrow order, the vertex's position in that
@@ -133,8 +129,8 @@ class NakayamaAlgebra:
         all but the position shared per component as the same objects.  The
         arrows walked from each source trace the paths; the rest are cycles."""
         table = {}
-        sources = [v for v in self.vertices if v not in self._up]
-        for start in sources + list(self.vertices):
+        targets = {self.arrow_target(v) for v in self.vertices}
+        for start in [v for v in self.vertices if v not in targets] + list(self.vertices):
             if start in table:
                 continue
             walk, v = [start], self.arrow_target(start)
@@ -176,10 +172,7 @@ class NakayamaAlgebra:
             raise NotLinear("algebra is not connected")
         if self.component_is_cyclic(self.vertices[0]):
             raise NotLinear("component is a cycle")
-        sources = [v for v in self.vertices if self._up.get(v) is None]
-        if len(sources) != 1:
-            raise InvariantViolation(f"path has sources {sorted(sources)}")
-        return sources[0]
+        return self._components[self.vertices[0]][2][0]
 
 
 def standard_arrows(n, cyclic):
@@ -233,12 +226,13 @@ def socle_vertex_of_projective(alg, j):
 
 def projective_injectives(alg):
     """Vertices j whose projective P_j is injective: j has no arrow coming
-    in, or the vertex above j has Loewy length at most loewy(j).  (The
-    socle scan over all indecomposables is the oracle in the tests.)"""
+    in, or the vertex above j (before it on the arrow walk) has Loewy length
+    at most loewy(j).  (The socle scan over all indecomposables is the
+    oracle in the tests.)"""
     if alg.is_zero():
         raise ZeroAlgebra("zero algebra has no projectives")
-    up = alg._up
-    return {j for j in alg.vertices if j not in up or alg.loewy[up[j]] <= alg.loewy[j]}
+    return {j for j, (_, size, walk, pos, _) in alg._components.items()
+            if not (pos or size) or alg.loewy[walk[pos - 1]] <= alg.loewy[j]}
 
 
 def quotient_by_idempotent(alg, killed):

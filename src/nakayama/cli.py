@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from itertools import compress
 
 from . import counting, geometry, poset, sequences, tautilt
 from .algebra import (
@@ -33,7 +34,17 @@ def _add_algebra_flags(p):
     p.add_argument("--algebra-json", type=str, help="algebra literal as JSON")
 
 
+_ALGEBRA_FLAGS = ("--cyclic", "--r", "--linear", "--kupisch", "--algebra-json")
+# the forms of more than one flag that give an algebra
+_ALGEBRA_FORMS = {("--cyclic", "--r"), ("--cyclic", "--kupisch"), ("--linear", "--kupisch")}
+
+
 def _algebra_from_args(args):
+    present = (args.cyclic is not None, args.r is not None, args.linear,
+               args.kupisch is not None, args.algebra_json is not None)
+    given = tuple(compress(_ALGEBRA_FLAGS, present))
+    if len(given) > 1 and given not in _ALGEBRA_FORMS:
+        raise NakayamaError(f"conflicting algebra flags: {' '.join(given)}")
     if args.algebra_json:
         return algebra_from_json(args.algebra_json)
     if args.cyclic is not None:
@@ -57,6 +68,15 @@ def _int_list(text):
         return [int(x) for x in text.replace("(", "").replace(")", "").split(",") if x.strip()]
     except ValueError:
         raise NakayamaError(f"not a comma-separated list of integers: {text!r}") from None
+
+
+def _positive(text):
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise NakayamaError(f"not a positive integer: {text!r}")
 
 
 def _json_dumps(obj):
@@ -154,8 +174,6 @@ def cmd_translate(args, out):
 
 def cmd_triangulate(args, out):
     n = args.n
-    if n < 1:
-        raise NakayamaError(f"--n must be a positive integer, got {n}")
     if args.bounds:
         values = _int_list(args.bounds)
         if len(values) != n:
@@ -179,13 +197,6 @@ def cmd_triangulate(args, out):
 def cmd_verify(args, out):
     if not args.tables and all(x is None for x in (args.bijections, args.counts, args.rejection)):
         raise NakayamaError("verify needs --tables, --bijections, --counts, or --rejection")
-    for flag in ("bijections", "counts"):
-        n_max = getattr(args, flag)
-        if n_max is not None and n_max < 1:
-            raise NakayamaError(f"--{flag} must be a positive integer, got {n_max}")
-    if args.rejection is not None and min(args.rejection) < 1:
-        n_max, r_max = args.rejection
-        raise NakayamaError(f"--rejection sizes must be positive integers, got {n_max} {r_max}")
     from . import verify
 
     bundles = []
@@ -248,18 +259,16 @@ def build_parser():
     pt.set_defaults(func=cmd_translate)
 
     pg = sub.add_parser("triangulate", help="enumerate triangulations")
-    pg.add_argument("--n", type=int, required=True)
+    pg.add_argument("--n", type=_positive, required=True)
     pg.add_argument("--bounds", type=str, help="comma-separated per-point length bounds")
     pg.add_argument("--format", choices=["text", "json", "dot"], default="text")
     pg.set_defaults(func=cmd_triangulate)
 
     pv = sub.add_parser("verify", help="verification bundles")
     pv.add_argument("--tables", action="store_true")
-    pv.add_argument("--bijections", type=int, metavar="N_MAX")
-    pv.add_argument("--counts", type=int, metavar="N_MAX")
-    pv.add_argument(
-        "--rejection", type=int, nargs=2, metavar=("N_MAX", "R_MAX")
-    )
+    pv.add_argument("--bijections", type=_positive, metavar="N_MAX")
+    pv.add_argument("--counts", type=_positive, metavar="N_MAX")
+    pv.add_argument("--rejection", type=_positive, nargs=2, metavar=("N_MAX", "R_MAX"))
     pv.set_defaults(func=cmd_verify)
 
     return p
@@ -282,10 +291,29 @@ class _Whole:
             data = data[self.buffer.write(data):]
 
 
+def _to_devnull(stream):
+    """Point the stream's file descriptor at devnull, so the flush at
+    interpreter exit cannot fail on what the stream still holds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message):
+    """Exit code 2 after one error line; stderr may be the closed pipe
+    that stdout was (as in `2>&1 | head -1`), and then it goes unsaid."""
+    try:
+        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return 2
+
+
 def main(argv=None):
     try:
-        # NakayamaError from _int_list as the --picks type passes through
-        # argparse and is reported like every other input error
+        # NakayamaError from the argparse types (_int_list, _positive)
+        # passes through argparse and is reported like every other input error
         args = build_parser().parse_args(argv)
         code = args.func(args, _Whole(sys.stdout))
         sys.stdout.flush()
@@ -293,16 +321,11 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     except NakayamaError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+        return _error(e)
     except OSError as e:
-        # the output failed: devnull takes the flush at interpreter exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         reason = "pipe closed" if isinstance(e, BrokenPipeError) else f"failed: {e}"
-        sys.stderr.write(f"error: output {reason}\n")
-        return 2
+        return _error(f"output {reason}")
 
 
 if __name__ == "__main__":

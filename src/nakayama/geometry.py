@@ -259,6 +259,8 @@ def arc_to_indec(alg, arc):
     modules = _arc_dictionary(alg)[0]
     m = modules.get(arc)
     if m is None:
+        if arc.j not in alg.loewy or not (arc.is_projective or arc.i in alg.loewy):
+            raise NotInDomain(f"{arc} has an end outside the points 1..{alg.n}")
         if arc.is_projective:
             m = Indec(arc.j, alg.loewy[arc.j])
         else:
@@ -289,6 +291,8 @@ def triangulation_to_tau_tilt(alg, x):
     """Arcwise image of a (suitably restricted) triangulation: a tau-tilting
     pair with empty killed set."""
     _arc_dictionary(alg)
+    if x.n != alg.n:
+        raise NotInDomain(f"{x} triangulates the punctured {x.n}-gon, not the {alg.n}-gon")
     module = [arc_to_indec(alg, a) for a in x.arcs]
     pair = tautilt.is_support_tau_tilting(alg, module)
     if pair is None or pair.killed:
@@ -303,14 +307,20 @@ def tau_tilt_to_triangulation(alg, pair):
     return make_triangulation(alg.n, [indec_to_arc(alg, m) for m in pair.module])
 
 
+def _signed_dictionary(alg):
+    """alg.n, once alg passes the arc dictionary's label check and has every
+    Loewy length at least n, as the signed model needs."""
+    _arc_dictionary(alg)
+    if any(alg.loewy[j] < alg.n for j in alg.vertices):
+        raise LoewyTooSmall("every Loewy length must be at least n")
+    return alg.n
+
+
 def signed_to_stt(alg, sx):
     """Signed-triangulation dictionary (needs every Loewy length >= n):
     inner arcs give their modules for both signs; a projective arc gives
     the projective with sign + and kills the next vertex around with -."""
-    _arc_dictionary(alg)
-    n = alg.n
-    if any(alg.loewy[j] < n for j in alg.vertices):
-        raise LoewyTooSmall("every Loewy length must be at least n")
+    n = _signed_dictionary(alg)
     module = []
     for a in sx.triangulation.arcs:
         if a.is_projective and sx.sign < 0:
@@ -334,10 +344,7 @@ def signed_to_stt(alg, sx):
 
 def stt_to_signed(alg, pair):
     """Inverse of signed_to_stt."""
-    _arc_dictionary(alg)
-    n = alg.n
-    if any(alg.loewy[j] < n for j in alg.vertices):
-        raise LoewyTooSmall("every Loewy length must be at least n")
+    n = _signed_dictionary(alg)
     if not pair.killed:
         return SignedTriangulation(tau_tilt_to_triangulation(alg, pair), +1)
     arcs = [indec_to_arc(alg, m) for m in pair.module]

@@ -4,12 +4,12 @@ Order: one pair dominates another when its Fac contains the other's; covers
 are exactly mutations, so the Hasse quiver of a connected algebra is regular
 of degree the number of vertices.  It is built from the enumeration, or up
 the socle rejection chain, doubling per stage, with pairs as summand masks
-over a BitIndex per stage; both routes must agree label-for-label.
+over the input algebra's one BitIndex; both routes must agree
+label-for-label.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from itertools import compress
@@ -348,27 +348,20 @@ class _Memo(dict):
         return value
 
 
-def _stack(alg, s):
-    return "/".join(map(str, modcat.comp_factors(alg, s)))
-
-
-def _label(pair, stack):
-    label = " + ".join(map(stack, pair.module)) or "0"
-    if pair.killed:
-        label += " [" + ",".join(map(str, pair.killed)) + "]"
-    return label
-
-
 def pair_label(alg, pair):
     """Compact text form: summands as stacked tops joined with '+', killed
     vertices in brackets."""
-    return _label(pair, functools.partial(_stack, alg))
+    return pair_labels(alg, [pair])[0]
 
 
 def pair_labels(alg, pairs):
     """The pair_label of each pair, each distinct summand stacked once."""
-    stack = _Memo(functools.partial(_stack, alg)).__getitem__
-    return [_label(pair, stack) for pair in pairs]
+    stack = _Memo(lambda s: "/".join(map(str, modcat.comp_factors(alg, s)))).__getitem__
+    return [
+        (" + ".join(map(stack, p.module)) or "0")
+        + (" [" + ",".join(map(str, p.killed)) + "]" if p.killed else "")
+        for p in pairs
+    ]
 
 
 def hasse_dot(alg, quiver):

@@ -208,7 +208,7 @@ def split_at_source(alg, pair):
     if ps not in checked.module:
         raise NotTauTilting("tau-tilting module must contain the source projective")
     rest = tuple(m for m in checked.module if m != ps)
-    quotient_killed = [v for v in alg.vertices if v not in modcat.support(alg, rest)]
+    quotient_killed = make_pair(alg, rest).killed
     if len(quotient_killed) != 1:
         raise InvariantViolation(f"{rest} misses {len(quotient_killed)} vertices, not one")
     v = quotient_killed[0]

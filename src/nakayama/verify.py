@@ -41,23 +41,19 @@ def triple_bijection_holds(alg):
     zs = sequences.enumerate_Z_restricted(n, bounds)
     if not (len(tt) == len(xs) == len(zs)):
         return False
-    images = set()
+    images, seq_images = set(), set()
     for x in xs:
         pair = geometry.triangulation_to_tau_tilt(alg, x)
-        if geometry.tau_tilt_to_triangulation(alg, pair) != x:
+        seq = sequences.top_of_triangulation(x)
+        if (
+            geometry.tau_tilt_to_triangulation(alg, pair) != x
+            or sequences.x_of_sequence(seq) != x
+            or not sequences.in_restricted(seq, bounds)
+        ):
             return False
         images.add(pair)
-    if images != set(tt):
-        return False
-    seq_images = set()
-    for x in xs:
-        seq = sequences.top_of_triangulation(x)
-        if sequences.x_of_sequence(seq) != x:
-            return False
-        if not sequences.in_restricted(seq, bounds):
-            return False
         seq_images.add(seq)
-    return seq_images == set(zs)
+    return images == set(tt) and seq_images == set(zs)
 
 
 def _report(line, failing):

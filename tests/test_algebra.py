@@ -190,6 +190,8 @@ def test_quotient_examples():
     assert q.loewy == {2: 1, 3: 2}   # K A_2 on the surviving labels
     assert quotient_by_idempotent(a, {1, 2, 3}).is_zero()
     assert quotient_by_idempotent(a, set()) == a
+    with pytest.raises(InvalidKupisch, match="not in the algebra"):
+        quotient_by_idempotent(a, {7})
 
 
 def test_quotient_splits_path():
@@ -358,9 +360,6 @@ def test_non_int_labels_raise_invalid_kupisch_before_sorting(vertices):
 def test_algebra_invariants_raise(monkeypatch):
     a = make_linear([1, 2, 3])
     assert a.source_vertex() == 3
-    a.__dict__["_up"] = {}  # every vertex of the path now looks like a source
-    with pytest.raises(InvariantViolation, match="sources"):
-        a.source_vertex()
     b = make_cyclic(3, 3)
     vs, size, walk, pos, _ = b._components[1]
     b._components[1] = (vs, size, walk, pos, walk[: pos + 1])  # P_1's walk stops at its top
@@ -369,3 +368,18 @@ def test_algebra_invariants_raise(monkeypatch):
     monkeypatch.setattr(algebra, "quotient_by_idempotent", lambda alg, killed: alg)
     with pytest.raises(InvariantViolation, match="dimension 1 to 1"):
         reject(make_linear([1]), 1)
+
+
+@pytest.mark.parametrize(
+    "vertices, next_down, loewy, match",
+    [
+        ([1, 1], {}, {1: 1}, "duplicate vertex labels"),
+        ([1, 2], {}, {1: 1}, "loewy keys"),
+        ([1], {1: 5}, {1: 1}, "next_down 1->5 leaves the vertex set"),
+        ([1, 2, 3], {2: 1, 3: 1}, {1: 1, 2: 2, 3: 2}, "vertex 1 has two incoming edges"),
+        ([1, 2], {1: 1}, {1: 2, 2: 1}, "self-loop at 1"),
+    ],
+)
+def test_malformed_quiver_data_raises_invalid_kupisch(vertices, next_down, loewy, match):
+    with pytest.raises(InvalidKupisch, match=match):
+        NakayamaAlgebra(vertices, next_down, loewy)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from nakayama import cli
 from nakayama.cli import main
+from nakayama.geometry import Triangulation, enumerate_triangulations, triangulation_dot
 
 
 def run(capsys, *argv):
@@ -125,6 +126,28 @@ def test_triangulate(capsys):
     assert out.strip().splitlines()[-1] == "total: 10"
     code, out = run(capsys, "triangulate", "--n", "3", "--bounds", "1,2,3")
     assert out.strip().splitlines()[-1] == "total: 5"
+    xs = enumerate_triangulations(3)
+    code, out = run(capsys, "triangulate", "--n", "3", "--format", "json")
+    assert code == 0
+    assert [Triangulation.from_json(x) for x in json.loads(out)] == xs
+    code, out = run(capsys, "triangulate", "--n", "3", "--format", "dot")
+    assert code == 0
+    assert out == "".join(map(triangulation_dot, xs)) and out.count("graph") == 10
+
+
+def test_hasse_both_exits_1_on_a_mismatch(capsys, monkeypatch):
+    from nakayama import poset
+
+    real = poset.hasse_by_rejection
+
+    def one_arrow_short(alg, picks=None):
+        quiver = real(alg, picks=picks)
+        return quiver._replace(arrows=quiver.arrows[1:])
+
+    monkeypatch.setattr(poset, "hasse_by_rejection", one_arrow_short)
+    code = main(["hasse", "--cyclic", "3", "--r", "3", "--method", "both"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "hasse mismatch between direct and rejection\n")
 
 
 def test_verify_tables_exit_code(capsys):
@@ -288,6 +311,19 @@ BAD_INPUT = [
       '"loewy":{"1":1,"2":2}}'], "vertex label True"),
     (["verify", "--counts", "0"], "positive"),
     (["verify", "--counts", "-3"], "positive"),
+    (["count", "--cyclic", "3", "--r", "3", "--linear", "--kupisch", "1,2,3"],
+     "conflicting algebra flags: --cyclic --r --linear --kupisch"),
+    (["count", "--cyclic", "3", "--linear", "--kupisch", "1,2,3"], "--cyclic --linear --kupisch"),
+    (["count", "--cyclic", "3", "--r", "3", "--kupisch", "1,2,3"], "--cyclic --r --kupisch"),
+    (["count", "--linear", "--kupisch", "1,2,3", "--r", "3"], "--r --linear --kupisch"),
+    (["count", "--algebra-json", '{"kind":"cyclic","kupisch":[3,3,3]}', "--r", "3"],
+     "conflicting algebra flags: --r --algebra-json"),
+    (["enumerate", "--algebra-json", '{"kind":"cyclic","kupisch":[3,3,3]}', "--linear"],
+     "--linear --algebra-json"),
+    (["count", "--cyclic", "3"], "--cyclic needs --r or --kupisch"),
+    (["count", "--linear"], "--linear needs --kupisch"),
+    (["triangulate", "--n", "x"], "not a positive integer: 'x'"),
+    (["verify", "--rejection", "2", "3.5"], "not a positive integer: '3.5'"),
 ]
 
 
@@ -321,15 +357,25 @@ def test_closed_output_pipe_exits_2_with_one_error_line(argv):
 
 
 def _nakayama(argv, **kwargs):
-    """The CLI as a subprocess on this checkout's src/."""
+    """The CLI as a subprocess on this checkout's src/, stderr piped unless
+    kwargs say otherwise."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.Popen(
         [sys.executable, "-m", "nakayama", *argv],
-        stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=path),
-        **kwargs,
+        **{"stderr": subprocess.PIPE, **kwargs},
     )
+
+
+@pytest.mark.parametrize("run", range(3))
+def test_a_closed_pipe_shared_with_stderr_exits_2(run):
+    # as `2>&1 | head -1`: the error line meets the closed pipe too, and
+    # the exit code stays 2 (1 means a verification mismatch)
+    proc = _nakayama(["triangulate", "--n", "8"], stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    assert proc.stdout.readline() == b"<*,1> <*,2> <*,3> <*,4> <*,5> <*,6> <*,7> <*,8>\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
 
 
 @pytest.mark.parametrize("run", range(3))

@@ -25,6 +25,7 @@ from nakayama.errors import (
     InvariantViolation,
     LoewyTooSmall,
     NotInDomain,
+    NotTauRigid,
 )
 from nakayama.geometry import (
     Arc,
@@ -335,6 +336,9 @@ def test_signed_requires_large_loewy():
                 make_triangulation(3, [Arc(None, j) for j in (1, 2, 3)]), +1
             ),
         )
+    small = make_cyclic(3, 2)
+    with pytest.raises(LoewyTooSmall):
+        stt_to_signed(small, enumerate_stt(small)[0])
 
 
 def test_flip_pop():
@@ -556,3 +560,19 @@ def test_geometry_and_sequence_invariants_hold_under_optimize():
         check=True,
         timeout=120,
     )
+
+
+def test_arcs_off_the_algebra_raise_not_in_domain():
+    # the first triangulation of the square has the projective arc <*,4>
+    with pytest.raises(NotInDomain, match="4-gon, not the 3-gon"):
+        triangulation_to_tau_tilt(make_cyclic(3, 3), enumerate_triangulations(4)[0])
+    for arc in (Arc(None, 7), Arc(7, 2), Arc(2, 0)):
+        with pytest.raises(NotInDomain, match="outside the points 1..3"):
+            arc_to_indec(make_cyclic(3, 3), arc)
+
+
+def test_dictionary_guards_raise():
+    with pytest.raises(NotTauRigid, match="not tau-rigid"):
+        indec_to_arc(make_cyclic(3, 4), Indec(1, 3))
+    with pytest.raises(NotInDomain, match="must be tau-tilting"):
+        tau_tilt_to_triangulation(L33, SttPair((Indec(2, 1),), (1,)))

@@ -136,6 +136,9 @@ def test_shift_killed():
     assert shift_killed(L33, {1, 2, 3}) == {1, 2, 3}
     with pytest.raises(NotCyclicConnected):
         shift_killed(make_linear([1, 2]), {1})
+    two_cycles = NakayamaAlgebra([1, 2, 3, 4], {1: 2, 2: 1, 3: 4, 4: 3}, dict.fromkeys(range(1, 5), 2))
+    with pytest.raises(NotCyclicConnected, match="single cycle"):
+        shift_killed(two_cycles, {1})
 
 
 def test_lift_example():
@@ -270,6 +273,8 @@ def test_split_requires_tau_tilting():
     g = make_gamma(3, 2)
     with pytest.raises(NotTauTilting):
         split_at_source(g, SttPair((Indec(1, 1),), (2, 3)))
+    with pytest.raises(NotTauTilting, match="over the quotient"):
+        unsplit_at_source(g, 3, SttPair((Indec(1, 1),), (2,)))
 
 
 def test_lift_requires_proper_nonprojective():
@@ -281,6 +286,9 @@ def test_lift_requires_proper_nonprojective():
     assert pair is not None and pair.killed == (2,)
     with pytest.raises(NotInDomain):
         lift_proper_to_tau_tilting(l32, pair)
+    # the inverse direction needs a tau-tilting pair
+    with pytest.raises(NotTauTilting, match="nonempty killed set"):
+        drop_to_proper_part(L33, SttPair((Indec(2, 1),), (1,)))
 
 
 def test_pair_json_roundtrip():
