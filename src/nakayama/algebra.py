@@ -64,6 +64,8 @@ class NakayamaAlgebra:
                 raise InvalidKupisch(f"loewy({j}) = {l} must be a positive integer")
         indeg = {}
         for j, k in self.next_down.items():
+            if type(j) is not int or type(k) is not int:  # True == 1 == 1.0 would pass below
+                raise InvalidKupisch(f"next_down {j}->{k} must join integer vertices")
             if j not in vs or k not in vs:
                 raise InvalidKupisch(f"next_down {j}->{k} leaves the vertex set")
             indeg[k] = indeg.get(k, 0) + 1
@@ -123,11 +125,10 @@ class NakayamaAlgebra:
 
     @cached_property
     def _components(self):
-        """vertex -> (sorted vertices of its component, its cycle size (0 on
-        a path), its vertices in arrow order, the vertex's position in that
-        order, that order repeated past the longest projective on a cycle),
-        all but the position shared per component as the same objects.  The
-        arrows walked from each source trace the paths; the rest are cycles."""
+        """vertex -> (its cycle size, 0 on a path; its component's vertices
+        in arrow order, one tuple shared by the whole component; the
+        vertex's position in that order).  The arrows walked from each
+        source trace the paths; the rest are cycles."""
         table = {}
         targets = {self.arrow_target(v) for v in self.vertices}
         for start in [v for v in self.vertices if v not in targets] + list(self.vertices):
@@ -137,33 +138,32 @@ class NakayamaAlgebra:
             while v is not None and v != start:
                 walk.append(v)
                 v = self.arrow_target(v)
-            vs, size, walk = tuple(sorted(walk)), len(walk) if v == start else 0, tuple(walk)
-            unrolled = walk * (max(map(self.loewy.get, walk)) // size + 2) if size else walk
+            size, walk = len(walk) if v == start else 0, tuple(walk)
             for pos, w in enumerate(walk):
-                table[w] = (vs, size, walk, pos, unrolled)
+                table[w] = (size, walk, pos)
         return table
 
     def factors(self, j, length):
-        """The composition factors, top to socle, of the uniserial with top
-        j and that Loewy length: a slice of the arrow walk from j."""
-        _, _, _, pos, unrolled = self._components[j]
-        return unrolled[pos:pos + length]
+        """The composition factors, top to socle, of the uniserial with top j
+        and that Loewy length: the arrow walk from j, repeated round a cycle."""
+        size, walk, pos = self._components[j]
+        return (walk * ((pos + length - 1) // size + 1) if size else walk)[pos:pos + length]
 
     def component_vertices(self):
         """Vertex sets of the connected components, ordered by least label."""
-        return sorted({entry[0] for entry in self._components.values()})
+        return [tuple(sorted(walk)) for walk in self.arrow_orders()]
 
     def arrow_orders(self):
         """Each component's vertices in arrow order, from the source on a
         path, ordered by least label."""
-        return sorted({entry[2] for entry in self._components.values()}, key=min)
+        return sorted({walk for _, walk, _ in self._components.values()}, key=min)
 
     def component_is_cyclic(self, j):
         """True if j lies on a full cycle of arrows of the Gabriel quiver."""
-        return self._components[j][1] > 0
+        return self._components[j][0] > 0
 
     def component_size(self, j):
-        return len(self._components[j][0])
+        return len(self._components[j][1])
 
     def source_vertex(self):
         """The arrow-free end of a connected linear algebra (its unique
@@ -172,7 +172,7 @@ class NakayamaAlgebra:
             raise NotLinear("algebra is not connected")
         if self.component_is_cyclic(self.vertices[0]):
             raise NotLinear("component is a cycle")
-        return self._components[self.vertices[0]][2][0]
+        return self._components[self.vertices[0]][1][0]
 
 
 def standard_arrows(n, cyclic):
@@ -231,7 +231,7 @@ def projective_injectives(alg):
     oracle in the tests.)"""
     if alg.is_zero():
         raise ZeroAlgebra("zero algebra has no projectives")
-    return {j for j, (_, size, walk, pos, _) in alg._components.items()
+    return {j for j, (size, walk, pos) in alg._components.items()
             if not (pos or size) or alg.loewy[walk[pos - 1]] <= alg.loewy[j]}
 
 

@@ -2,7 +2,7 @@
 
 Subcommands: enumerate, hasse, translate, triangulate, count, verify.
 Output is deterministic (canonical ordering everywhere, stable JSON);
-exit codes: 0 success, 1 verification mismatch, 2 usage error or failed output.
+exit codes: 0 success, 1 verification mismatch, 2 usage error, failed output or out of memory.
 """
 
 from __future__ import annotations
@@ -322,6 +322,8 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     except NakayamaError as e:
         return _error(e)
+    except MemoryError:
+        return _error("out of memory")
     except OSError as e:
         _to_devnull(sys.stdout)
         reason = "pipe closed" if isinstance(e, BrokenPipeError) else f"failed: {e}"

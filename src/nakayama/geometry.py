@@ -317,24 +317,17 @@ def _signed_dictionary(alg):
 
 
 def signed_to_stt(alg, sx):
-    """Signed-triangulation dictionary (needs every Loewy length >= n):
-    inner arcs give their modules for both signs; a projective arc gives
-    the projective with sign + and kills the next vertex around with -."""
+    """Signed-triangulation dictionary (needs every Loewy length >= n): sign
+    + is triangulation_to_tau_tilt; with sign - inner arcs give their
+    modules and a projective arc kills the next vertex around."""
     n = _signed_dictionary(alg)
-    module = []
-    for a in sx.triangulation.arcs:
-        if a.is_projective and sx.sign < 0:
-            continue
-        module.append(arc_to_indec(alg, a))
+    if sx.sign > 0:
+        return triangulation_to_tau_tilt(alg, sx.triangulation)
+    module = [arc_to_indec(alg, a) for a in sx.triangulation.arcs if not a.is_projective]
     pair = tautilt.is_support_tau_tilting(alg, module)
     if pair is None:
         raise InvariantViolation(f"image of {sx} is not support tau-tilting")
-    if sx.sign < 0:
-        expected = tuple(
-            sorted(a.j % n + 1 for a in sx.triangulation.arcs if a.is_projective)
-        )
-    else:
-        expected = ()
+    expected = tuple(sorted(a.j % n + 1 for a in sx.triangulation.arcs if a.is_projective))
     if pair.killed != expected:
         raise InvariantViolation(
             f"image of {sx} kills {pair.killed}, expected {expected}"

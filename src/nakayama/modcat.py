@@ -58,7 +58,7 @@ def is_tau_rigid_indec(alg, m):
 
 def _rigid(alg, m):
     """is_tau_rigid_indec for a checked module; size is the cycle size, 0 on a path."""
-    size = alg._components[m.top][1]
+    size = alg._components[m.top][0]
     return not size or m.length < size or m.length == alg.loewy[m.top]
 
 
@@ -91,9 +91,9 @@ def _hom_into_tau(alg, x, y):
     the arrow walk (the least lift past the lower end, on a cycle)."""
     if y.length == alg.loewy[y.top]:
         return False
-    vs, size, _, pos_x, _ = alg._components[x.top]
-    ws, _, _, pos_y, _ = alg._components[y.top]
-    if vs is not ws:
+    size, walk, pos_x = alg._components[x.top]
+    _, walk_y, pos_y = alg._components[y.top]
+    if walk is not walk_y:
         return False
     lo, d = max(0, y.length - x.length), pos_x - pos_y - 1
     if size:

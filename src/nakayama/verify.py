@@ -48,7 +48,6 @@ def triple_bijection_holds(alg):
         if (
             geometry.tau_tilt_to_triangulation(alg, pair) != x
             or sequences.x_of_sequence(seq) != x
-            or not sequences.in_restricted(seq, bounds)
         ):
             return False
         images.add(pair)

@@ -361,13 +361,17 @@ def test_algebra_invariants_raise(monkeypatch):
     a = make_linear([1, 2, 3])
     assert a.source_vertex() == 3
     b = make_cyclic(3, 3)
-    vs, size, walk, pos, _ = b._components[1]
-    b._components[1] = (vs, size, walk, pos, walk[: pos + 1])  # P_1's walk stops at its top
+    monkeypatch.setattr(b, "factors", lambda j, length: (j,))  # P_1 stops at its top
     with pytest.raises(InvariantViolation, match="socle"):
         socle_vertex_of_projective(b, 1)
     monkeypatch.setattr(algebra, "quotient_by_idempotent", lambda alg, killed: alg)
     with pytest.raises(InvariantViolation, match="dimension 1 to 1"):
         reject(make_linear([1]), 1)
+
+
+def test_an_algebra_never_equals_another_type():
+    assert make_cyclic(2, 2).__eq__("x") is NotImplemented
+    assert (make_cyclic(2, 2) == "x") is False
 
 
 @pytest.mark.parametrize(
@@ -378,6 +382,7 @@ def test_algebra_invariants_raise(monkeypatch):
         ([1], {1: 5}, {1: 1}, "next_down 1->5 leaves the vertex set"),
         ([1, 2, 3], {2: 1, 3: 1}, {1: 1, 2: 2, 3: 2}, "vertex 1 has two incoming edges"),
         ([1, 2], {1: 1}, {1: 2, 2: 1}, "self-loop at 1"),
+        ([1, 2], {2: 1.0}, {1: 1, 2: 2}, "next_down 2->1.0 must join integer vertices"),
     ],
 )
 def test_malformed_quiver_data_raises_invalid_kupisch(vertices, next_down, loewy, match):

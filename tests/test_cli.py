@@ -213,6 +213,28 @@ def test_verify_failure_names_the_first_failing_algebra(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL (2)"
 
 
+def test_triple_bijection_fails_on_a_count_mismatch(monkeypatch):
+    from nakayama import geometry, verify
+    from nakayama.algebra import make_cyclic
+
+    monkeypatch.setattr(geometry, "enumerate_restricted", lambda n, bounds: [])
+    assert verify.triple_bijection_holds(make_cyclic(2, 2)) is False
+
+
+def test_triple_bijection_fails_on_a_broken_round_trip(monkeypatch):
+    from nakayama import geometry, verify
+
+    real = geometry.tau_tilt_to_triangulation
+    monkeypatch.setattr(
+        geometry, "tau_tilt_to_triangulation",
+        lambda alg, pair: None if alg.loewy == {1: 2} else real(alg, pair),
+    )
+    assert list(verify.verify_bijections(1)) == [
+        ("bijections n=1: 3 cyclic Kupisch series, 2 in elementwise bijection;"
+         " first failure: kupisch 2", False),
+    ]
+
+
 def test_verify_counts_names_the_first_failing_series(capsys, monkeypatch):
     from nakayama import counting
 
@@ -324,6 +346,10 @@ BAD_INPUT = [
     (["count", "--linear"], "--linear needs --kupisch"),
     (["triangulate", "--n", "x"], "not a positive integer: 'x'"),
     (["verify", "--rejection", "2", "3.5"], "not a positive integer: '3.5'"),
+    (["enumerate", "--algebra-json", '{"kind":"general","vertices":[1,2],"next_down":{"2":true},'
+      '"loewy":{"1":1,"2":2}}'], "next_down 2->True must join integer vertices"),
+    (["enumerate", "--algebra-json", '{"kind":"general","vertices":[1,2],"next_down":{"2":1.0},'
+      '"loewy":{"1":1,"2":2}}'], "next_down 2->1.0 must join integer vertices"),
 ]
 
 
@@ -409,6 +435,29 @@ def test_full_device_exits_2_with_one_error_line():
         assert proc.wait(timeout=120) == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "No space left on device" in err
+
+
+def _nakayama_in_1gb(argv):
+    """(exit code, stdout, stderr) of the CLI as a subprocess whose address
+    space is capped at 1 GB, so a runaway allocation fails at once."""
+    resource = pytest.importorskip("resource")
+    cap = 10 ** 9
+    proc = _nakayama(argv, stdout=subprocess.PIPE,
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out.decode(), err.decode()
+
+
+def test_count_of_a_huge_loewy_length_needs_no_table_of_that_length():
+    argv = ["count", "--cyclic", "3", "--r", "1000000000000", "--format", "json"]
+    assert _nakayama_in_1gb(argv) == (0, '{"proper":10,"stt":20,"tau_tilt":10}\n', "")
+
+
+def test_out_of_memory_exits_2_with_one_error_line():
+    # the projective's 10^12 composition factors do not fit in 1 GB
+    argv = ["translate", "--cyclic", "3", "--r", "1000000000000", "--from", "seq",
+            "--to", "module", "--payload", "1,1,1", "--format", "json"]
+    assert _nakayama_in_1gb(argv) == (2, "", "error: out of memory\n")
 
 
 def call(argv):

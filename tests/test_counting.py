@@ -64,6 +64,28 @@ def test_verify_tables_all_ok():
     assert all(ok for _, ok in reports)
 
 
+def _one_more_pair(alg):
+    tt, proper, stt = enumerated_counts(alg)  # the unpatched import
+    return tt, proper + 1, stt + 1
+
+
+@pytest.mark.parametrize(
+    "name, fake, note",
+    [
+        ("count_gamma_recurrence", lambda n, r: -1, "recurrence gives -1"),
+        ("count_stt_gamma2_jasso", lambda n: -1, "two-term recurrence gives -1"),
+        ("catalan", lambda n: -1, "hereditary count is not catalan("),
+        ("enumerated_counts", _one_more_pair, "semisimple count is not 2^n"),
+        ("central_binomial", lambda n: -1, "count is not binom(2n,n)=-1"),
+    ],
+)
+def test_verify_tables_notes_each_failed_cross_check(monkeypatch, name, fake, note):
+    monkeypatch.setattr(counting, name, fake)
+    noted = [(line, ok) for line, ok in verify_tables() if note in line]
+    assert noted
+    assert all(line.startswith("MISMATCH") and not ok for line, ok in noted), noted
+
+
 SPLIT_ALGEBRAS = (
     [make(n, r) for make in (make_gamma, make_cyclic) for n in range(1, 6) for r in range(1, 6)]
     + [

@@ -295,6 +295,12 @@ def test_triangulation_to_tau_tilt_rows():
     assert sorted(s.top for s in pair.module) == [1, 3, 3, 4]
 
 
+def test_triangulation_to_tau_tilt_checks_its_image(monkeypatch):
+    monkeypatch.setattr(tautilt, "is_support_tau_tilting", lambda alg, module: None)
+    with pytest.raises(NotInDomain, match="image is not tau-tilting"):
+        triangulation_to_tau_tilt(make_cyclic(4, 4), enumerate_restricted(4, L44.loewy)[0])
+
+
 def test_triangulation_bijection_counts():
     xs = enumerate_restricted(4, {j: 4 for j in range(1, 5)})
     assert len(xs) == 35 == len(enumerate_tau_tilt(L44))

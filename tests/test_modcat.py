@@ -248,7 +248,8 @@ def test_pair_test_matches_public_primitives():
 
 
 def test_factors_socles_and_quotient_clamps_match_the_next_down_walk():
-    # the slices of the component table's unrolled walk against next_down
+    # the slices of the component table's walk, repeated round a cycle,
+    # against next_down
     # followed by hand: every module's factors, every projective's socle,
     # and the Loewy lengths of every idempotent quotient
     algs = list(_pair_test_algebras())

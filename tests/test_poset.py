@@ -819,6 +819,12 @@ def test_rejection_rejects_once_per_stage(monkeypatch):
         hasse_by_rejection(alg, picks=[1, 1])
 
 
+def test_rejection_checks_every_lift_over_the_input_algebra(monkeypatch):
+    monkeypatch.setattr(tautilt, "is_support_tau_tilting", lambda alg, module: None)
+    with pytest.raises(InvariantViolation, match=r"is not support tau-tilting over"):
+        hasse_by_rejection(make_cyclic(2, 2))
+
+
 def test_rejection_equals_direct_small_grid():
     for n in range(1, 4):
         for r in range(1, 5):

@@ -26,6 +26,7 @@ def test_seq_validation():
         SeqA((2, 2, 0))
     with pytest.raises(NotInDomain):
         SeqA((-1, 2, 2))
+    assert repr(SeqA((2, 1, 0))) == "SeqA(2, 1, 0)"
 
 
 @pytest.mark.parametrize("a", [[2.5, 0], [2.0, 0], ["1", "1"], [True, True], (), "11"])

@@ -524,6 +524,17 @@ def test_split_at_source_guards_raise(monkeypatch):
                    lambda alg, module: real(alg, module) if alg.n == 3 else None)
         with pytest.raises(InvariantViolation, match="over the quotient"):
             split_at_source(g, m)
+    with monkeypatch.context() as mp:  # a checked module without P_3 = 3/2
+        mp.setattr(tautilt, "is_support_tau_tilting",
+                   lambda alg, module: SttPair(tuple(module), ()))
+        with pytest.raises(NotTauTilting, match="must contain the source projective"):
+            split_at_source(g, SttPair((Indec(1, 1),), ()))
+
+
+def test_unsplit_at_source_checks_the_completion():
+    # 1 + 3/2/1 has two summands on three support vertices
+    with pytest.raises(NotInDomain, match="completion at killed vertex 1 is not tau-tilting"):
+        unsplit_at_source(make_linear([1, 2, 3]), 1, SttPair((Indec(1, 1),), ()))
 
 
 @pytest.mark.parametrize(
