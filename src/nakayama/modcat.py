@@ -192,8 +192,9 @@ class BitIndex(dict):
         self._vertex_tuples = {}
 
     def __missing__(self, m):
-        supp = 0
-        for v in comp_factors(self.alg, m):
+        size, walk, _ = self.alg._components[check_valid(self.alg, m).top]
+        supp = 0  # a module at least a cycle long has the whole cycle as support
+        for v in walk if size and m.length >= size else self.alg.factors(*m):
             supp |= self.vertex_bit[v]
         p = self[m] = len(self.indecs)
         self.indecs.append(m)
@@ -215,7 +216,10 @@ class BitIndex(dict):
 
     def encode(self, module):
         """The summand mask of module: the bits of its summands."""
-        return sum(1 << p for p in {self[s] for s in module})
+        mask = 0
+        for s in module:
+            mask |= 1 << self[s]
+        return mask
 
     def decode(self, mask):
         """The summands of a summand mask, as a sorted tuple."""
@@ -271,4 +275,10 @@ def all_indecs(alg):
 
 
 def all_tau_rigid_indecs(alg):
-    return [m for m in all_indecs(alg) if is_tau_rigid_indec(alg, m)]
+    """all_indecs' tau-rigid ones: on a cycle the lengths below its size and the projective."""
+    out = []
+    for j in alg.vertices:
+        size, top = alg._components[j][0], alg.loewy[j]
+        short = min(size - 1, top) if size else top
+        out += [Indec(j, l) for l in range(1, short + 1)] + [Indec(j, top)] * (short < top)
+    return out

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import compress
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import modcat, tautilt
@@ -175,26 +173,22 @@ def mutations(alg, pair):
 # -- poset doubling ----------------------------------------------------------
 
 
-def double_hasse(arrows, k, chosen):
-    """The quiver-level doubling of the arrow list of a quiver on k
-    vertices, in place; returns the list.  The chosen vertices get copies
-    k, k + 1, ... in increasing order; arrows among them are duplicated on
-    the copies, arrows into them from elsewhere are redirected to the
-    copy, and each copy gets one arrow onto its original.  Arrows are not
-    sorted; only those into the chosen set are visited."""
+def double_hasse(into, k, chosen):
+    """The quiver-level doubling, in place, of the in-arrow table of a
+    quiver on k vertices, into[b] the sources of the arrows into b.  The
+    chosen vertices get copies k, k + 1, ... in increasing order; arrows
+    among them are duplicated on the copies, arrows into them from
+    elsewhere are redirected to the copy, and each copy gets one arrow
+    onto its original.  Only the chosen vertices' entries are visited."""
     plus = sorted(chosen)
     copy = [0] * k  # the position of each chosen vertex's copy, 0 if none
     for pos, i in enumerate(plus, k):
         copy[i] = pos
-    into_chosen = map(copy.__getitem__, map(itemgetter(1), arrows))
-    for idx in list(compress(range(len(arrows)), into_chosen)):  # listed before arrows grows
-        a, b = arrows[idx]
-        if copy[a]:  # chosen -> chosen stays, and is copied
-            arrows.append((copy[a], copy[b]))
-        else:  # plain -> chosen gets redirected
-            arrows[idx] = (a, copy[b])
-    arrows += [(copy[i], i) for i in plus]
-    return arrows
+    for pos, b in enumerate(plus, k):
+        sources = into[b]
+        into.append([copy[a] or a for a in sources])
+        into[b] = [a for a in sources if copy[a]] + [pos]
+    return into
 
 
 # -- rejection ---------------------------------------------------------------
@@ -242,24 +236,31 @@ def lift_through_rejection(alg, index, j, masks, supports):
     per quotient pair and then one per class 2 pair.
 
     On B-modules tau agrees with tau over B away from R (Adachi-Iyama-
-    Reiten), so only the pairs with R or Q are tested, over alg, and every
-    lift needs as many summands as support vertices; otherwise
-    InvariantViolation.
+    Reiten), so only the lifts with R or Q, found by a scan of the lifts,
+    are tested over alg, at the positions they hold; every lift needs as
+    many summands as support vertices.  Otherwise InvariantViolation.
     """
     _, n2, n3 = classify_quotient_pairs(alg, index, j, masks)
     proj = Indec(j, alg.loewy[j])
     rad = Indec(j, proj.length - 1) if proj.length > 1 else proj  # Q simple: no R, no n3
     q, r, supp_q = 1 << index[proj], 1 << index[rad], index.supp[index[proj]]
-    of_alg = [(p, m) for p, m in enumerate(index.indecs) if m.length <= alg.loewy.get(m.top, 0)]
-    off_q = sum(1 << p for p, m in of_alg if not modcat.pair_tau_rigid(alg, proj, m))
-    off_r = sum(1 << p for p, m in of_alg if not modcat.pair_tau_rigid(alg, rad, m))
     lifts, sups = list(masks), list(supports)
     for idx in n3:
         lifts[idx] ^= r | q
         sups[idx] |= supp_q  # which holds the support of R
     lifts += [masks[idx] | q for idx in n2]
     sups += [supports[idx] | supp_q for idx in n2]
+    rq = r | q
+    held, tested = [], rq  # the lifts with R or Q, or a wrong count, and their positions
     for mask, supp in zip(lifts, sups):
+        if mask & rq or supp.bit_count() != mask.bit_count():
+            held.append((mask, supp))
+            tested |= mask
+    of_alg = [(p, index.indecs[p]) for p in bits(tested)]
+    of_alg = [(p, m) for p, m in of_alg if m.length <= alg.loewy.get(m.top, 0)]
+    off_q = sum(1 << p for p, m in of_alg if not modcat.pair_tau_rigid(alg, proj, m))
+    off_r = sum(1 << p for p, m in of_alg if not modcat.pair_tau_rigid(alg, rad, m))
+    for mask, supp in held:
         off_row = mask & r and mask & off_r or mask & q and mask & off_q
         if off_row or supp.bit_count() != mask.bit_count():
             module = index.decode(mask)
@@ -267,41 +268,41 @@ def lift_through_rejection(alg, index, j, masks, supports):
     return n2, lifts, sups
 
 
-def _canonical(quiver):
-    order = sorted(range(len(quiver.vertices)), key=lambda i: quiver.vertices[i].module)
-    rank = {old: new for new, old in enumerate(order)}
-    vertices = tuple(quiver.vertices[i] for i in order)
-    arrows = tuple(sorted((rank[a], rank[b]) for a, b in quiver.arrows))
-    return HasseQuiver(vertices, arrows)
+def _canonical(vertices, into):
+    order = sorted(range(len(vertices)), key=lambda i: vertices[i].module)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
+    arrows = sorted((rank[a], rank[b]) for b, sources in enumerate(into) for a in sources)
+    return HasseQuiver(tuple(map(vertices.__getitem__, order)), tuple(arrows))
 
 
 def hasse_by_rejection(alg, picks=None):
     """Hasse quiver by socle rejection along rejection_chain(alg, picks).
 
     From the zero algebra's single vertex, each stage places the lifts of
-    the quotient's pairs on its quiver doubled along class 2.  A stage
-    module is a module of alg with the same composition factors, so pairs
-    are summand masks over alg's own BitIndex, with supports over its
-    vertex bits; a component split needs no special case.  Forced picks
-    apply at every step, then the default pick.  Checked distinct, decoded,
+    the quotient's pairs on its in-arrow table doubled along class 2.  A
+    stage module is a module of alg with the same composition factors, so
+    pairs are summand masks over alg's own BitIndex, with supports over
+    its vertex bits; a component split needs no special case.  Forced
+    picks apply at every step, then the default pick.  Checked distinct,
     checked over alg and sorted once; label-identical to hasse_direct.
     """
     chain = rejection_chain(alg, picks)[:-1]  # the zero algebra's one pair is masks[0]
     index = modcat.bit_index(alg)
-    masks, supports, arrows = [0], [0], []
+    masks, supports, into = [0], [0], [[]]
     while chain:
         a, j = chain.pop()  # popped, so each stage algebra and its caches go once lifted
         n2, lifts, supports = lift_through_rejection(a, index, j, masks, supports)
-        arrows = double_hasse(arrows, len(masks), n2)
+        into = double_hasse(into, len(masks), n2)
         masks = lifts
     if len(set(masks)) < len(masks):
         twice = next(m for m, c in Counter(masks).items() if c > 1)
         raise InvariantViolation(f"lift {index.decode(twice)} appears twice over {alg!r}")
-    pairs = tuple(tautilt.is_support_tau_tilting(alg, index.decode(m)) for m in masks)
+    summand = index.indecs.__getitem__
+    pairs = [tautilt.is_support_tau_tilting(alg, map(summand, bits(m))) for m in masks]
     if None in pairs:
         module = index.decode(masks[pairs.index(None)])
         raise InvariantViolation(f"lift {module} is not support tau-tilting over {alg!r}")
-    return _canonical(HasseQuiver(pairs, arrows))
+    return _canonical(pairs, into)
 
 
 def rejection_isomorphism(alg, j):

@@ -1,11 +1,13 @@
 """Reference implementations that the bitset order, the covers, the
-poset check, the order test geq and the quiver doubling in nakayama.poset
-are tested against (one predicate call per ordered pair of elements, one
-scan per ordered pair of indices, the strict down-set of every element
-below each element ORed, one Fac membership test per summand, the
-doubling done on the order itself), the neighbours of a pair by a scan of
-every pair, the JSON and DOT renderings built one pair at a time through
-json.dumps and the per-pair label, and the order and quiver queries and
+poset check, the order test geq, the quiver doubling and the rejection
+stage check in nakayama.poset are tested against (one predicate call per
+ordered pair of elements, one scan per ordered pair of indices, the
+strict down-set of every element below each element ORed, one Fac
+membership test per summand, the doubling done on the order itself and
+by a scan of every arrow, the stage check on every lift and every index
+position), the neighbours of a pair by a scan of every pair, the JSON and
+DOT renderings built one pair at a time through json.dumps and the
+per-pair label, and the order and quiver queries, in-arrow tables and
 copy labels that only the tests use."""
 
 import json
@@ -14,8 +16,8 @@ from typing import Any, NamedTuple
 from module_oracles import factors_oracle, in_fac
 
 from nakayama.errors import InvalidPoset, InvariantViolation
-from nakayama.modcat import bits
-from nakayama.poset import HasseQuiver, Poset, double_hasse
+from nakayama.modcat import Indec, bits, pair_tau_rigid
+from nakayama.poset import HasseQuiver, Poset, classify_quotient_pairs, double_hasse
 
 
 class Plus(NamedTuple):
@@ -84,12 +86,69 @@ def double_poset(poset, chosen):
     return Poset(elements, down)
 
 
+def in_arrows(k, arrows):
+    """The in-arrow table of an arrow list on k vertices: entry b lists the
+    sources of the arrows into b."""
+    into = [[] for _ in range(k)]
+    for a, b in arrows:
+        into[b].append(a)
+    return into
+
+
+def flat_arrows(into):
+    """The arrows of an in-arrow table, sorted."""
+    return sorted((a, b) for b, sources in enumerate(into) for a in sources)
+
+
 def double_labelled(quiver, chosen):
     """double_hasse on a labelled quiver: the copies of the chosen vertices,
     in increasing order, are labelled Plus(original)."""
-    arrows = double_hasse(list(quiver.arrows), len(quiver.vertices), chosen)
+    k = len(quiver.vertices)
+    into = double_hasse(in_arrows(k, quiver.arrows), k, chosen)
     copies = tuple(Plus(quiver.vertices[i]) for i in sorted(chosen))
-    return HasseQuiver(tuple(quiver.vertices) + copies, tuple(arrows))
+    return HasseQuiver(tuple(quiver.vertices) + copies, tuple(flat_arrows(into)))
+
+
+def double_hasse_by_scan(arrows, k, chosen):
+    """The doubling of double_hasse on an arrow list, by a scan of every
+    arrow; returns the new arrow list, not sorted."""
+    plus = sorted(chosen)
+    copy = dict(zip(plus, range(k, k + len(plus))))
+    out = []
+    for a, b in arrows:
+        if b not in copy:  # into a plain vertex: unchanged
+            out.append((a, b))
+        elif a in copy:  # chosen -> chosen stays, and is copied
+            out += [(a, b), (copy[a], copy[b])]
+        else:  # plain -> chosen gets redirected
+            out.append((a, copy[b]))
+    return out + [(copy[i], i) for i in plus]
+
+
+def lift_check_by_full_scan(alg, index, j, masks, supports):
+    """lift_through_rejection with its check on every lift, and R's and
+    Q's rows tested at every index position of a module of alg: raise
+    InvariantViolation at the first lift with R or Q that one of them
+    rejects, or with more or fewer summands than support vertices."""
+    _, n2, n3 = classify_quotient_pairs(alg, index, j, masks)
+    proj = Indec(j, alg.loewy[j])
+    rad = Indec(j, proj.length - 1) if proj.length > 1 else proj
+    q, r, supp_q = 1 << index[proj], 1 << index[rad], index.supp[index[proj]]
+    of_alg = [(p, m) for p, m in enumerate(index.indecs) if m.length <= alg.loewy.get(m.top, 0)]
+    off_q = sum(1 << p for p, m in of_alg if not pair_tau_rigid(alg, proj, m))
+    off_r = sum(1 << p for p, m in of_alg if not pair_tau_rigid(alg, rad, m))
+    lifts, sups = list(masks), list(supports)
+    for idx in n3:
+        lifts[idx] ^= r | q
+        sups[idx] |= supp_q
+    lifts += [masks[idx] | q for idx in n2]
+    sups += [supports[idx] | supp_q for idx in n2]
+    for mask, supp in zip(lifts, sups):
+        off_row = mask & r and mask & off_r or mask & q and mask & off_q
+        if off_row or supp.bit_count() != mask.bit_count():
+            module = index.decode(mask)
+            raise InvariantViolation(f"lift {module} is not support tau-tilting over {alg!r}")
+    return n2, lifts, sups
 
 
 def from_relation(elements, le):

@@ -213,6 +213,28 @@ def test_verify_failure_names_the_first_failing_algebra(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL (2)"
 
 
+
+def test_verify_rejection_names_the_first_differing_arrow(capsys, monkeypatch):
+    from nakayama import poset
+    from nakayama.algebra import make_cyclic
+
+    real = poset.hasse_by_rejection
+
+    def one_arrow_short(alg, picks=None):
+        quiver = real(alg, picks=picks)
+        return quiver._replace(arrows=quiver.arrows[1:])
+
+    alg = make_cyclic(1, 1)
+    direct = poset.hasse_direct(alg)
+    a, b = (poset.pair_label(alg, direct.vertices[i]) for i in direct.arrows[0])
+    monkeypatch.setattr(poset, "hasse_by_rejection", one_arrow_short)
+    code, out = run(capsys, "verify", "--rejection", "1", "1")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "rejection cyclic n=1, r<=1: label-exact equality; first failure: kupisch 1"
+        f' at arrow "{a}" -> "{b}" in the direct quiver only'
+    )
+
 def test_triple_bijection_fails_on_a_count_mismatch(monkeypatch):
     from nakayama import geometry, verify
     from nakayama.algebra import make_cyclic
@@ -453,10 +475,21 @@ def test_count_of_a_huge_loewy_length_needs_no_table_of_that_length():
     assert _nakayama_in_1gb(argv) == (0, '{"proper":10,"stt":20,"tau_tilt":10}\n', "")
 
 
+def test_enumerate_of_a_huge_loewy_length_needs_no_table_of_that_length():
+    # on a 3-cycle the tau-rigid lengths are 1, 2 and the projective's, so
+    # the pairs are those of cyclic(3,4) with length 4 read as 10^12
+    argv = ["enumerate", "--cyclic", "3", "--r", "1000000000000", "--format", "json"]
+    code, out, err = _nakayama_in_1gb(argv)
+    small = call(["enumerate", "--cyclic", "3", "--r", "4", "--format", "json"])[1]
+    assert (code, err) == (0, "")
+    assert out == small.replace('"len":4', '"len":1000000000000') and len(json.loads(out)) == 20
+
+
 def test_out_of_memory_exits_2_with_one_error_line():
-    # the projective's 10^12 composition factors do not fit in 1 GB
+    # the text label stacks the projective's 10^12 composition factors,
+    # which do not fit in 1 GB
     argv = ["translate", "--cyclic", "3", "--r", "1000000000000", "--from", "seq",
-            "--to", "module", "--payload", "1,1,1", "--format", "json"]
+            "--to", "module", "--payload", "1,1,1"]
     assert _nakayama_in_1gb(argv) == (2, "", "error: out of memory\n")
 
 

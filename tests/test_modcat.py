@@ -192,6 +192,26 @@ def test_all_indecs_counts():
     assert all_indecs(make_cyclic(4, 5)) and len(all_indecs(L45)) == 20
 
 
+
+def test_tau_rigid_indecs_are_the_rigid_ones_in_order():
+    algs = [cyclic_algebra(ks) for n in range(1, 5) for ks in valid_cyclic_series(n, 6)]
+    algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, 4)]
+    for alg in algs + [quotient_by_idempotent(make_linear([1, 2, 3, 4]), {2})]:
+        rigid = [m for m in all_indecs(alg) if is_tau_rigid_indec(alg, m)]
+        assert all_tau_rigid_indecs(alg) == rigid, alg
+
+
+def test_index_support_of_a_long_cyclic_module_is_the_cycle(monkeypatch):
+    # a module at least a cycle long covers the cycle; its support is read
+    # without its composition factors
+    alg, small = make_cyclic(3, 10 ** 12), make_cyclic(3, 4)
+    for m in (Indec(1, 2), Indec(2, 3), Indec(3, 10 ** 12)):
+        assert support(alg, (m,)) == set(comp_factors(small, Indec(m.top, min(m.length, 4))))
+    monkeypatch.setattr(alg, "factors", None)
+    assert support(alg, (Indec(2, 10 ** 12 - 1),)) == {1, 2, 3}
+    with pytest.raises(InvalidModule):
+        support(alg, (Indec(2, 10 ** 12 + 1),))
+
 def test_all_indecs_zero():
     from nakayama.algebra import ZERO
 

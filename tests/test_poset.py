@@ -13,14 +13,18 @@ from poset_oracles import (
     Plus,
     covers_by_full_or,
     degree_sequence,
+    double_hasse_by_scan,
     double_labelled,
     double_poset,
     fac_order,
+    flat_arrows,
     geq_by_fac,
     hasse_dot_one,
     hasse_json_dumps,
+    in_arrows,
     labelled_arrows,
     le,
+    lift_check_by_full_scan,
     mutations_scan,
     pair_label_one,
     pairs_json_dumps,
@@ -52,6 +56,7 @@ from nakayama.poset import (
     HasseQuiver,
     Poset,
     classify_quotient_pairs,
+    double_hasse,
     geq,
     hasse_by_rejection,
     hasse_direct,
@@ -315,6 +320,22 @@ def test_doubling_identity_on_random_posets():
         rhs = double_labelled(p.hasse(), chosen)
         assert same_labelled_graph(lhs, rhs)
 
+
+
+def test_in_arrow_doubling_matches_the_arrow_scan_on_random_posets():
+    # the doubled in-arrow table has the arrows of a scan of every arrow,
+    # and the entry of every vertex that is not chosen is left as it was
+    rng = random.Random(2024)
+    for _ in range(200):
+        k = rng.randint(1, 12)
+        p = _random_poset(rng, k)
+        arrows = p.hasse().arrows
+        chosen = _convexify(p, {i for i in range(k) if rng.random() < 0.35})
+        into = in_arrows(k, arrows)
+        before = list(into)
+        doubled = double_hasse(into, k, chosen)
+        assert flat_arrows(doubled) == sorted(double_hasse_by_scan(arrows, k, chosen))
+        assert all(doubled[b] is before[b] for b in range(k) if b not in chosen)
 
 def test_covers_match_transitive_reduction_on_random_posets():
     rng = random.Random(2024)
@@ -705,6 +726,41 @@ def test_misclassified_lift_raises(monkeypatch, source, target):
     if source == 3:
         assert verdicts[False] == 0
 
+
+
+def _raises(f, *args):
+    """The message of the InvariantViolation that f(*args) raises, None
+    if it returns."""
+    try:
+        f(*args)
+    except InvariantViolation as e:
+        return str(e)
+    return None
+
+
+def test_stage_check_agrees_with_the_full_scan_on_flipped_masks():
+    # one bit of one input mask flipped, R's and Q's among the choices,
+    # with the support read off the flipped mask: the check on the lifts
+    # with R or Q, at their positions, raises exactly when the check of
+    # every lift on every position does, naming the same lift, and they
+    # return the same lifts
+    rng = random.Random(2024)
+    algs = [cyclic_algebra(ks) for n in range(1, 4) for ks in valid_cyclic_series(n, 5)]
+    algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, 4)]
+    verdicts = Counter()
+    for alg in algs:
+        for a, index, j, masks, supports, _, _ in _stages(alg):
+            idx = rng.randrange(len(masks))
+            flipped, sups = list(masks), list(supports)
+            flipped[idx] ^= 1 << rng.randrange(len(index.indecs))
+            sups[idx] = _support(index, flipped[idx])
+            args = (a, index, j, flipped, sups)
+            want = _raises(lift_check_by_full_scan, *args)
+            assert _raises(lift_through_rejection, *args) == want, (alg, j)
+            if want is None:
+                assert lift_through_rejection(*args) == lift_check_by_full_scan(*args)
+            verdicts[want is None] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 def _move_first_class_1(stage, moved):
     """classify_quotient_pairs with the first class 1 pair of the given
