@@ -149,10 +149,6 @@ class NakayamaAlgebra:
         size, walk, pos = self._components[j]
         return (walk * ((pos + length - 1) // size + 1) if size else walk)[pos:pos + length]
 
-    def component_vertices(self):
-        """Vertex sets of the connected components, ordered by least label."""
-        return [tuple(sorted(walk)) for walk in self.arrow_orders()]
-
     def arrow_orders(self):
         """Each component's vertices in arrow order, from the source on a
         path, ordered by least label."""
@@ -168,7 +164,7 @@ class NakayamaAlgebra:
     def source_vertex(self):
         """The arrow-free end of a connected linear algebra (its unique
         source)."""
-        if len(self.component_vertices()) != 1:
+        if len(self.arrow_orders()) != 1:
             raise NotLinear("algebra is not connected")
         if self.component_is_cyclic(self.vertices[0]):
             raise NotLinear("component is a cycle")
@@ -279,7 +275,7 @@ def components(alg):
     """Connected components as standalone algebras, ordered by least label.
     A connected algebra is its own component, so its per-algebra caches
     are shared with it."""
-    comps = alg.component_vertices()
+    comps = alg.arrow_orders()
     if len(comps) == 1:
         return [alg]
     return [quotient_by_idempotent(alg, set(alg.vertices) - set(c)) for c in comps]
@@ -303,7 +299,7 @@ def rejection_chain(alg, picks=None):
             if j not in pis:
                 raise NotProjectiveInjective(f"pick {j} is not projective-injective")
         else:
-            j = min(pis & set(alg.component_vertices()[0]))
+            j = min(pis & set(alg.arrow_orders()[0]))
         chain.append((alg, j))
         alg = reject(alg, j)
     if len(chain) < len(picks):

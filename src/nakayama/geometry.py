@@ -96,7 +96,7 @@ def _arc_table(n):
     compat = [1 << x for x in range(k)]
     for x in range(k):
         for y in range(x + 1, k):
-            if compatible(arcs[x], arcs[y], n):
+            if not crossing(arcs[x], arcs[y], n):
                 compat[x] |= 1 << y
                 compat[y] |= 1 << x
     return arcs, {a: x for x, a in enumerate(arcs)}, tuple(compat)
@@ -118,10 +118,6 @@ def crossing(a, b, n):
     t = b.length(n)
     d = (b.i - a.i) % n
     return 0 < d < s < d + t or 0 < d + t - n < s
-
-
-def compatible(a, b, n):
-    return not crossing(a, b, n)
 
 
 class Triangulation(NamedTuple):

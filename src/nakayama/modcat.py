@@ -265,17 +265,9 @@ def support(alg, module):
     return set(index.vertices(mask))
 
 
-def all_indecs(alg):
-    """All indecomposables, ordered by (top, length)."""
-    return [
-        Indec(j, l)
-        for j in alg.vertices
-        for l in range(1, alg.loewy[j] + 1)
-    ]
-
-
 def all_tau_rigid_indecs(alg):
-    """all_indecs' tau-rigid ones: on a cycle the lengths below its size and the projective."""
+    """The tau-rigid indecomposables, ordered by (top, length): on a cycle
+    the lengths below its size and the projective."""
     out = []
     for j in alg.vertices:
         size, top = alg._components[j][0], alg.loewy[j]

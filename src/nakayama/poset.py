@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from typing import NamedTuple
 
-from . import modcat, tautilt
+from . import counting, modcat, tautilt
 from .algebra import reject, rejection_chain, socle_vertex_of_projective
 from .errors import InvalidPoset, InvariantViolation, NotInDomain
 from .modcat import Indec, bits
@@ -61,7 +61,7 @@ class Poset:
         k, elements = len(self.elements), self.elements
         if len(self.down) != k:
             raise InvalidPoset(f"{len(self.down)} down-sets for {k} elements")
-        strict = []
+        strict, first = [], {}
         for i, mask in enumerate(self.down):
             if not isinstance(mask, int):
                 kind = type(mask).__name__
@@ -70,12 +70,10 @@ class Poset:
                 raise InvalidPoset(f"down-set of {elements[i]!r} has bits outside the elements")
             if not mask >> i & 1:
                 raise InvalidPoset(f"not reflexive at {elements[i]!r}")
-            strict.append(mask & ~(1 << i))
-        first = {}
-        for i, mask in enumerate(self.down):
             j = first.setdefault(mask, i)
             if j != i:
                 raise InvalidPoset(f"not antisymmetric: {elements[j]!r} and {elements[i]!r}")
+            strict.append(mask & ~(1 << i))
         # Visit strict[i] lowest first, skipping what lies strictly below a
         # visited element; the covers are the visited elements that lie
         # strictly below no other visited one.  Only visited elements are
@@ -122,11 +120,15 @@ def stt_poset(alg):
     for idx, pair in enumerate(pairs):
         for s in pair.module:
             contains[s] = contains.get(s, 0) | 1 << idx
-    # longer[t][l]: the pairs with a summand of top t and length > l
-    longer = {t: [0] * (alg.loewy[t] + 1) for t in alg.vertices}
+    # longer[t][l]: the pairs with a summand of top t and length > l, for l
+    # 0 or a summand length at top t, the only values _longest gives
+    longer = {t: {0: 0} for t in alg.vertices}
+    for x in contains:
+        longer[x.top][x.length] = 0
     for x, mask in contains.items():
-        for l in range(x.length):
-            longer[x.top][l] |= mask
+        for l in longer[x.top]:
+            if l < x.length:
+                longer[x.top][l] |= mask
     full = (1 << len(pairs)) - 1
     down = []
     for pair in pairs:
@@ -284,7 +286,9 @@ def hasse_by_rejection(alg, picks=None):
     pairs are summand masks over alg's own BitIndex, with supports over
     its vertex bits; a component split needs no special case.  Forced
     picks apply at every step, then the default pick.  Checked distinct,
-    checked over alg and sorted once; label-identical to hasse_direct.
+    counted against the interval DP (a pair the stages drop is caught
+    there), checked over alg and sorted once; label-identical to
+    hasse_direct.
     """
     chain = rejection_chain(alg, picks)[:-1]  # the zero algebra's one pair is masks[0]
     index = modcat.bit_index(alg)
@@ -297,6 +301,9 @@ def hasse_by_rejection(alg, picks=None):
     if len(set(masks)) < len(masks):
         twice = next(m for m, c in Counter(masks).items() if c > 1)
         raise InvariantViolation(f"lift {index.decode(twice)} appears twice over {alg!r}")
+    count = counting.dp_counts(alg)[2]
+    if len(masks) != count:
+        raise InvariantViolation(f"{len(masks)} lifts over {alg!r}, but the DP counts {count}")
     summand = index.indecs.__getitem__
     pairs = [tautilt.is_support_tau_tilting(alg, map(summand, bits(m))) for m in masks]
     if None in pairs:

@@ -127,11 +127,6 @@ def x_of_sequence(seq):
     return make_triangulation(seq.n, seq.arcs)
 
 
-def in_restricted(seq, bounds):
-    """Membership in the restricted model: terminal lengths within bounds."""
-    return all(map(le, seq.terminal_lengths, length_caps(seq.n, bounds)))
-
-
 # n -> {tuple: SeqA} in lexicographic order, filled by _all_sequences
 _SEQUENCES = {}
 
@@ -159,7 +154,7 @@ def enumerate_Z(n):
 
 
 def enumerate_Z_restricted(n, bounds):
-    """The sequences that satisfy in_restricted, in the order of
-    enumerate_Z."""
+    """The sequences with terminal lengths within bounds (the restricted
+    model), in the order of enumerate_Z."""
     caps = length_caps(n, bounds)
     return [seq for seq in _all_sequences(n).values() if all(map(le, seq.terminal_lengths, caps))]

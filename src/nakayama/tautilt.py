@@ -96,8 +96,8 @@ def compatibility_graph(alg):
     return index.graph
 
 
-def _over_components(alg, pair, modules_only=False):
-    """pair(module) for each choice of one maximal clique per component (among
+def _over_components(alg, modules_only=False):
+    """The module of each choice of one maximal clique per component (among
     the module nodes alone with modules_only), sorted; the zero algebra has one.
 
     With the killed-vertex nodes, a graph that misses an edge can still give
@@ -119,21 +119,19 @@ def _over_components(alg, pair, modules_only=False):
                 f"but the DP counts {dp_counts(c)[2]}"
             )
         parts.append(cliques)
-    pairs = [pair(tuple(sorted(itertools.chain.from_iterable(combo))))
-             for combo in itertools.product(*parts)]
-    pairs.sort(key=lambda p: p.module)
-    return pairs
+    return sorted(tuple(sorted(itertools.chain.from_iterable(combo)))
+                  for combo in itertools.product(*parts))
 
 
 def enumerate_stt(alg):
     """All basic support tau-tilting pairs, canonically ordered."""
-    return _over_components(alg, lambda module: make_pair(alg, module))
+    return [make_pair(alg, module) for module in _over_components(alg)]
 
 
 def enumerate_tau_tilt(alg):
     """All tau-tilting modules, in the order of enumerate_stt; each has n members
     by Bongartz completion (Adachi-Iyama-Reiten, Thm 2.10), and that is checked."""
-    return _over_components(alg, lambda module: SttPair(module, ()), modules_only=True)
+    return [SttPair(module, ()) for module in _over_components(alg, modules_only=True)]
 
 
 def enumerate_ps_tau_tilt(alg):

@@ -78,20 +78,25 @@ def verify_bijections(n_max):
 
 def verify_counts(n_max):
     """dp_counts against enumerated_counts on every cyclic Kupisch series with
-    entries at most n+2 and every linear one with entries at most n+1."""
+    entries at most n+2 and every linear one with entries at most n+1.  A
+    failing line names the first failing series, its shape and both triples."""
     for n in range(1, n_max + 1):
         cyclic = [("cyclic", ks, cyclic_algebra(ks)) for ks in valid_cyclic_series(n, n + 2)]
         linear = [("linear", ks, make_linear(list(ks))) for ks in valid_linear_series(n, n + 1)]
         failing = [
-            (shape, ks) for shape, ks, alg in cyclic + linear
+            (shape, ks, alg) for shape, ks, alg in cyclic + linear
             if counting.dp_counts(alg) != counting.enumerated_counts(alg)
         ]
         line, ok = _report(
             f"counts n={n}: {len(cyclic)} cyclic and {len(linear)} linear Kupisch series, "
             f"{len(cyclic) + len(linear) - len(failing)} with DP counts equal to enumerated",
-            [ks for _, ks in failing],
+            [ks for _, ks, _ in failing],
         )
-        yield (line if ok else f"{line} ({failing[0][0]})"), ok
+        if failing:
+            shape, _, alg = failing[0]
+            line += (f" ({shape}): DP {counting.dp_counts(alg)},"
+                     f" enumerated {counting.enumerated_counts(alg)}")
+        yield line, ok
 
 
 def rejection_matches_direct(alg):

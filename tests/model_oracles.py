@@ -1,8 +1,11 @@
 """Reference implementations that nakayama.geometry and nakayama.sequences
 are tested against: the crossing test by cyclic windows, the drop positions
-by a linear scan (and the sequence arcs anchored at them), the restricted
-triangulations by a DFS, the flips by a scan of every arc and the triangles
-fan by fan, with each fan's arcs re-based to offsets from its projective arc."""
+by a linear scan (and the sequence arcs anchored at them), membership in
+the restricted sequence model, the restricted triangulations by a DFS, the
+flips by a scan of every arc and the triangles fan by fan, with each fan's
+arcs re-based to offsets from its projective arc."""
+
+from operator import le
 
 from nakayama.errors import InvariantViolation
 from nakayama.geometry import (
@@ -10,7 +13,8 @@ from nakayama.geometry import (
     SignedTriangulation,
     _arc_table,
     all_arcs,
-    compatible,
+    crossing,
+    length_caps,
     make_triangulation,
 )
 
@@ -70,6 +74,11 @@ def arcs_by_scan(seq):
     return tuple(arcs)
 
 
+def in_restricted(seq, bounds):
+    """Membership in the restricted model: terminal lengths within bounds."""
+    return all(map(le, seq.terminal_lengths, length_caps(seq.n, bounds)))
+
+
 def enumerate_restricted_dfs(n, bounds):
     """Triangulations whose inner arcs with terminal j have length at most
     bounds[j], by a DFS over the admissible arcs (in all_arcs order) that
@@ -105,7 +114,7 @@ def enumerate_restricted_dfs(n, bounds):
 
 def flip_scan(sx, arc):
     """Flip of a signed triangulation at one of its arcs, by a scan of
-    every admissible arc against the rest with compatible."""
+    every admissible arc against the rest with crossing."""
     x = sx.triangulation
     n = x.n
     if arc.is_projective and (n == 1 or Arc(arc.j, arc.j) in x.arcs):
@@ -116,7 +125,7 @@ def flip_scan(sx, arc):
         for b in all_arcs(n)
         if b != arc
         and b not in rest
-        and all(compatible(b, a, n) for a in rest)
+        and not any(crossing(b, a, n) for a in rest)
     ]
     if len(replacements) != 1:
         raise InvariantViolation(

@@ -1,12 +1,12 @@
-"""Reference implementations that the component table, the arrow walk's
-composition factors and socles, the idempotent quotient's Loewy clamp, the
-components and the projective-injective closed form in nakayama.algebra,
-the Kupisch series walks in nakayama.verify, the Hom test, the pair test and
-the support masks in nakayama.modcat, the Fac order's reach test in
-nakayama.poset, and the bit-index validation and the
-maximal-clique enumeration in nakayama.tautilt are tested against.  The
-oracles find composition factors by following next_down, not through the
-algebra's component table."""
+"""Reference implementations, and the list of every indecomposable, that
+the component table, the arrow walk's composition factors and socles, the
+idempotent quotient's Loewy clamp, the components and the
+projective-injective closed form in nakayama.algebra, the Kupisch series
+walks in nakayama.verify, the Hom test, the pair test and the support masks
+in nakayama.modcat, the Fac order's reach test in nakayama.poset, and the
+bit-index validation and the maximal-clique enumeration in nakayama.tautilt
+are tested against.  The oracles find composition factors by following
+next_down, not through the algebra's component table."""
 
 import itertools
 
@@ -36,6 +36,15 @@ def linear_series_filter(n, max_entry):
     for ks in itertools.product(range(1, max_entry + 1), repeat=n):
         if ks[0] == 1 and all(ks[j] <= ks[j - 1] + 1 for j in range(1, n)):
             yield ks
+
+
+def all_indecs(alg):
+    """All indecomposables, ordered by (top, length)."""
+    return [
+        Indec(j, l)
+        for j in alg.vertices
+        for l in range(1, alg.loewy[j] + 1)
+    ]
 
 
 def component_table_oracle(alg):

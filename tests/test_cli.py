@@ -276,7 +276,7 @@ def test_verify_counts_names_the_first_failing_series(capsys, monkeypatch):
     # the cyclic series 1,2 comes first in the grid and fails as well
     assert out.splitlines()[1:] == [
         "counts n=2: 10 cyclic and 2 linear Kupisch series, 10 with DP counts equal to"
-        " enumerated; first failure: kupisch 1,2 (cyclic)",
+        " enumerated; first failure: kupisch 1,2 (cyclic): DP (0, 0, 0), enumerated (2, 3, 5)",
         "FAIL (1)",
     ]
 
@@ -483,6 +483,18 @@ def test_enumerate_of_a_huge_loewy_length_needs_no_table_of_that_length():
     small = call(["enumerate", "--cyclic", "3", "--r", "4", "--format", "json"])[1]
     assert (code, err) == (0, "")
     assert out == small.replace('"len":4', '"len":1000000000000') and len(json.loads(out)) == 20
+
+
+def test_direct_hasse_of_a_huge_loewy_length_needs_no_table_of_that_length():
+    # the Fac order's rows are keyed by the summand lengths that occur, so
+    # the quiver is that of cyclic(3,3) with length 3 read as 10^12
+    argv = ["hasse", "--cyclic", "3", "--r", "1000000000000", "--method", "direct",
+            "--format", "json"]
+    code, out, err = _nakayama_in_1gb(argv)
+    small = call(["hasse", "--cyclic", "3", "--r", "3", "--method", "direct", "--format", "json"])[1]
+    assert (code, err) == (0, "")
+    assert out.replace('"len":1000000000000', '"len":3') == small
+    assert len(json.loads(out)["vertices"]) == 20
 
 
 def test_out_of_memory_exits_2_with_one_error_line():

@@ -149,7 +149,7 @@ def test_source_projective_recurrence_general():
         ks
         for n in range(1, 6)
         for ks in valid_linear_series(n, 5)
-        if len(make_linear(list(ks)).component_vertices()) == 1
+        if len(make_linear(list(ks)).arrow_orders()) == 1
     ]
     assert len(pool) >= 20
     for ks in pool:

@@ -33,7 +33,6 @@ from nakayama.geometry import (
     Triangulation,
     all_arcs,
     arc_to_indec,
-    compatible,
     crossing,
     enumerate_restricted,
     enumerate_triangulations,
@@ -118,12 +117,12 @@ def test_triangulation_from_json_takes_an_integer_n(n):
 def test_compatible_examples():
     for j in range(1, 5):
         for k in range(1, 5):
-            assert compatible(Arc(None, j), Arc(None, k), 4)
-    assert not compatible(Arc(None, 3), Arc(2, 1), 3)
+            assert not crossing(Arc(None, j), Arc(None, k), 4)
+    assert crossing(Arc(None, 3), Arc(2, 1), 3)
     # the loop at j tolerates only the projective arc at j
     for p in range(1, 5):
         expected = p == 2
-        assert compatible(Arc(None, p), Arc(2, 2), 4) == expected
+        assert (not crossing(Arc(None, p), Arc(2, 2), 4)) == expected
 
 
 def test_crossing_matches_window_oracle():
@@ -151,7 +150,7 @@ def test_triangulation_shape():
         # maximality: no further arc is compatible with everything
         for b in all_arcs(4):
             if b not in x.arcs:
-                assert not all(compatible(b, a, 4) for a in x.arcs)
+                assert any(crossing(b, a, 4) for a in x.arcs)
 
 
 def test_specific_triangulation():
@@ -281,7 +280,7 @@ def test_compatibility_matches_pair_rigidity():
         alg = make_cyclic(n, n)
         arcs = [a for a in all_arcs(n) if a.is_projective or a.length(n) <= n]
         for a, b in itertools.combinations(arcs, 2):
-            lhs = compatible(a, b, n)
+            lhs = not crossing(a, b, n)
             rhs = pair_tau_rigid(alg, arc_to_indec(alg, a), arc_to_indec(alg, b))
             assert lhs == rhs, (a, b)
 

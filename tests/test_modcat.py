@@ -1,6 +1,7 @@
 import pytest
 from module_oracles import (
     _tau_oracle,
+    all_indecs,
     factors_oracle,
     hom_dim_oracle,
     hom_into_tau_walk,
@@ -22,7 +23,6 @@ from nakayama.errors import InvalidModule, InvariantViolation
 from nakayama.modcat import (
     Indec,
     _hom_into_tau,
-    all_indecs,
     all_tau_rigid_indecs,
     comp_factors,
     exchange,

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from module_oracles import all_indecs
 from poset_oracles import (
     Plus,
     covers_by_full_or,
@@ -51,7 +52,7 @@ from nakayama.errors import (
     NotInDomain,
     NotProjectiveInjective,
 )
-from nakayama.modcat import BitIndex, Indec, all_indecs, bit_index, bits, comp_factors
+from nakayama.modcat import BitIndex, Indec, bit_index, bits, comp_factors
 from nakayama.poset import (
     HasseQuiver,
     Poset,
@@ -762,19 +763,21 @@ def test_stage_check_agrees_with_the_full_scan_on_flipped_masks():
             verdicts[want is None] += 1
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
-def _move_first_class_1(stage, moved):
-    """classify_quotient_pairs with the first class 1 pair of the given
-    stage (counted from 1, from the zero algebra up) handed over as class
-    3; appends the stage to moved when it does so."""
+
+def _move_first(source, target, stage, moved):
+    """classify_quotient_pairs with the first pair of class source at the
+    given stage (counted from 1, from the zero algebra up) handed over as
+    class target; appends the stage to moved when it does so."""
     calls = []
 
     def classify(alg, index, j, masks):
-        n1, n2, n3 = classify_quotient_pairs(alg, index, j, masks)
+        classes = list(classify_quotient_pairs(alg, index, j, masks))
         calls.append(j)
-        if len(calls) == stage and n1:
+        if len(calls) == stage and classes[source - 1]:
             moved.append(stage)
-            return n1[1:], n2, sorted(n3 + n1[:1])
-        return n1, n2, n3
+            first = classes[source - 1].pop(0)
+            classes[target - 1] = sorted(classes[target - 1] + [first])
+        return tuple(classes)
 
     return classify
 
@@ -791,7 +794,7 @@ def test_class_1_lifted_as_class_3_raises(monkeypatch, alg):
     repeated = 0
     for stage in range(1, len(rejection_chain(alg))):
         moved = []
-        monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first_class_1(stage, moved))
+        monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first(1, 3, stage, moved))
         try:
             hasse_by_rejection(alg)
         except InvariantViolation as e:
@@ -802,10 +805,38 @@ def test_class_1_lifted_as_class_3_raises(monkeypatch, alg):
 
 
 def test_repeated_lift_names_the_module(monkeypatch):
-    monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first_class_1(3, []))
+    monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first(1, 3, 3, []))
     module = (Indec(2, 1), Indec(2, 2))
     with pytest.raises(InvariantViolation, match=re.escape(f"lift {module} appears twice")):
         hasse_by_rejection(make_cyclic(2, 2))
+
+
+def test_dropped_class_2_pair_raises(monkeypatch):
+    # a class 2 pair taken as class 1 lifts once, to a good pair, and its
+    # second lift mask | Q is never made: no stage check sees the missing
+    # copy, the vertex count against the interval DP does
+    algs = [cyclic_algebra(ks) for n in range(1, 4) for ks in valid_cyclic_series(n, 5)]
+    algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, 4)]
+    moved = []
+    for alg in algs:
+        for stage in range(1, len(rejection_chain(alg))):
+            before = len(moved)
+            monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first(2, 1, stage, moved))
+            try:
+                hasse_by_rejection(alg)
+            except InvariantViolation as e:
+                assert "but the DP counts" in str(e), (alg, stage, e)
+            else:
+                assert len(moved) == before, f"{alg!r} stage {stage}: the dropped pair went through"
+    assert len(moved) == 459
+
+
+def test_dropped_class_2_pair_names_both_counts(monkeypatch):
+    monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first(2, 1, 1, []))
+    alg = make_cyclic(4, 4)
+    message = f"lifts over {alg!r}, but the DP counts 70"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        hasse_by_rejection(alg)
 
 
 _OPTIMIZED_MISCLASSIFIED = """
@@ -817,7 +848,7 @@ if not sys.flags.optimize:
     sys.exit("not running under -O")
 real = poset.classify_quotient_pairs
 tautilt.is_support_tau_tilting = lambda alg, module: sys.exit("a bad lift passed its stage")
-for source, target in ((2, 0), (0, 2), (2, 1), (0, 1)):
+for source, target in ((2, 0), (0, 2), (2, 1), (0, 1), (1, 0)):
     def moved(alg, index, j, masks):
         classes = real(alg, index, j, masks)
         classes[target].extend(classes[source])
@@ -942,7 +973,7 @@ def test_rejection_result_is_pick_independent():
         # reject at the largest projective-injective while the algebra
         # stays connected
         picks = []
-        while not alg.is_zero() and len(alg.component_vertices()) == 1:
+        while not alg.is_zero() and len(alg.arrow_orders()) == 1:
             j = max(projective_injectives(alg))
             picks.append(j)
             alg = reject(alg, j)

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from model_oracles import arcs_by_scan
+from model_oracles import arcs_by_scan, in_restricted
 
 from nakayama import sequences
 from nakayama.errors import InvariantViolation, NotInDomain
@@ -13,7 +13,6 @@ from nakayama.sequences import (
     SeqA,
     enumerate_Z,
     enumerate_Z_restricted,
-    in_restricted,
     top_of_triangulation,
     x_of_sequence,
 )

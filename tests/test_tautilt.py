@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from module_oracles import (
+    all_indecs,
     enumerate_component_dfs,
     enumerate_tau_tilt_filter,
     is_support_tau_tilting_oracle,
@@ -30,7 +31,7 @@ from nakayama.errors import (
     NotLinear,
     NotTauTilting,
 )
-from nakayama.modcat import Indec, all_indecs, all_tau_rigid_indecs, pair_tau_rigid, support
+from nakayama.modcat import Indec, all_tau_rigid_indecs, pair_tau_rigid, support
 from nakayama.tautilt import (
     SttPair,
     drop_to_proper_part,
@@ -200,7 +201,7 @@ def test_split_partition_sizes_match_quotient_counts():
     for n in range(1, 6):
         for ks in valid_linear_series(n, 5):
             alg = make_linear(list(ks))
-            if len(alg.component_vertices()) != 1:
+            if len(alg.arrow_orders()) != 1:
                 continue
             s = alg.source_vertex()
             seen = {}
