@@ -323,11 +323,12 @@ def main(argv=None):
     except NakayamaError as e:
         return _error(e)
     except MemoryError:
-        return _error("out of memory")
+        pass  # reported below, once the handler has let go of the frames that filled memory
     except OSError as e:
         _to_devnull(sys.stdout)
         reason = "pipe closed" if isinstance(e, BrokenPipeError) else f"failed: {e}"
         return _error(f"output {reason}")
+    return _error("out of memory")
 
 
 if __name__ == "__main__":

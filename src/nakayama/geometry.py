@@ -141,17 +141,24 @@ class Triangulation(NamedTuple):
 
 
 def make_triangulation(n, arcs):
-    """The triangulation on the given arcs, in canonical order; raises
-    NotInDomain unless they are n pairwise compatible admissible arcs with
-    a projective one among them.  Each arc is checked once, by one mask
-    test against the arc table."""
-    table, index, compat = _arc_table(n)
+    """The triangulation on the given arcs, in canonical order; NotInDomain
+    unless they are n pairwise compatible admissible arcs with a projective
+    one among them, as _triangulation_on checks on their arc table mask."""
+    index = _arc_table(n)[1]
     mask = 0
     for a in arcs:
         x = index.get(a)
         if x is None:
             raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
         mask |= 1 << x
+    return _triangulation_on(n, mask)
+
+
+@lru_cache(maxsize=2048)
+def _triangulation_on(n, mask):
+    """make_triangulation on a mask of arc table positions, one mask test
+    per arc; accepted masks are kept, as all Kupisch series of n share them."""
+    table, _, compat = _arc_table(n)
     out, rest = [], mask
     while rest:
         x = (rest & -rest).bit_length() - 1

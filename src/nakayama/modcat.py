@@ -52,53 +52,45 @@ def is_projective(alg, m):
 def is_tau_rigid_indec(alg, m):
     """Projectives and everything on a linear component are tau-rigid; on a
     cyclic component only lengths below the cycle size are."""
-    check_valid(alg, m)
-    return _rigid(alg, m)
-
-
-def _rigid(alg, m):
-    """is_tau_rigid_indec for a checked module; size is the cycle size, 0 on a path."""
-    size = alg._components[m.top][0]
+    size = alg._components[check_valid(alg, m).top][0]  # 0 on a path
     return not size or m.length < size or m.length == alg.loewy[m.top]
 
 
 def pair_tau_rigid(alg, x, y):
     """Whether x + y is tau-rigid (both rigid, no Hom into the other's tau)."""
-    cache = alg.__dict__.setdefault("_pair_rigid", {})
+    cache = alg.__dict__.get("_pair_rigid") or alg.__dict__.setdefault("_pair_rigid", {})
     key = (x, y) if x <= y else (y, x)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    out = _pair_tau_rigid(alg, x, y)
-    cache[key] = out
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = _pair_tau_rigid(alg, x, y)
     return out
 
 
 def _pair_tau_rigid(alg, x, y):
-    check_valid(alg, x)
-    check_valid(alg, y)
-    return (
-        _rigid(alg, x)
-        and _rigid(alg, y)
-        and not _hom_into_tau(alg, x, y)
-        and not _hom_into_tau(alg, y, x)
-    )
-
-
-def _hom_into_tau(alg, x, y):
-    """Whether Hom(x, tau y) != 0 for checked x and y: top(x) lies at a step
-    d in [len y - len x, len y) below top(tau y) on the universal cover of
-    the arrow walk (the least lift past the lower end, on a cycle)."""
-    if y.length == alg.loewy[y.top]:
+    """pair_tau_rigid uncached: both rigid (size is the cycle size, 0 on a
+    path), and no Hom(a, tau b) either way; for b not projective it is
+    nonzero when top(a) is a step d in [len b - len a, len b) below top(tau b)
+    on the universal cover of the arrow walk (least lift past the lower end)."""
+    (top_x, len_x), (top_y, len_y) = x, y
+    loewy_x, loewy_y = alg.loewy.get(top_x, 0), alg.loewy.get(top_y, 0)
+    if not (1 <= len_x <= loewy_x and 1 <= len_y <= loewy_y):
+        check_valid(alg, x)
+        check_valid(alg, y)
+    size, walk, pos_x = alg._components[top_x]
+    size_y, walk_y, pos_y = alg._components[top_y]
+    if size and size <= len_x < loewy_x or size_y and size_y <= len_y < loewy_y:
         return False
-    size, walk, pos_x = alg._components[x.top]
-    _, walk_y, pos_y = alg._components[y.top]
     if walk is not walk_y:
-        return False
-    lo, d = max(0, y.length - x.length), pos_x - pos_y - 1
-    if size:
-        d = lo + (d - lo) % size
-    return lo <= d < y.length
+        return True
+    for a, b, d, loewy_b in ((len_x, len_y, pos_x - pos_y - 1, loewy_y),
+                             (len_y, len_x, pos_y - pos_x - 1, loewy_x)):
+        if b < loewy_b:
+            lo = b - a if b > a else 0
+            if size:
+                d = lo + (d - lo) % size
+            if lo <= d < b:
+                return False
+    return True
 
 
 def bits(mask):
@@ -134,13 +126,14 @@ def maximal_cliques(nbr, nodes, labels, size):
                     break
         todo = cand & ~nbr[pivot]
         while todo:
-            v = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
+            low = todo & -todo
+            v = low.bit_length() - 1
+            row = nbr[v]
             if v < base:
                 chosen.append(labels[v])
-            if cand & nbr[v]:
-                expand(cand & nbr[v], done & nbr[v], depth + 1)
-            elif not done & nbr[v]:
+            if cand & row:
+                expand(cand & row, done & row, depth + 1)
+            elif not done & row:
                 if depth + 1 != size:
                     raise InvariantViolation(
                         f"maximal clique on {chosen} has {depth + 1} members, not {size}"
@@ -148,8 +141,7 @@ def maximal_cliques(nbr, nodes, labels, size):
                 found.append(tuple(chosen))
             if v < base:
                 chosen.pop()
-            cand &= ~(1 << v)
-            done |= 1 << v
+            todo, cand, done = todo ^ low, cand ^ low, done | low  # todo lies in cand
 
     expand(nodes, 0, 0)
     return found
@@ -206,13 +198,16 @@ class BitIndex(dict):
     def test(self, p, mask):
         """Fill row p for the positions of mask it has not been tested
         against yet, and return compat[p]."""
-        todo = mask & ~self.tested[p]
+        row, todo = self.compat[p], mask & ~self.tested[p]
         self.tested[p] |= todo
-        x, indecs = self.indecs[p], self.indecs
-        for q in bits(todo):
-            if pair_tau_rigid(self.alg, x, indecs[q]):
-                self.compat[p] |= 1 << q
-        return self.compat[p]
+        alg, x, indecs = self.alg, self.indecs[p], self.indecs
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if pair_tau_rigid(alg, x, indecs[low.bit_length() - 1]):
+                row |= low
+        self.compat[p] = row
+        return row
 
     def encode(self, module):
         """The summand mask of module: the bits of its summands."""

@@ -123,7 +123,7 @@ def top_of_triangulation(x):
 
 def x_of_sequence(seq):
     """The triangulation with the given terminal histogram, on the arcs of
-    SeqA.arcs; make_triangulation validates it on every call."""
+    SeqA.arcs; make_triangulation looks them up on every call."""
     return make_triangulation(seq.n, seq.arcs)
 
 

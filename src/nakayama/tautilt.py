@@ -81,15 +81,13 @@ def compatibility_graph(alg):
     if index.graph is not None:
         return index.graph
     rigid = index.encode(modcat.all_tau_rigid_indecs(alg))
-    for p in modcat.bits(rigid):
-        index.test(p, rigid)
     labels, n = tuple(index.indecs), alg.n
     base, every_vertex = len(labels), (1 << n) - 1
     killable = every_vertex << base
     nbr = [0] * base + [killable & ~(1 << (base + i)) for i in range(n)]
     for p in modcat.bits(rigid):
         outside = every_vertex & ~index.supp[p]
-        nbr[p] = (index.compat[p] & rigid & ~(1 << p)) | (outside << base)
+        nbr[p] = (index.test(p, rigid) & rigid & ~(1 << p)) | (outside << base)
         for i in modcat.bits(outside):
             nbr[base + i] |= 1 << p
     index.graph = nbr, rigid | killable, labels

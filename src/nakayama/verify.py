@@ -34,25 +34,47 @@ def valid_linear_series(n, max_entry):
 def triple_bijection_holds(alg):
     """Elementwise bijections between tau-tilting pairs, restricted
     triangulations, and restricted sequences, with identity round trips."""
-    n = alg.n
-    bounds = dict(alg.loewy)
+    return bijection_difference(alg) is None
+
+
+def bijection_difference(alg):
+    """As text, the first restricted triangulation whose round trip through
+    its module or its sequence breaks, else the first whose module or
+    sequence is not enumerated, else the first module or sequence that no
+    triangulation reaches, else the three counts if they differ; None if
+    there is none."""
+    n, bounds = alg.n, dict(alg.loewy)
     tt = tautilt.enumerate_tau_tilt(alg)
     xs = geometry.enumerate_restricted(n, bounds)
     zs = sequences.enumerate_Z_restricted(n, bounds)
-    if not (len(tt) == len(xs) == len(zs)):
-        return False
-    images, seq_images = set(), set()
+    modules, seqs = {}, {}  # each image -> the first triangulation that gives it
+
+    def name(image):
+        if isinstance(image, tautilt.SttPair):
+            return f'module "{poset.pair_label(alg, image)}"'
+        return f"sequence {image}"
+
     for x in xs:
         pair = geometry.triangulation_to_tau_tilt(alg, x)
         seq = sequences.top_of_triangulation(x)
-        if (
-            geometry.tau_tilt_to_triangulation(alg, pair) != x
-            or sequences.x_of_sequence(seq) != x
-        ):
-            return False
-        images.add(pair)
-        seq_images.add(seq)
-    return images == set(tt) and seq_images == set(zs)
+        if geometry.tau_tilt_to_triangulation(alg, pair) != x:
+            return f"triangulation {x}, whose round trip through its {name(pair)} breaks"
+        if sequences.x_of_sequence(seq) != x:
+            return f"triangulation {x}, whose round trip through its {name(seq)} breaks"
+        modules.setdefault(pair, x)
+        seqs.setdefault(seq, x)
+    for enumerated, reached in ((tt, modules), (zs, seqs)):
+        if reached.keys() != set(enumerated):
+            for image, x in reached.items():
+                if image not in enumerated:
+                    return f"triangulation {x}, whose {name(image)} is not enumerated"
+            for image in enumerated:
+                if image not in reached:
+                    return f"{name(image)}, which no triangulation reaches"
+    if not len(tt) == len(xs) == len(zs):
+        return (f"the counts {len(tt)}, {len(xs)} and {len(zs)} of modules, "
+                "triangulations and sequences")
+    return None
 
 
 def _report(line, failing):
@@ -65,15 +87,19 @@ def _report(line, failing):
 
 def verify_bijections(n_max):
     """Triple-bijection bundle over every valid cyclic Kupisch series with
-    entries at most n+2.  Yields (message, ok) per polygon size."""
+    entries at most n+2.  Yields (message, ok) per polygon size; a failing
+    line names the first failing series and what bijection_difference
+    finds there."""
     for n in range(1, n_max + 1):
         series = list(valid_cyclic_series(n, n + 2))
         failing = [ks for ks in series if not triple_bijection_holds(cyclic_algebra(ks))]
-        yield _report(
+        line, ok = _report(
             f"bijections n={n}: {len(series)} cyclic Kupisch series, "
             f"{len(series) - len(failing)} in elementwise bijection",
             failing,
         )
+        where = failing and bijection_difference(cyclic_algebra(failing[0]))
+        yield (f"{line} at {where}" if where else line), ok
 
 
 def verify_counts(n_max):

@@ -2,11 +2,12 @@
 the component table, the arrow walk's composition factors and socles, the
 idempotent quotient's Loewy clamp, the components and the
 projective-injective closed form in nakayama.algebra, the Kupisch series
-walks in nakayama.verify, the Hom test, the pair test and the support masks
-in nakayama.modcat, the Fac order's reach test in nakayama.poset, and the
-bit-index validation and the maximal-clique enumeration in nakayama.tautilt
-are tested against.  The oracles find composition factors by following
-next_down, not through the algebra's component table."""
+walks in nakayama.verify, the pair test with its Hom arithmetic and the
+support masks in nakayama.modcat, the Fac order's reach test in
+nakayama.poset, and the bit-index validation and the maximal-clique
+enumeration in nakayama.tautilt are tested against.  The oracles find
+composition factors by following next_down, not through the algebra's
+component table."""
 
 import itertools
 
@@ -146,6 +147,23 @@ def hom_dim_oracle(alg, m, n):
         if fm[:t] == fn[len(fn) - t:]:
             count += 1
     return count
+
+
+def hom_into_tau_cover(alg, x, y):
+    """Whether Hom(x, tau y) != 0, by the arithmetic of the pair test in
+    nakayama.modcat on its own: top(x) lies at a step d in
+    [len y - len x, len y) below top(tau y) on the universal cover of the
+    arrow walk (the least lift past the lower end, on a cycle)."""
+    if y.length == alg.loewy[y.top]:
+        return False
+    size, walk, pos_x = alg._components[x.top]
+    _, walk_y, pos_y = alg._components[y.top]
+    if walk is not walk_y:
+        return False
+    lo, d = max(0, y.length - x.length), pos_x - pos_y - 1
+    if size:
+        d = lo + (d - lo) % size
+    return lo <= d < y.length
 
 
 def hom_into_tau_walk(alg, x, y):

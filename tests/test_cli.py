@@ -253,8 +253,46 @@ def test_triple_bijection_fails_on_a_broken_round_trip(monkeypatch):
     )
     assert list(verify.verify_bijections(1)) == [
         ("bijections n=1: 3 cyclic Kupisch series, 2 in elementwise bijection;"
-         " first failure: kupisch 2", False),
+         ' first failure: kupisch 2 at triangulation <*,1>, whose round trip through its'
+         ' module "1/1" breaks', False),
     ]
+
+
+def test_triple_bijection_failure_names_the_first_unmatched_element(monkeypatch):
+    # each line ends with what only the first failing series shows: a broken
+    # sequence round trip, an image missing from the enumeration, an element
+    # that no triangulation reaches, or counts that differ
+    from nakayama import geometry, sequences, tautilt, verify
+
+    real_top = sequences.top_of_triangulation
+    monkeypatch.setattr(sequences, "top_of_triangulation",
+                        lambda x: sequences.SeqA([0, 0, 3]) if x.n == 3 else real_top(x))
+    assert list(verify.verify_bijections(3))[-1] == (
+        "bijections n=3: 38 cyclic Kupisch series, 0 in elementwise bijection;"
+        " first failure: kupisch 1,1,1 at triangulation <*,1> <*,2> <*,3>,"
+        " whose round trip through its sequence (0,0,3) breaks", False)
+    monkeypatch.undo()
+
+    real_tau = tautilt.enumerate_tau_tilt
+    monkeypatch.setattr(tautilt, "enumerate_tau_tilt", lambda alg: real_tau(alg)[1:])
+    assert list(verify.verify_bijections(1))[0] == (
+        "bijections n=1: 3 cyclic Kupisch series, 0 in elementwise bijection;"
+        ' first failure: kupisch 1 at triangulation <*,1>, whose module "1" is not enumerated',
+        False)
+    monkeypatch.undo()
+
+    real_xs = geometry.enumerate_restricted
+    monkeypatch.setattr(geometry, "enumerate_restricted", lambda n, bounds: real_xs(n, bounds)[1:])
+    assert list(verify.verify_bijections(2))[1] == (
+        "bijections n=2: 10 cyclic Kupisch series, 0 in elementwise bijection;"
+        ' first failure: kupisch 1,1 at module "1 + 2", which no triangulation reaches', False)
+    monkeypatch.undo()
+
+    # a repeated module reaches nothing new; only the counts show it
+    monkeypatch.setattr(tautilt, "enumerate_tau_tilt", lambda alg: real_tau(alg) * 2)
+    assert list(verify.verify_bijections(1))[0] == (
+        "bijections n=1: 3 cyclic Kupisch series, 0 in elementwise bijection; first failure:"
+        " kupisch 1 at the counts 2, 1 and 1 of modules, triangulations and sequences", False)
 
 
 def test_verify_counts_names_the_first_failing_series(capsys, monkeypatch):
@@ -459,11 +497,11 @@ def test_full_device_exits_2_with_one_error_line():
     assert "No space left on device" in err
 
 
-def _nakayama_in_1gb(argv):
+def _nakayama_in_1gb(argv, cap=10 ** 9):
     """(exit code, stdout, stderr) of the CLI as a subprocess whose address
-    space is capped at 1 GB, so a runaway allocation fails at once."""
+    space is capped at 1 GB (or cap bytes), so a runaway allocation fails
+    at once."""
     resource = pytest.importorskip("resource")
-    cap = 10 ** 9
     proc = _nakayama(argv, stdout=subprocess.PIPE,
                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     out, err = proc.communicate(timeout=120)
@@ -503,6 +541,15 @@ def test_out_of_memory_exits_2_with_one_error_line():
     argv = ["translate", "--cyclic", "3", "--r", "1000000000000", "--from", "seq",
             "--to", "module", "--payload", "1,1,1"]
     assert _nakayama_in_1gb(argv) == (2, "", "error: out of memory\n")
+
+
+def test_out_of_memory_deep_in_the_rejection_chain_exits_2_with_one_error_line():
+    # the chain of cyclic(3, 10^12) has about 3·10^12 stages, so memory runs
+    # out while it is built; the error line is written only after the
+    # handler has let go of the frames that hold what filled memory (400 MB
+    # keeps the run to a few seconds)
+    argv = ["hasse", "--cyclic", "3", "--r", "1000000000000", "--trace"]
+    assert _nakayama_in_1gb(argv, cap=4 * 10 ** 8) == (2, "", "error: out of memory\n")
 
 
 def call(argv):

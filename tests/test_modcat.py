@@ -4,6 +4,7 @@ from module_oracles import (
     all_indecs,
     factors_oracle,
     hom_dim_oracle,
+    hom_into_tau_cover,
     hom_into_tau_walk,
     in_fac,
     pair_tau_rigid_oracle,
@@ -22,7 +23,6 @@ from nakayama.algebra import (
 from nakayama.errors import InvalidModule, InvariantViolation
 from nakayama.modcat import (
     Indec,
-    _hom_into_tau,
     all_tau_rigid_indecs,
     comp_factors,
     exchange,
@@ -102,7 +102,8 @@ def test_hom_agrees_with_dimension_oracle_and_intervals():
 
 
 def test_hom_dim_oracle_on_linear():
-    # Hom into tau on the universal cover against the factor-list overlap
+    # Hom into tau on the universal cover against the factor-list overlap,
+    # for the oracle copy and for the library's pair test, which inlines it
     for ks in [[1, 2, 3], [1, 2, 2, 2], [1, 2, 3, 3, 4]]:
         alg = make_linear(ks)
         ms = all_indecs(alg)
@@ -110,7 +111,8 @@ def test_hom_dim_oracle_on_linear():
             for other in ms:
                 t = _tau_oracle(alg, other)
                 want = t is not None and hom_dim_oracle(alg, m, t) > 0
-                assert _hom_into_tau(alg, m, other) == want
+                assert hom_into_tau_cover(alg, m, other) == want
+                assert pair_tau_rigid(alg, m, other) == pair_tau_rigid_oracle(alg, m, other)
 
 
 def test_hom_from_projective_cover():
@@ -120,7 +122,7 @@ def test_hom_from_projective_cover():
             p = Indec(m.top, alg.loewy[m.top])
             for other in all_indecs(alg):
                 if m.length >= other.length:
-                    assert _hom_into_tau(alg, m, other) == _hom_into_tau(alg, p, other)
+                    assert hom_into_tau_cover(alg, m, other) == hom_into_tau_cover(alg, p, other)
 
 
 def test_tau_rigid_criterion_examples():
@@ -262,7 +264,7 @@ def test_pair_test_matches_public_primitives():
         for x in ms:
             for y in ms:
                 assert pair_tau_rigid(alg, x, y) == pair_tau_rigid_oracle(alg, x, y), (alg, x, y)
-                assert _hom_into_tau(alg, x, y) == hom_into_tau_walk(alg, x, y), (alg, x, y)
+                assert hom_into_tau_cover(alg, x, y) == hom_into_tau_walk(alg, x, y), (alg, x, y)
                 count += 1
     assert (len(algs), count) == (3486, 100517)
 
@@ -290,10 +292,20 @@ def test_factors_socles_and_quotient_clamps_match_the_next_down_walk():
 
 
 def test_pair_test_checks_both_modules():
-    with pytest.raises(InvalidModule):
-        pair_tau_rigid(L33, Indec(1, 1), Indec(1, 4))
-    with pytest.raises(InvalidModule):
-        pair_tau_rigid(L33, Indec(4, 1), Indec(1, 1))
+    # on a cold and on a warm algebra, an invalid module in either place
+    # raises check_valid's error before anything is cached
+    good = Indec(1, 1)
+    for warm in (False, True):
+        alg = make_cyclic(3, 3)
+        if warm:
+            pair_tau_rigid(alg, good, Indec(2, 2))
+        before = dict(alg.__dict__.get("_pair_rigid", {}))
+        for bad, message in ((Indec(1, 4), "length 4 not in"), (Indec(1, 0), "length 0 not in"),
+                             (Indec(4, 1), "top 4 is not a vertex")):
+            for x, y in ((bad, good), (good, bad)):
+                with pytest.raises(InvalidModule, match=message):
+                    pair_tau_rigid(alg, x, y)
+                assert alg.__dict__.get("_pair_rigid", {}) == before
 
 
 # the square a-b-c-d-a: its maximal cliques are its four sides

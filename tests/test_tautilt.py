@@ -372,6 +372,25 @@ def test_bit_index_matches_pairwise_oracle(alg):
             assert support(filling, module) == support_oracle(alg, module)
 
 
+def test_cold_compatibility_graph_asks_every_ordered_pair_once(monkeypatch):
+    # the benchmark counts pair_tau_rigid calls and cache hits: on a cold
+    # cyclic(4,4) the graph asks each of the r^2 ordered pairs of its r = 16
+    # tau-rigid indecomposables once, and the cache keeps one entry per
+    # unordered pair, r(r+1)/2 of them
+    calls, real = [], modcat.pair_tau_rigid
+
+    def counted(alg, x, y):
+        calls.append((x, y))
+        return real(alg, x, y)
+
+    monkeypatch.setattr(modcat, "pair_tau_rigid", counted)
+    alg = make_cyclic(4, 4)
+    rigid = all_tau_rigid_indecs(alg)
+    tautilt.compatibility_graph(alg)
+    assert (len(rigid), len(calls), len(alg.__dict__["_pair_rigid"])) == (16, 256, 136)
+    assert sorted(calls) == sorted(itertools.product(rigid, rigid))
+
+
 def test_cold_support_check_asks_for_each_unordered_pair_once(monkeypatch):
     # every tau-rigid part of a support tau-tilting module: k distinct
     # summands make k(k+1)/2 pair tests on a cold index, none of them a
