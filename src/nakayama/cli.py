@@ -112,20 +112,25 @@ def cmd_hasse(args, out):
     alg = _algebra_from_args(args)
     if args.picks is not None and args.method == "direct" and not args.trace:
         raise NakayamaError("--picks needs --method rejection or both, or --trace")
-    if args.trace:
-        for step, (a, j) in enumerate(rejection_chain(alg, picks=args.picks)):
+    picks = args.picks
+    if args.trace:  # the rejection route then runs the chain it lists
+        chain = rejection_chain(alg, picks=picks)
+        for step, (a, j) in enumerate(chain):
             ks = ",".join(f"{v}:{a.loewy[v]}" for v in a.vertices) or "-"
             tail = f" reject {j}" if j is not None else ""
             out.write(f"step {step}: kupisch {ks}{tail}\n")
+        picks = [j for _, j in chain[:-1]]
     if args.method == "direct":
         h = poset.hasse_direct(alg)
     elif args.method == "rejection":
-        h = poset.hasse_by_rejection(alg, picks=args.picks)
+        h = poset.hasse_by_rejection(alg, picks=picks)
     else:
+        from . import verify
+
         h = poset.hasse_direct(alg)
-        h2 = poset.hasse_by_rejection(alg, picks=args.picks)
-        if h != h2:
-            sys.stderr.write("hasse mismatch between direct and rejection\n")
+        difference = verify.rejection_difference(alg, h, poset.hasse_by_rejection(alg, picks=picks))
+        if difference:
+            sys.stderr.write(f"hasse mismatch between direct and rejection: {difference}\n")
             return 1
     if args.format == "json":
         out.write(poset.hasse_json(h) + "\n")

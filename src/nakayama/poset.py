@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import counting, modcat, tautilt
-from .algebra import reject, rejection_chain, socle_vertex_of_projective
+from .algebra import NakayamaAlgebra, reject, rejection_chain, socle_vertex_of_projective
 from .errors import InvalidPoset, InvariantViolation, NotInDomain
 from .modcat import Indec, bits
 
@@ -289,8 +289,17 @@ def hasse_by_rejection(alg, picks=None):
     counted against the interval DP (a pair the stages drop is caught
     there), checked over alg and sorted once; label-identical to
     hasse_direct.
+
+    Without picks the chain is that of the reduced algebra, each Loewy
+    length on a cycle of m vertices clamped to m: rejecting a projective
+    longer than its cycle keeps the poset (rejection_isomorphism), and the
+    reduced algebra is a quotient of alg, so its pairs are masks over the
+    same index once each clamped projective (j, m) is renamed (j, loewy[j]).
     """
-    chain = rejection_chain(alg, picks)[:-1]  # the zero algebra's one pair is masks[0]
+    clamped = {} if picks else {j: alg.component_size(j) for j in alg.vertices
+                                if alg.component_is_cyclic(j) and alg.loewy[j] > alg.component_size(j)}
+    top = NakayamaAlgebra(alg.vertices, alg.next_down, {**alg.loewy, **clamped}) if clamped else alg
+    chain = rejection_chain(top, picks)[:-1]  # the zero algebra's one pair is masks[0]
     index = modcat.bit_index(alg)
     masks, supports, into = [0], [0], [[]]
     while chain:
@@ -298,6 +307,9 @@ def hasse_by_rejection(alg, picks=None):
         n2, lifts, supports = lift_through_rejection(a, index, j, masks, supports)
         into = double_hasse(into, len(masks), n2)
         masks = lifts
+    for j, m in clamped.items():
+        swap = 1 << index[Indec(j, m)] | 1 << index[Indec(j, alg.loewy[j])]
+        masks = [mask ^ swap if mask & swap else mask for mask in masks]
     if len(set(masks)) < len(masks):
         twice = next(m for m, c in Counter(masks).items() if c > 1)
         raise InvariantViolation(f"lift {index.decode(twice)} appears twice over {alg!r}")

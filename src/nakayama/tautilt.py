@@ -12,11 +12,10 @@ compatibility graph on tau-rigid indecomposables and killed vertices.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from . import modcat
-from .algebra import components, quotient_by_idempotent
+from .algebra import quotient_by_idempotent
 from .errors import InvariantViolation, NotCyclicConnected, NotInDomain, NotTauTilting
 from .modcat import Indec
 
@@ -94,42 +93,36 @@ def compatibility_graph(alg):
     return index.graph
 
 
-def _over_components(alg, modules_only=False):
-    """The module of each choice of one maximal clique per component (among
-    the module nodes alone with modules_only), sorted; the zero algebra has one.
-
-    With the killed-vertex nodes, a graph that misses an edge can still give
-    cliques of n members, so each component's clique count is checked
-    against the interval DP's count of its support tau-tilting pairs;
-    InvariantViolation if they differ.
-    """
+def _clique_modules(alg, modules_only=False):
+    """The module of each maximal clique of the algebra's compatibility
+    graph (among the module nodes alone with modules_only), sorted; the
+    zero algebra has one.  A graph that misses or gains an edge can still
+    give cliques of n members, so their count must equal the interval DP's
+    count of the pairs (of the tau-tilting modules with modules_only);
+    InvariantViolation if not."""
     from .counting import dp_counts  # counting imports this module
 
-    parts = []
-    for c in components(alg):
-        nbr, nodes, labels = compatibility_graph(c)
-        if modules_only:
-            nodes &= (1 << len(labels)) - 1
-        cliques = modcat.maximal_cliques(nbr, nodes, labels, c.n)
-        if not modules_only and len(cliques) != dp_counts(c)[2]:
-            raise InvariantViolation(
-                f"component {c!r} has {len(cliques)} maximal cliques, "
-                f"but the DP counts {dp_counts(c)[2]}"
-            )
-        parts.append(cliques)
-    return sorted(tuple(sorted(itertools.chain.from_iterable(combo)))
-                  for combo in itertools.product(*parts))
+    nbr, nodes, labels = compatibility_graph(alg)
+    if modules_only:
+        nodes &= (1 << len(labels)) - 1
+    cliques = modcat.maximal_cliques(nbr, nodes, labels, alg.n) if nodes else [()]
+    count = dp_counts(alg)[0 if modules_only else 2]
+    if len(cliques) != count:
+        raise InvariantViolation(
+            f"{alg!r} has {len(cliques)} maximal cliques, but the DP counts {count}"
+        )
+    return sorted(tuple(sorted(clique)) for clique in cliques)
 
 
 def enumerate_stt(alg):
     """All basic support tau-tilting pairs, canonically ordered."""
-    return [make_pair(alg, module) for module in _over_components(alg)]
+    return [make_pair(alg, module) for module in _clique_modules(alg)]
 
 
 def enumerate_tau_tilt(alg):
     """All tau-tilting modules, in the order of enumerate_stt; each has n members
     by Bongartz completion (Adachi-Iyama-Reiten, Thm 2.10), and that is checked."""
-    return [SttPair(module, ()) for module in _over_components(alg, modules_only=True)]
+    return [SttPair(module, ()) for module in _clique_modules(alg, modules_only=True)]
 
 
 def enumerate_ps_tau_tilt(alg):

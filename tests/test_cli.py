@@ -147,7 +147,9 @@ def test_hasse_both_exits_1_on_a_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(poset, "hasse_by_rejection", one_arrow_short)
     code = main(["hasse", "--cyclic", "3", "--r", "3", "--method", "both"])
     out, err = capsys.readouterr()
-    assert (code, out, err) == (1, "", "hasse mismatch between direct and rejection\n")
+    assert (code, out) == (1, "")
+    assert err == ('hasse mismatch between direct and rejection: arrow "1 [2,3]" -> "0 [1,2,3]"'
+                   " in the direct quiver only\n")
 
 
 def test_verify_tables_exit_code(capsys):
@@ -199,13 +201,20 @@ def test_verify_failure_names_the_first_failing_algebra(capsys, monkeypatch):
         "FAIL (1)",
     ]
 
-    def wrong(alg):
-        return alg.loewy not in ({1: 2, 2: 2}, {1: 1, 2: 2, 3: 2}, {1: 1, 2: 2, 3: 3})
+    from nakayama import poset
 
-    monkeypatch.setattr(verify, "rejection_matches_direct", wrong)
+    real_rejection = poset.hasse_by_rejection
+
+    def wrong(alg, picks=None):
+        quiver = real_rejection(alg, picks=picks)
+        if alg.loewy not in ({1: 2, 2: 2}, {1: 1, 2: 2, 3: 2}, {1: 1, 2: 2, 3: 3}):
+            return quiver
+        return quiver._replace(arrows=quiver.arrows[1:])
+
+    monkeypatch.setattr(poset, "hasse_by_rejection", wrong)
     code, out = run(capsys, "verify", "--rejection", "3", "3")
     assert code == 1
-    failed = [line for line in out.splitlines() if "first failure" in line]
+    failed = [line.split(" at arrow ")[0] for line in out.splitlines() if "first failure" in line]
     assert failed == [
         "rejection cyclic n=2, r<=3: label-exact equality; first failure: kupisch 2,2",
         "rejection linear n=3, entries<=3: label-exact equality; first failure: kupisch 1,2,2",
@@ -234,6 +243,19 @@ def test_verify_rejection_names_the_first_differing_arrow(capsys, monkeypatch):
         "rejection cyclic n=1, r<=1: label-exact equality; first failure: kupisch 1"
         f' at arrow "{a}" -> "{b}" in the direct quiver only'
     )
+
+
+def test_rejection_difference_is_none_only_for_equal_quivers():
+    # an arrow listed twice leaves the label sets equal
+    from nakayama import poset, verify
+    from nakayama.algebra import make_cyclic
+
+    alg = make_cyclic(2, 2)
+    quiver = poset.hasse_direct(alg)
+    assert verify.rejection_difference(alg, quiver, quiver) is None
+    twice = quiver._replace(arrows=quiver.arrows[:1] + quiver.arrows)
+    assert verify.rejection_difference(alg, quiver, twice) == "an arrow that one quiver repeats"
+
 
 def test_triple_bijection_fails_on_a_count_mismatch(monkeypatch):
     from nakayama import geometry, verify
@@ -533,6 +555,17 @@ def test_direct_hasse_of_a_huge_loewy_length_needs_no_table_of_that_length():
     assert (code, err) == (0, "")
     assert out.replace('"len":1000000000000', '"len":3') == small
     assert len(json.loads(out)["vertices"]) == 20
+
+
+def test_rejection_hasse_of_a_huge_loewy_length_runs_on_the_reduced_chain():
+    # the chain of cyclic(3, 10^12) has about 3·10^12 stages; that of its
+    # reduction cyclic(3,3) has 10, and both routes give the same quiver
+    argv = ["hasse", "--cyclic", "3", "--r", "1000000000000", "--method", "both",
+            "--format", "json"]
+    code, out, err = _nakayama_in_1gb(argv)
+    small = call(["hasse", "--cyclic", "3", "--r", "3", "--method", "both", "--format", "json"])[1]
+    assert (code, err) == (0, "")
+    assert out.replace('"len":1000000000000', '"len":3') == small
 
 
 def test_out_of_memory_exits_2_with_one_error_line():

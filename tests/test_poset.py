@@ -782,6 +782,12 @@ def _move_first(source, target, stage, moved):
     return classify
 
 
+def _input_picks(alg):
+    """The picks of alg's own default rejection chain: forced, they keep
+    hasse_by_rejection on every stage of it, clamped ones included."""
+    return [j for _, j in rejection_chain(alg)[:-1]]
+
+
 @pytest.mark.parametrize(
     "alg",
     [make_cyclic(2, 2), make_cyclic(2, 3), make_cyclic(3, 2), L33, make_linear([1, 2, 3])],
@@ -791,12 +797,12 @@ def test_class_1_lifted_as_class_3_raises(monkeypatch, alg):
     # a class 1 pair lifted as M | R | Q can be a good pair, equal to the
     # class 2 copy of another: no stage check and not the final check over
     # alg sees it, so hasse_by_rejection checks that its lifts are distinct
-    repeated = 0
-    for stage in range(1, len(rejection_chain(alg))):
+    repeated, picks = 0, _input_picks(alg)
+    for stage in range(1, len(picks) + 1):
         moved = []
         monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first(1, 3, stage, moved))
         try:
-            hasse_by_rejection(alg)
+            hasse_by_rejection(alg, picks=picks)
         except InvariantViolation as e:
             repeated += "appears twice" in str(e)
         else:
@@ -819,11 +825,12 @@ def test_dropped_class_2_pair_raises(monkeypatch):
     algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, 4)]
     moved = []
     for alg in algs:
-        for stage in range(1, len(rejection_chain(alg))):
+        picks = _input_picks(alg)
+        for stage in range(1, len(picks) + 1):
             before = len(moved)
             monkeypatch.setattr(poset, "classify_quotient_pairs", _move_first(2, 1, stage, moved))
             try:
-                hasse_by_rejection(alg)
+                hasse_by_rejection(alg, picks=picks)
             except InvariantViolation as e:
                 assert "but the DP counts" in str(e), (alg, stage, e)
             else:
@@ -949,6 +956,19 @@ def test_rejection_on_mixed_cyclic_series():
     for series in ((2, 3, 3), (3, 4, 4), (2, 2, 3, 3), (4, 5, 5, 5), (3, 4, 4, 4, 4)):
         alg = cyclic_algebra(series)
         assert hasse_by_rejection(alg) == hasse_direct(alg)
+
+
+def test_rejection_on_the_reduced_algebra_matches_direct(monkeypatch):
+    # without picks the chain starts at the algebra with each Loewy length
+    # clamped to its cycle size; the clamped projectives are renamed after
+    algs = [cyclic_algebra(ks) for n in range(1, 5) for ks in valid_cyclic_series(n, n + 4)]
+    assert len(algs) == 301
+    assert sum(max(alg.loewy.values()) > alg.n for alg in algs) == 196
+    tops, real = [], poset.rejection_chain
+    monkeypatch.setattr(poset, "rejection_chain", lambda a, picks: tops.append(a) or real(a, picks))
+    for alg in algs:
+        assert hasse_by_rejection(alg) == hasse_direct(alg), alg
+    assert len(tops) == 301 and all(max(a.loewy.values()) <= a.n for a in tops)
 
 
 def test_rejection_matches_direct_at_scale():

@@ -492,6 +492,39 @@ def test_tau_tilt_search_raises_on_a_missing_edge():
         enumerate_stt(alg)
 
 
+def _toggle_edge(alg, x, y):
+    """Add the edge x -- y to the algebra's cached graph, or remove it."""
+    nbr, _, labels = tautilt.compatibility_graph(alg)
+    p, q = labels.index(x), labels.index(y)
+    nbr[p] ^= 1 << q
+    nbr[q] ^= 1 << p
+
+
+def test_tau_tilt_search_raises_on_a_spurious_edge():
+    # S1 + S2 is not tau-rigid over cyclic(2,2); with the edge S1 -- S2 it
+    # is a maximal clique of two module nodes, so every clique has n
+    # members and only the count against the DP shows the extra module
+    alg = make_cyclic(2, 2)
+    _toggle_edge(alg, Indec(1, 1), Indec(2, 1))
+    with pytest.raises(InvariantViolation, match="has 4 maximal cliques, but the DP counts 3"):
+        enumerate_tau_tilt(alg)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (Indec(1, 1), Indec(2, 2), "has 20 maximal cliques, but the DP counts 25"),
+    (Indec(1, 1), Indec(2, 1), "has 5 members, not 4"),
+    (Indec(4, 1), Indec(5, 2), "has 20 maximal cliques, but the DP counts 25"),
+    (Indec(4, 1), Indec(5, 1), "has 5 members, not 4"),
+], ids=["removed in {1,2}", "spurious in {1,2}", "removed in {4,5}", "spurious in {4,5}"])
+def test_enumeration_of_two_components_raises_on_a_wrong_edge_in_either(x, y, message):
+    # linear 1..5 without vertex 3 is linear A2 twice; a wrong module --
+    # module edge inside one component is caught on the whole graph
+    alg = quotient_by_idempotent(make_linear([1, 2, 3, 4, 5]), {3})
+    _toggle_edge(alg, x, y)
+    with pytest.raises(InvariantViolation, match=message):
+        enumerate_stt(alg)
+
+
 def test_invalid_summand_wins_over_non_rigid_pair():
     # (1,1) + (2,1) is not tau-rigid; the invalid summand is reported
     # wherever it sorts, on a cold index and on one that has seen the pair
