@@ -154,21 +154,15 @@ class NakayamaAlgebra:
         path, ordered by least label."""
         return sorted({walk for _, walk, _ in self._components.values()}, key=min)
 
-    def component_is_cyclic(self, j):
-        """True if j lies on a full cycle of arrows of the Gabriel quiver."""
-        return self._components[j][0] > 0
-
-    def component_size(self, j):
-        return len(self._components[j][1])
-
     def source_vertex(self):
         """The arrow-free end of a connected linear algebra (its unique
         source)."""
         if len(self.arrow_orders()) != 1:
             raise NotLinear("algebra is not connected")
-        if self.component_is_cyclic(self.vertices[0]):
+        size, walk, _ = self._components[self.vertices[0]]
+        if size:
             raise NotLinear("component is a cycle")
-        return self._components[self.vertices[0]][1][0]
+        return walk[0]
 
 
 def standard_arrows(n, cyclic):
@@ -213,11 +207,18 @@ def make_gamma(n, r):
 
 
 def socle_vertex_of_projective(alg, j):
-    """The last composition factor of P_j."""
-    fs = alg.factors(j, alg.loewy[j])
-    if len(fs) < alg.loewy[j]:
+    """The last composition factor of P_j, read off the arrow walk."""
+    size, walk, pos = alg._components[j]
+    end = pos + alg.loewy[j] - 1
+    if not size and end >= len(walk):
         raise InvariantViolation(f"P_{j} runs off the quiver before its socle")
-    return fs[-1]
+    return walk[end % size if size else end]
+
+
+def clamps(alg):
+    """The reduction rule: j -> m for each j whose P_j is longer than the
+    cycle of m vertices through j."""
+    return {j: size for j, (size, _, _) in alg._components.items() if 0 < size < alg.loewy[j]}
 
 
 def projective_injectives(alg):
@@ -245,8 +246,8 @@ def quotient_by_idempotent(alg, killed):
     }
     loewy = {}
     for v in survivors:
-        fs = alg.factors(v, alg.loewy[v])
-        loewy[v] = next((i for i, w in enumerate(fs) if w in killed), len(fs))
+        fs = alg.factors(v, min(alg.loewy[v], alg.n))
+        loewy[v] = next((i for i, w in enumerate(fs) if w in killed), alg.loewy[v])
     return NakayamaAlgebra(survivors, next_down, loewy)
 
 

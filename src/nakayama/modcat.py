@@ -184,9 +184,8 @@ class BitIndex(dict):
         self._vertex_tuples = {}
 
     def __missing__(self, m):
-        size, walk, _ = self.alg._components[check_valid(self.alg, m).top]
-        supp = 0  # a module at least a cycle long has the whole cycle as support
-        for v in walk if size and m.length >= size else self.alg.factors(*m):
+        supp = 0  # one turn of the walk holds every factor
+        for v in self.alg.factors(check_valid(self.alg, m).top, min(m.length, self.alg.n)):
             supp |= self.vertex_bit[v]
         p = self[m] = len(self.indecs)
         self.indecs.append(m)
@@ -261,11 +260,10 @@ def support(alg, module):
 
 
 def all_tau_rigid_indecs(alg):
-    """The tau-rigid indecomposables, ordered by (top, length): on a cycle
-    the lengths below its size and the projective."""
+    """The tau-rigid indecomposables, ordered by (top, length): the
+    non-projectives, on a cycle those shorter than it, and the projective."""
     out = []
     for j in alg.vertices:
         size, top = alg._components[j][0], alg.loewy[j]
-        short = min(size - 1, top) if size else top
-        out += [Indec(j, l) for l in range(1, short + 1)] + [Indec(j, top)] * (short < top)
+        out += [Indec(j, l) for l in range(1, min(top, size or top))] + [Indec(j, top)]
     return out

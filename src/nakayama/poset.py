@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import counting, modcat, tautilt
-from .algebra import NakayamaAlgebra, reject, rejection_chain, socle_vertex_of_projective
+from .algebra import NakayamaAlgebra, clamps, reject, rejection_chain, socle_vertex_of_projective
 from .errors import InvalidPoset, InvariantViolation, NotInDomain
 from .modcat import Indec, bits
 
@@ -291,13 +291,12 @@ def hasse_by_rejection(alg, picks=None):
     hasse_direct.
 
     Without picks the chain is that of the reduced algebra, each Loewy
-    length on a cycle of m vertices clamped to m: rejecting a projective
+    length replaced by its entry of clamps(alg): rejecting a projective
     longer than its cycle keeps the poset (rejection_isomorphism), and the
     reduced algebra is a quotient of alg, so its pairs are masks over the
     same index once each clamped projective (j, m) is renamed (j, loewy[j]).
     """
-    clamped = {} if picks else {j: alg.component_size(j) for j in alg.vertices
-                                if alg.component_is_cyclic(j) and alg.loewy[j] > alg.component_size(j)}
+    clamped = {} if picks else clamps(alg)
     top = NakayamaAlgebra(alg.vertices, alg.next_down, {**alg.loewy, **clamped}) if clamped else alg
     chain = rejection_chain(top, picks)[:-1]  # the zero algebra's one pair is masks[0]
     index = modcat.bit_index(alg)
@@ -335,8 +334,7 @@ def rejection_isomorphism(alg, j):
     NotInDomain for any other j; InvalidPoset if the map is not a
     bijection or does not carry each down-set onto its image's.
     """
-    on_cycle = j in alg.loewy and alg.component_is_cyclic(j)
-    if not on_cycle or alg.loewy[j] <= alg.component_size(j):
+    if j not in clamps(alg):
         raise NotInDomain(f"P_{j} is not longer than a cycle through {j} over {alg!r}")
     source, target = stt_poset(alg), stt_poset(reject(alg, j))
     p, r = Indec(j, alg.loewy[j]), Indec(j, alg.loewy[j] - 1)

@@ -7,8 +7,8 @@ membership test per summand, the doubling done on the order itself and
 by a scan of every arrow, the stage check on every lift and every index
 position), the neighbours of a pair by a scan of every pair, the JSON and
 DOT renderings built one pair at a time through json.dumps and the
-per-pair label, and the order and quiver queries, in-arrow tables and
-copy labels that only the tests use."""
+per-pair label, and the order and quiver queries, in-arrow tables,
+copy labels and rotation certificate that only the tests use."""
 
 import json
 from typing import Any, NamedTuple
@@ -18,6 +18,7 @@ from module_oracles import factors_oracle, in_fac
 from nakayama.errors import InvalidPoset, InvariantViolation
 from nakayama.modcat import Indec, bits, pair_tau_rigid
 from nakayama.poset import HasseQuiver, Poset, classify_quotient_pairs, double_hasse
+from nakayama.tautilt import SttPair
 
 
 class Plus(NamedTuple):
@@ -56,6 +57,30 @@ def same_labelled_graph(q1, q2):
         and len(q1.vertices) == len(q2.vertices)
         and labelled_arrows(q1) == labelled_arrows(q2)
     )
+
+
+def rotation_difference(quiver, n):
+    """None if the rotation i -> i mod n + 1 of the vertex labels 1..n maps
+    the vertices of a quiver of pairs bijectively onto themselves and
+    every arrow onto an arrow, as on the Hasse quiver of cyclic(n, r);
+    else the first vertex or arrow that it does not map so."""
+    def turn(pair):
+        return SttPair(tuple(sorted(Indec(t % n + 1, l) for t, l in pair.module)),
+                       tuple(sorted(v % n + 1 for v in pair.killed)))
+
+    where = {pair: i for i, pair in enumerate(quiver.vertices)}
+    if len(where) != len(quiver.vertices):
+        return "a vertex appears twice"
+    image = []
+    for pair in quiver.vertices:
+        if turn(pair) not in where:
+            return f"vertex {pair} turns to {turn(pair)}, not a vertex"
+        image.append(where[turn(pair)])
+    arrows = set(quiver.arrows)
+    for a, b in quiver.arrows:
+        if (image[a], image[b]) not in arrows:
+            return f"arrow {quiver.vertices[a]} -> {quiver.vertices[b]} turns to no arrow"
+    return None
 
 
 def double_poset(poset, chosen):

@@ -1,5 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from nakayama.algebra import (
     NakayamaAlgebra,
     algebra_from_json,
     algebra_to_json,
+    clamps,
     components,
     make_cyclic,
     make_gamma,
@@ -164,7 +170,7 @@ def test_rejection_chain_with_explicit_picks():
     assert chain[3][0].loewy == {1: 3, 2: 3, 3: 3}
     a7 = chain[6][0]
     assert a7.loewy == {1: 1, 2: 2, 3: 3}
-    assert not a7.component_is_cyclic(1)
+    assert not a7._components[1][0]  # a path: no cycle size
     # the eighth step rejects a projective of Loewy length 2
     a8, j8 = chain[7]
     assert a8.loewy[j8] == 2
@@ -215,8 +221,9 @@ def _assert_components_match_oracle(a):
     comps = sorted({c for c, _ in oracle.values()})
     assert [tuple(sorted(walk)) for walk in a.arrow_orders()] == comps, a
     for v in a.vertices:
-        assert a.component_is_cyclic(v) == oracle[v][1], (a, v)
-        assert a.component_size(v) == len(oracle[v][0]), (a, v)
+        size, walk, _ = a._components[v]
+        assert (size > 0) == oracle[v][1], (a, v)
+        assert len(walk) == len(oracle[v][0]), (a, v)
 
 
 def test_component_table_matches_two_way_search():
@@ -230,6 +237,70 @@ def test_component_table_matches_two_way_search():
     assert len(chain) == 21
     for a, _ in chain:
         _assert_components_match_oracle(a)
+
+
+def test_clamps_are_the_vertices_on_a_cycle_shorter_than_their_projective():
+    algs = [cyclic_algebra(ks) for n in range(1, 5) for ks in valid_cyclic_series(n, n + 4)]
+    algs += [make_linear(list(ks)) for n in range(1, 5) for ks in valid_linear_series(n, n)]
+    for a in algs:
+        oracle = component_table_oracle(a)
+        expected = {v: len(comp) for v, (comp, cycle) in oracle.items()
+                    if cycle and a.loewy[v] > len(comp)}
+        assert clamps(a) == expected, a
+    assert sum(map(bool, map(clamps, algs))) == 196
+
+
+def _python_in_1gb(source):
+    """(exit code, stdout, stderr) of python running source on this
+    checkout's src/, its address space capped at 1 GB, so a runaway
+    allocation fails at once."""
+    resource = pytest.importorskip("resource")
+    source = textwrap.dedent(source)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cap = 10 ** 9
+    proc = subprocess.run(
+        [sys.executable, "-c", source], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_quotient_of_a_huge_loewy_length_reads_one_turn_of_the_walk():
+    source = """
+        from nakayama.algebra import make_cyclic, quotient_by_idempotent
+        big, small = make_cyclic(3, 10 ** 12), make_cyclic(3, 4)
+        print(quotient_by_idempotent(big, {1}) == quotient_by_idempotent(small, {1}))
+    """
+    assert _python_in_1gb(source) == (0, "True\n", "")
+
+
+def test_socle_of_a_huge_projective_is_read_off_the_walk():
+    # 10^12 and 4 leave the same remainder mod 3
+    source = """
+        from nakayama.algebra import make_cyclic, socle_vertex_of_projective
+        big, small = make_cyclic(3, 10 ** 12), make_cyclic(3, 4)
+        print([socle_vertex_of_projective(big, j) for j in big.vertices]
+              == [socle_vertex_of_projective(small, j) for j in small.vertices])
+    """
+    assert _python_in_1gb(source) == (0, "True\n", "")
+
+
+def test_components_and_counts_of_a_huge_cycle_beside_a_path():
+    # cyclic(3, 10^12) has 10 tau-tilting modules and 20 pairs, linear 1,2
+    # has 2 and 5; splitting the algebra cuts each projective at one turn
+    source = """
+        from nakayama.algebra import NakayamaAlgebra, components, make_cyclic
+        from nakayama.counting import dp_counts, enumerated_counts
+        big = 10 ** 12
+        loewy = {1: big, 2: big, 3: big, 4: 1, 5: 2}
+        alg = NakayamaAlgebra(range(1, 6), {1: 3, 2: 1, 3: 2, 5: 4}, loewy)
+        path = NakayamaAlgebra([4, 5], {5: 4}, {4: 1, 5: 2})
+        print(components(alg) == [make_cyclic(3, big), path])
+        print(enumerated_counts(alg), dp_counts(alg))
+    """
+    assert _python_in_1gb(source) == (0, "True\n(20, 80, 100) (20, 80, 100)\n", "")
 
 
 def test_components_are_the_hand_built_sub_algebras():
@@ -361,7 +432,7 @@ def test_algebra_invariants_raise(monkeypatch):
     a = make_linear([1, 2, 3])
     assert a.source_vertex() == 3
     b = make_cyclic(3, 3)
-    monkeypatch.setattr(b, "factors", lambda j, length: (j,))  # P_1 stops at its top
+    monkeypatch.setitem(b.__dict__, "_components", {1: (0, (1,), 0)})  # P_1 stops at its top
     with pytest.raises(InvariantViolation, match="socle"):
         socle_vertex_of_projective(b, 1)
     monkeypatch.setattr(algebra, "quotient_by_idempotent", lambda alg, killed: alg)

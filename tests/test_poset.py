@@ -29,6 +29,7 @@ from poset_oracles import (
     mutations_scan,
     pair_label_one,
     pairs_json_dumps,
+    rotation_difference,
     same_labelled_graph,
     transitive_reduction,
 )
@@ -37,6 +38,7 @@ from nakayama import algebra, poset, tautilt
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
+    clamps,
     make_cyclic,
     make_linear,
     projective_injectives,
@@ -988,6 +990,27 @@ def test_rejection_matches_direct_at_seven():
     assert hasse_by_rejection(alg) == h
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_hasse_quiver_of_cyclic_is_invariant_under_rotation(n):
+    # i -> i mod n + 1 is an automorphism of cyclic(n, r); r = n + 1 takes
+    # the clamped rejection route
+    for r in (n, n + 1):
+        alg = make_cyclic(n, r)
+        for quiver in (hasse_direct(alg), hasse_by_rejection(alg)):
+            assert rotation_difference(quiver, n) is None, (n, r)
+
+
+def test_rotation_certificate_catches_a_removed_or_reversed_arrow():
+    for alg in (make_cyclic(3, 4), make_cyclic(4, 4)):
+        quiver = hasse_by_rejection(alg)
+        assert rotation_difference(quiver, alg.n) is None
+        for i, (a, b) in enumerate(quiver.arrows):
+            rest = quiver.arrows[:i] + quiver.arrows[i + 1:]
+            assert rotation_difference(quiver._replace(arrows=rest), alg.n), (alg, a, b)
+            reversed_one = quiver._replace(arrows=rest + ((b, a),))
+            assert rotation_difference(reversed_one, alg.n), (alg, a, b)
+
+
 def test_rejection_result_is_pick_independent():
     def largest_picks(alg):
         # reject at the largest projective-injective while the algebra
@@ -1044,6 +1067,35 @@ def test_rejection_isomorphism_on_the_cyclic_grid():
             assert image.killed == pair.killed
             swapped = {r if s == p else s for s in pair.module}
             assert set(image.module) == swapped and len(image.module) == len(pair.module)
+
+
+def test_rejection_isomorphism_unit_by_unit_reaches_the_reduced_algebra():
+    # reject one unit at a time at the least clamped projective-injective:
+    # the step maps compose to a bijection onto the pairs of the reduced
+    # algebra, renaming each clamped projective (j, loewy[j]) to (j, m),
+    # from exactly the vertices of the rejection route's quiver
+    algs = [a for n in range(1, 4) for ks in valid_cyclic_series(n, n + 4)
+            if clamps(a := cyclic_algebra(ks))]
+    steps = 0
+    for alg in algs:
+        stage, composite = alg, {pair: pair for pair in enumerate_stt(alg)}
+        while clamps(stage):
+            j = min(clamps(stage).keys() & projective_injectives(stage))
+            step = rejection_isomorphism(stage, j)
+            composite = {pair: step[image] for pair, image in composite.items()}
+            stage, steps = reject(stage, j), steps + 1
+        clamped = clamps(alg)
+        assert stage == NakayamaAlgebra(alg.vertices, alg.next_down, {**alg.loewy, **clamped})
+        assert sorted(composite.values()) == enumerate_stt(stage), alg
+        quiver = hasse_by_rejection(alg)
+        assert set(composite) == set(quiver.vertices), alg
+        renamed = {Indec(j, alg.loewy[j]): Indec(j, m) for j, m in clamped.items()}
+        for pair, image in composite.items():
+            module = tuple(sorted(renamed.get(s, s) for s in pair.module))
+            assert image == SttPair(module, pair.killed), (alg, pair)
+        turned = {(composite[a], composite[b]) for a, b in labelled_arrows(quiver)}
+        assert turned == labelled_arrows(hasse_by_rejection(stage)), alg
+    assert (len(algs), steps) == (56, 293)
 
 
 @pytest.mark.parametrize(
