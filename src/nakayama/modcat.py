@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .algebra import clamps
 from .errors import InvalidModule, InvariantViolation
 
 
@@ -50,10 +51,8 @@ def is_projective(alg, m):
 
 
 def is_tau_rigid_indec(alg, m):
-    """Projectives and everything on a linear component are tau-rigid; on a
-    cyclic component only lengths below the cycle size are."""
-    size = alg._components[check_valid(alg, m).top][0]  # 0 on a path
-    return not size or m.length < size or m.length == alg.loewy[m.top]
+    """Whether m is tau-rigid: the diagonal of the pair test."""
+    return pair_tau_rigid(alg, m, m)
 
 
 def pair_tau_rigid(alg, x, y):
@@ -67,10 +66,12 @@ def pair_tau_rigid(alg, x, y):
 
 
 def _pair_tau_rigid(alg, x, y):
-    """pair_tau_rigid uncached: both rigid (size is the cycle size, 0 on a
-    path), and no Hom(a, tau b) either way; for b not projective it is
-    nonzero when top(a) is a step d in [len b - len a, len b) below top(tau b)
-    on the universal cover of the arrow walk (least lift past the lower end)."""
+    """pair_tau_rigid uncached: both rigid (the guard, the one per-module
+    statement: a non-projective on a cycle of size vertices, 0 on a path, is
+    shorter than it; Adachi-Iyama-Reiten), and no Hom(a, tau b) either way;
+    for b not projective it is nonzero when top(a) is a step d in [len b -
+    len a, len b) below top(tau b) on the universal cover of the arrow walk
+    (least lift past the lower end)."""
     (top_x, len_x), (top_y, len_y) = x, y
     loewy_x, loewy_y = alg.loewy.get(top_x, 0), alg.loewy.get(top_y, 0)
     if not (1 <= len_x <= loewy_x and 1 <= len_y <= loewy_y):
@@ -260,10 +261,10 @@ def support(alg, module):
 
 
 def all_tau_rigid_indecs(alg):
-    """The tau-rigid indecomposables, ordered by (top, length): the
-    non-projectives, on a cycle those shorter than it, and the projective."""
-    out = []
+    """The tau-rigid indecomposables by (top, length): at each top the
+    non-projectives shorter than its entry of clamps(alg), then the projective."""
+    clamped, out = clamps(alg), []
     for j in alg.vertices:
-        size, top = alg._components[j][0], alg.loewy[j]
-        out += [Indec(j, l) for l in range(1, min(top, size or top))] + [Indec(j, top)]
+        top = alg.loewy[j]
+        out += [Indec(j, l) for l in range(1, clamped.get(j, top))] + [Indec(j, top)]
     return out

@@ -325,11 +325,9 @@ def hasse_by_rejection(alg, picks=None):
 
 def rejection_isomorphism(alg, j):
     """The reduction step's order isomorphism stt(alg) -> stt(reject(alg,
-    j)) when j lies on a cycle of m vertices and loewy[j] > m: P_j goes to
-    P_j/soc P_j, every other summand and the killed set stay.  On the
-    cycle a non-projective tau-rigid module is shorter than m (Adachi-
-    Iyama-Reiten), so neither module competes with another summand of top
-    j.  Returns the map as a dict.
+    j)) for j a key of clamps(alg): P_j goes to P_j/soc P_j, every other
+    summand and the killed set stay; by clamps' rule neither competes with
+    another summand of top j.  Returns the map as a dict.
 
     NotInDomain for any other j; InvalidPoset if the map is not a
     bijection or does not carry each down-set onto its image's.

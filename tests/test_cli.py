@@ -557,15 +557,25 @@ def test_direct_hasse_of_a_huge_loewy_length_needs_no_table_of_that_length():
     assert len(json.loads(out)["vertices"]) == 20
 
 
+def _cycle_beside_path(r):
+    """The 3-cycle 1 -> 3 -> 2 -> 1, every Loewy length r, beside the path
+    8 -> 7, as the flags of an algebra literal."""
+    literal = {"kind": "general", "vertices": [1, 2, 3, 7, 8],
+               "next_down": {"1": 3, "2": 1, "3": 2, "8": 7},
+               "loewy": {"1": r, "2": r, "3": r, "7": 1, "8": 2}}
+    return ["--algebra-json", json.dumps(literal)]
+
+
 def test_rejection_hasse_of_a_huge_loewy_length_runs_on_the_reduced_chain():
-    # the chain of cyclic(3, 10^12) has about 3·10^12 stages; that of its
-    # reduction cyclic(3,3) has 10, and both routes give the same quiver
-    argv = ["hasse", "--cyclic", "3", "--r", "1000000000000", "--method", "both",
-            "--format", "json"]
-    code, out, err = _nakayama_in_1gb(argv)
-    small = call(["hasse", "--cyclic", "3", "--r", "3", "--method", "both", "--format", "json"])[1]
-    assert (code, err) == (0, "")
-    assert out.replace('"len":1000000000000', '"len":3') == small
+    # the chain of a 3-cycle of Loewy length 10^12 has about 3·10^12 stages;
+    # that of its reduction, Loewy length 3, has 10, and both routes give
+    # the same quiver, beside another component too
+    tail = ["--method", "both", "--format", "json"]
+    for big, small in [(["--cyclic", "3", "--r", "1000000000000"], ["--cyclic", "3", "--r", "3"]),
+                       (_cycle_beside_path(10 ** 12), _cycle_beside_path(3))]:
+        code, out, err = _nakayama_in_1gb(["hasse", *big, *tail])
+        assert (code, err) == (0, ""), big
+        assert out.replace('"len":1000000000000', '"len":3') == call(["hasse", *small, *tail])[1]
 
 
 def test_out_of_memory_exits_2_with_one_error_line():

@@ -134,13 +134,21 @@ def test_tau_rigid_criterion_examples():
 
 
 def test_tau_rigid_criterion_against_direct_hom():
-    for size in range(1, 7):
-        for r in range(1, 9):
-            alg = make_cyclic(size, r)
-            for m in all_indecs(alg):
-                t = _tau_oracle(alg, m)
-                direct = t is None or hom_dim_oracle(alg, m, t) == 0
-                assert is_tau_rigid_indec(alg, m) == direct
+    # the pair test's diagonal, and the list read from clamps, against
+    # Hom(m, tau m) by factor-list overlap: on cycles, and on the pair-test
+    # grid of quotients, paths, rejection stages and out-of-order labels
+    algs = [make_cyclic(size, r) for size in range(1, 7) for r in range(1, 9)]
+    count = 0
+    for alg in algs + list(_pair_test_algebras()):
+        rigid = []
+        for m in all_indecs(alg):
+            t = _tau_oracle(alg, m)
+            direct = t is None or hom_dim_oracle(alg, m, t) == 0
+            assert is_tau_rigid_indec(alg, m) == direct, (alg, m)
+            rigid += [m] * direct
+            count += 1
+        assert all_tau_rigid_indecs(alg) == rigid, alg
+    assert count == 756 + 12465
 
 
 def test_pair_examples():

@@ -946,9 +946,15 @@ PICKS_PAST_SPLIT = [4, 3, 3, 2, 2, 2, 1, 4, 3, 2, 1, 4, 3, 1, 4]
         (make_cyclic(4, 1), None),
         (quotient_by_idempotent(make_cyclic(5, 5), {2, 4}), None),
         (make_cyclic(4, 4), PICKS_PAST_SPLIT),
+        # the reduced route's clamp swap beside another component: a clamped
+        # 3-cycle beside a path (100 pairs), two clamped 2-cycles (36 pairs)
+        (NakayamaAlgebra([1, 2, 3, 7, 8], {1: 3, 3: 2, 2: 1, 8: 7},
+                         {1: 7, 2: 6, 3: 6, 7: 1, 8: 2}), None),
+        (NakayamaAlgebra([1, 2, 3, 4], {1: 2, 2: 1, 3: 4, 4: 3}, {1: 4, 2: 3, 3: 3, 4: 2}), None),
     ],
     ids=["linear(1..4)/{2}", "linear(1..8)/{3,6}", "cyclic(4,1)", "cyclic(5,5)/{2,4}",
-         "cyclic(4,4) picks past split"],
+         "cyclic(4,4) picks past split", "3-cycle(7,6,6) beside 8->7",
+         "2-cycles(4,3) and (3,2)"],
 )
 def test_rejection_on_disconnected(alg, picks):
     assert hasse_by_rejection(alg, picks=picks) == hasse_direct(alg)
