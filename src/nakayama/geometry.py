@@ -89,8 +89,8 @@ def all_arcs(n):
 def _arc_table(n):
     """(arcs, index, compat): the admissible arcs in canonical order, the
     position of each, and compat[x] the bitmask of arcs compatible with
-    arcs[x], itself included; crossing depends only on n, so this is
-    shared."""
+    arcs[x], itself included; shared per n by the two readers that need
+    every arc, _triangulations and flip."""
     arcs = tuple(sorted(all_arcs(n), key=_arc_key))
     k = len(arcs)
     compat = [1 << x for x in range(k)]
@@ -140,34 +140,35 @@ class Triangulation(NamedTuple):
         return make_triangulation(data["n"], [Arc.from_json(a) for a in data["arcs"]])
 
 
+def admissible(a, n):
+    """Whether a is an Arc on integer points in 1..n (j alone when
+    projective) and not a boundary edge, the inner arc of length 1."""
+    return (
+        isinstance(a, Arc)
+        and all(type(p) is int and 0 < p <= n for p in a[a.is_projective:])
+        and (a.is_projective or a.length(n) > 1)
+    )
+
+
 def make_triangulation(n, arcs):
     """The triangulation on the given arcs, in canonical order; NotInDomain
-    unless they are n pairwise compatible admissible arcs with a projective
-    one among them, as _triangulation_on checks on their arc table mask."""
-    index = _arc_table(n)[1]
-    mask = 0
-    for a in arcs:
-        x = index.get(a)
-        if x is None:
-            raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
-        mask |= 1 << x
-    return _triangulation_on(n, mask)
+    unless they are n pairwise compatible admissible arcs, one projective."""
+    return _triangulation_on(n, tuple(arcs))
 
 
 @lru_cache(maxsize=2048)
-def _triangulation_on(n, mask):
-    """make_triangulation on a mask of arc table positions, one mask test
-    per arc; accepted masks are kept, as all Kupisch series of n share them."""
-    table, _, compat = _arc_table(n)
-    out, rest = [], mask
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        crossed = mask & ~compat[x]
-        if crossed:
-            y = (crossed & -crossed).bit_length() - 1
-            raise NotInDomain(f"arcs {table[x]} and {table[y]} cross")
-        out.append(table[x])
+def _triangulation_on(n, arcs):
+    """make_triangulation on these arcs alone: admissible in input order,
+    then crossing per pair of distinct arcs in canonical order.  Accepted
+    tuples are kept for all Kupisch series of n; an equal tuple hits them."""
+    for a in arcs:
+        if not admissible(a, n):
+            raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
+    out = sorted(set(arcs), key=_arc_key)
+    for x, a in enumerate(out):
+        for b in out[x + 1:]:
+            if crossing(a, b, n):
+                raise NotInDomain(f"arcs {a} and {b} cross")
     if len(out) != n:
         raise NotInDomain(f"expected {n} arcs, got {len(out)}")
     if not (out and out[0].is_projective):
@@ -202,8 +203,10 @@ def _triangulations(n):
     rank = {a: r for r, a in enumerate(all_arcs(n))}
     cliques = modcat.maximal_cliques(nbr, (1 << len(table)) - 1, table, n)
     out = []
-    for arcs in sorted(cliques, key=lambda c: sorted(map(rank.get, c))):
-        x = make_triangulation(n, arcs)
+    for clique in sorted(cliques, key=lambda c: sorted(map(rank.get, c))):
+        x = Triangulation(n, tuple(sorted(clique, key=_arc_key)))
+        if not x.arcs[0].is_projective:
+            raise InvariantViolation(f"clique {x} has no projective arc")
         out.append((x, longest_inner_arcs(n, x.arcs)))
     return tuple(out)
 
@@ -262,8 +265,8 @@ def arc_to_indec(alg, arc):
     modules = _arc_dictionary(alg)[0]
     m = modules.get(arc)
     if m is None:
-        if arc.j not in alg.loewy or not (arc.is_projective or arc.i in alg.loewy):
-            raise NotInDomain(f"{arc} has an end outside the points 1..{alg.n}")
+        if not admissible(arc, alg.n):
+            raise NotInDomain(f"{arc} is a boundary edge or has an end outside the points 1..{alg.n}")
         if arc.is_projective:
             m = Indec(arc.j, alg.loewy[arc.j])
         else:
@@ -369,10 +372,8 @@ def flip(sx, arc):
         raise InvariantViolation(
             f"flipping {arc} in {x} has replacements {[str(table[y]) for y in modcat.bits(found)]}"
         )
-    rest = [a for a in x.arcs if a != arc]
-    return SignedTriangulation(
-        make_triangulation(n, rest + [table[found.bit_length() - 1]]), sx.sign
-    )
+    arcs = [a for a in x.arcs if a != arc] + [table[found.bit_length() - 1]]
+    return SignedTriangulation(make_triangulation(n, arcs), sx.sign)
 
 
 # -- triangles and DOT export ------------------------------------------------

@@ -1,16 +1,18 @@
 """Reference implementations that nakayama.geometry and nakayama.sequences
-are tested against: the crossing test by cyclic windows, the drop positions
-by a linear scan (and the sequence arcs anchored at them), membership in
-the restricted sequence model, the restricted triangulations by a DFS, the
+are tested against: the crossing test by cyclic windows, the triangulation
+check by masks on the n-gon's arc table, the drop positions by a linear
+scan (and the sequence arcs anchored at them), membership in the
+restricted sequence model, the restricted triangulations by a DFS, the
 flips by a scan of every arc and the triangles fan by fan, with each fan's
 arcs re-based to offsets from its projective arc."""
 
 from operator import le
 
-from nakayama.errors import InvariantViolation
+from nakayama.errors import InvariantViolation, NotInDomain
 from nakayama.geometry import (
     Arc,
     SignedTriangulation,
+    Triangulation,
     _arc_table,
     all_arcs,
     crossing,
@@ -43,6 +45,33 @@ def crossing_windows(a, b, n):
     if _in_window(b.j, a.i + 1, s - 2, n) and _in_window((a.i + 1) % n or n, b.i + 2, t - 2, n):
         return True
     return False
+
+
+def make_triangulation_by_table(n, arcs):
+    """make_triangulation by the n-gon's arc table: each arc looked up by
+    its position in the table, then one compatibility mask test per arc in
+    canonical order, naming the lowest arc that crosses the first crossed."""
+    table, index, compat = _arc_table(n)
+    mask = 0
+    for a in arcs:
+        x = index.get(a)
+        if x is None:
+            raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
+        mask |= 1 << x
+    out, rest = [], mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        crossed = mask & ~compat[x]
+        if crossed:
+            y = (crossed & -crossed).bit_length() - 1
+            raise NotInDomain(f"arcs {table[x]} and {table[y]} cross")
+        out.append(table[x])
+    if len(out) != n:
+        raise NotInDomain(f"expected {n} arcs, got {len(out)}")
+    if not (out and out[0].is_projective):
+        raise NotInDomain("triangulation must contain a projective arc")
+    return Triangulation(n, tuple(out))
 
 
 def drop_position_scan(seq, l, s):

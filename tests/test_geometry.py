@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,10 +15,11 @@ from model_oracles import (
     enumerate_restricted_dfs,
     fan_arcs,
     flip_scan,
+    make_triangulation_by_table,
     triangles_by_fans,
 )
 
-from nakayama import geometry, tautilt
+from nakayama import geometry, modcat, tautilt
 from nakayama.algebra import NakayamaAlgebra, make_cyclic, make_linear, quotient_by_idempotent
 from nakayama.errors import (
     ArcNotPresent,
@@ -48,7 +50,7 @@ from nakayama.geometry import (
 )
 from nakayama.modcat import Indec, all_tau_rigid_indecs, comp_factors, pair_tau_rigid
 from nakayama.poset import mutations
-from nakayama.sequences import top_of_triangulation, x_of_sequence
+from nakayama.sequences import SeqA, top_of_triangulation, x_of_sequence
 from nakayama.tautilt import SttPair, enumerate_stt, enumerate_tau_tilt
 from nakayama.verify import valid_cyclic_series, valid_linear_series
 
@@ -205,9 +207,9 @@ def test_restricted_enumeration_out_of_range_bounds():
 
 
 def test_crossing_arcs_are_named():
-    # checked once per arc against the arc table; the message names both
-    # arcs in canonical order, whatever the input order, and an arc set
-    # that was rejected is checked again on every call
+    # checked once per pair of the given arcs; the message names both arcs
+    # in canonical order, whatever the input order, and an arc set that was
+    # rejected is checked again on every call
     for _ in range(2):
         with pytest.raises(NotInDomain, match=r"^arcs <1,3> and <2,4> cross$"):
             make_triangulation(4, [Arc(2, 4), Arc(1, 3), Arc(None, 1)])
@@ -217,6 +219,80 @@ def test_crossing_arcs_are_named():
         make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(None, 4)])
     with pytest.raises(NotInDomain, match="expected 3 arcs, got 2"):
         make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(None, 2)])
+
+
+def _checked(check, n, arcs):
+    try:
+        return check(n, arcs)
+    except NotInDomain as e:
+        return str(e)
+
+
+def test_make_triangulation_matches_table_oracle():
+    # seeded arc lists for every n <= 5: a triangulation with one arc
+    # swapped for an admissible arc, a boundary edge or a point off the
+    # polygon, or a draw from all of those, with repeats and shuffled; the
+    # check on the arcs alone and the mask check on the n-gon's arc table
+    # give the same triangulation or the same message
+    rng = random.Random(30)
+    cases = [(0, []), (-1, []), (0, [Arc(None, 1)]), (-1, [Arc(None, 1)])]
+    for n in range(1, 6):
+        xs = enumerate_triangulations(n)
+        edges = [Arc(i, i % n + 1) for i in range(1, n + 1)]
+        off = [Arc(None, 0), Arc(None, n + 1), Arc(0, 1), Arc(n + 1, 1), Arc(1, n + 1)]
+        pool = all_arcs(n) + edges + off
+        for _ in range(400):
+            arcs = list(rng.choice(xs).arcs)
+            if rng.random() < 0.8:
+                arcs[rng.randrange(n)] = rng.choice(pool)
+            if rng.random() < 0.2:
+                del arcs[rng.randrange(n)]
+            if rng.random() < 0.2:
+                arcs = rng.choices(pool, k=rng.randint(0, n + 1))
+            arcs += rng.choices(arcs, k=rng.randint(0, 2)) if arcs else []
+            rng.shuffle(arcs)
+            cases.append((n, arcs))
+    seen = set()
+    for n, arcs in cases:
+        got = _checked(make_triangulation, n, arcs)
+        assert got == _checked(make_triangulation_by_table, n, arcs), (n, arcs)
+        words = ("admissible", "cross", "expected", "projective")
+        seen.add(next((w for w in words if w in got), None) if isinstance(got, str) else "ok")
+    assert seen == {"ok", "admissible", "cross", "expected", "projective"}
+
+
+@pytest.mark.parametrize(
+    "n, arcs, message",
+    [
+        (0, [Arc(None, 1)], "<*,1> is not an admissible arc for n = 0"),
+        (-1, [], "expected -1 arcs, got 0"),
+        (3, [Arc("a", 1)], "<a,1> is not an admissible arc for n = 3"),
+        (3, [Arc(None, 1), Arc(True, 1)], "<True,1> is not an admissible arc for n = 3"),
+        (3, [(None, 1)], "(None, 1) is not an admissible arc for n = 3"),
+    ],
+)
+def test_make_triangulation_refuses_what_is_not_an_arc(n, arcs, message):
+    # a bool point and a plain tuple are no arcs, though the arc table
+    # found them by hash equality
+    with pytest.raises(NotInDomain, match=f"^{re.escape(message)}$"):
+        make_triangulation(n, arcs)
+
+
+def test_arc_sets_are_checked_without_the_arc_table(monkeypatch):
+    # the 60-gon's table would hold 3600 arcs after about 6.5 million
+    # crossing tests; none of these paths may build it
+    monkeypatch.setattr(geometry, "_arc_table", lambda n: pytest.fail(f"arc table of n = {n}"))
+    monkeypatch.setattr(geometry, "_triangulation_on", geometry._triangulation_on.__wrapped__)
+    n = 60
+    for a in ((1,) * n, (n,) + (0,) * (n - 1)):
+        seq = SeqA(a)
+        x = x_of_sequence(seq)
+        assert len(x.arcs) == n and top_of_triangulation(x) == seq
+        assert make_triangulation(n, reversed(x.arcs)) == x
+        alg = make_cyclic(n, n)
+        pair = triangulation_to_tau_tilt(alg, x)
+        assert len(pair.module) == n and not pair.killed
+        assert tau_tilt_to_triangulation(alg, pair) == x
 
 
 def test_arc_dictionary_needs_arrows_along_the_cycle_order():
@@ -486,6 +562,12 @@ def test_arc_clique_of_the_wrong_size_raises(monkeypatch):
         geometry._triangulations.__wrapped__(3)
 
 
+def test_clique_without_a_projective_arc_raises(monkeypatch):
+    monkeypatch.setattr(modcat, "maximal_cliques", lambda *args: [(Arc(3, 3), Arc(1, 3), Arc(1, 1))])
+    with pytest.raises(InvariantViolation, match=r"^clique <1,1> <1,3> <3,3> has no projective arc$"):
+        geometry._triangulations.__wrapped__(3)
+
+
 def test_signed_dictionary_guards_raise(monkeypatch):
     sx = SignedTriangulation(X3, -1)
     with monkeypatch.context() as mp:
@@ -573,9 +655,13 @@ def test_arcs_off_the_algebra_raise_not_in_domain():
     # the first triangulation of the square has the projective arc <*,4>
     with pytest.raises(NotInDomain, match="4-gon, not the 3-gon"):
         triangulation_to_tau_tilt(make_cyclic(3, 3), enumerate_triangulations(4)[0])
-    for arc in (Arc(None, 7), Arc(7, 2), Arc(2, 0)):
+    # boundary edges <1,2> and <3,1> are not modules either, and no failed
+    # lookup is memoized
+    alg = make_cyclic(3, 3)
+    for arc in (Arc(None, 7), Arc(7, 2), Arc(2, 0), Arc(1, 2), Arc(3, 1)):
         with pytest.raises(NotInDomain, match="outside the points 1..3"):
-            arc_to_indec(make_cyclic(3, 3), arc)
+            arc_to_indec(alg, arc)
+    assert geometry._arc_dictionary(alg) == ({}, {})
 
 
 def test_dictionary_guards_raise():
