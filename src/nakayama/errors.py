@@ -70,5 +70,7 @@ class InvariantViolation(NakayamaError):
     exchange rule that serves both mutations and flips, a source split
     that does not give one killed vertex and a tau-tilting remainder, a
     triangle decomposition that does not close up, a signed-triangulation
-    image with the wrong killed set, a sequence profile without its drop
-    position, or a module path that leaves the quiver."""
+    image on the - sheet that is not support tau-tilting or whose killed
+    set does not shift (tautilt.shift_killed) onto the points of its
+    projective arcs, a sequence profile without its drop position, or a
+    module path that leaves the quiver."""

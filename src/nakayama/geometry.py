@@ -140,27 +140,33 @@ class Triangulation(NamedTuple):
         return make_triangulation(data["n"], [Arc.from_json(a) for a in data["arcs"]])
 
 
+def typed_arc(a):
+    """Whether a is an Arc on int points (i is None when projective): the
+    part of admissibility that equality cannot see, as True == 1 and a plain
+    tuple equals an Arc, so it is asked before any cache or memo of arcs."""
+    return type(a) is Arc and type(a.j) is int and (a.i is None or type(a.i) is int)
+
+
 def admissible(a, n):
-    """Whether a is an Arc on integer points in 1..n (j alone when
-    projective) and not a boundary edge, the inner arc of length 1."""
-    return (
-        isinstance(a, Arc)
-        and all(type(p) is int and 0 < p <= n for p in a[a.is_projective:])
-        and (a.is_projective or a.length(n) > 1)
-    )
+    """Whether a is a typed_arc on points in 1..n (j alone when projective)
+    and not a boundary edge, the inner arc of length 1."""
+    return typed_arc(a) and 0 < a.j <= n and (a.i is None or 0 < a.i <= n and a.length(n) > 1)
 
 
 def make_triangulation(n, arcs):
     """The triangulation on the given arcs, in canonical order; NotInDomain
-    unless they are n pairwise compatible admissible arcs, one projective."""
-    return _triangulation_on(n, tuple(arcs))
+    unless they are n pairwise compatible admissible arcs, one projective.
+    Accepted tuples are cached, and the cache compares keys by equality, so
+    arcs that are not all typed_arc (or a non-int n) skip it."""
+    arcs = tuple(arcs)
+    if type(n) is int and all(map(typed_arc, arcs)):
+        return _triangulation_on(n, arcs)
+    return _check_triangulation(n, arcs)
 
 
-@lru_cache(maxsize=2048)
-def _triangulation_on(n, arcs):
+def _check_triangulation(n, arcs):
     """make_triangulation on these arcs alone: admissible in input order,
-    then crossing per pair of distinct arcs in canonical order.  Accepted
-    tuples are kept for all Kupisch series of n; an equal tuple hits them."""
+    then crossing per pair of distinct arcs in canonical order."""
     for a in arcs:
         if not admissible(a, n):
             raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
@@ -174,6 +180,10 @@ def _triangulation_on(n, arcs):
     if not (out and out[0].is_projective):
         raise NotInDomain("triangulation must contain a projective arc")
     return Triangulation(n, tuple(out))
+
+
+# Accepted typed tuples, kept for all Kupisch series of n; an equal tuple hits them.
+_triangulation_on = lru_cache(maxsize=2048)(_check_triangulation)
 
 
 class SignedTriangulation(NamedTuple):
@@ -263,7 +273,7 @@ def arc_to_indec(alg, arc):
     """Projective arcs give projectives; an inner arc of length t with
     terminal j gives the module with top j and length t - 1."""
     modules = _arc_dictionary(alg)[0]
-    m = modules.get(arc)
+    m = modules.get(arc) if typed_arc(arc) else None
     if m is None:
         if not admissible(arc, alg.n):
             raise NotInDomain(f"{arc} is a boundary edge or has an end outside the points 1..{alg.n}")
@@ -314,41 +324,38 @@ def tau_tilt_to_triangulation(alg, pair):
 
 
 def _signed_dictionary(alg):
-    """alg.n, once alg passes the arc dictionary's label check and has every
+    """Check that alg passes the arc dictionary's label check and has every
     Loewy length at least n, as the signed model needs."""
     _arc_dictionary(alg)
     if any(alg.loewy[j] < alg.n for j in alg.vertices):
         raise LoewyTooSmall("every Loewy length must be at least n")
-    return alg.n
 
 
 def signed_to_stt(alg, sx):
     """Signed-triangulation dictionary (needs every Loewy length >= n): sign
-    + is triangulation_to_tau_tilt; with sign - inner arcs give their
-    modules and a projective arc kills the next vertex around."""
-    n = _signed_dictionary(alg)
+    + is triangulation_to_tau_tilt; with sign - inner arcs give the module,
+    and the projective arcs must end at shift_killed of the killed set."""
+    _signed_dictionary(alg)
     if sx.sign > 0:
         return triangulation_to_tau_tilt(alg, sx.triangulation)
     module = [arc_to_indec(alg, a) for a in sx.triangulation.arcs if not a.is_projective]
     pair = tautilt.is_support_tau_tilting(alg, module)
     if pair is None:
         raise InvariantViolation(f"image of {sx} is not support tau-tilting")
-    expected = tuple(sorted(a.j % n + 1 for a in sx.triangulation.arcs if a.is_projective))
-    if pair.killed != expected:
-        raise InvariantViolation(
-            f"image of {sx} kills {pair.killed}, expected {expected}"
-        )
+    points = {a.j for a in sx.triangulation.arcs if a.is_projective}
+    if tautilt.shift_killed(alg, pair.killed) != points:
+        raise InvariantViolation(f"image of {sx} kills {pair.killed}, expected a shift onto {points}")
     return pair
 
 
 def stt_to_signed(alg, pair):
-    """Inverse of signed_to_stt."""
-    n = _signed_dictionary(alg)
+    """Inverse of signed_to_stt; sign - reads the arcs of the proper lift."""
+    _signed_dictionary(alg)
     if not pair.killed:
         return SignedTriangulation(tau_tilt_to_triangulation(alg, pair), +1)
-    arcs = [indec_to_arc(alg, m) for m in pair.module]
-    arcs += [Arc(None, (v - 2) % n + 1) for v in pair.killed]
-    return SignedTriangulation(make_triangulation(n, arcs), -1)
+    lifted = [Indec(v, alg.loewy[v]) for v in tautilt.shift_killed(alg, pair.killed)]
+    arcs = [indec_to_arc(alg, m) for m in pair.module + tuple(lifted)]
+    return SignedTriangulation(make_triangulation(alg.n, arcs), -1)
 
 
 def flip(sx, arc):

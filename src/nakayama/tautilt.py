@@ -139,9 +139,13 @@ def pr_part(alg, module):
     return tuple(s for s in module if modcat.is_projective(alg, s))
 
 
-def _require_cyclic_connected(alg):
-    """The ambient edges must form one cycle through every vertex (the
-    Loewy-length-one degenerations of the cyclic quiver are allowed)."""
+def _cycle(alg):
+    """The ambient successor map of alg, once its edges form one cycle
+    through every vertex (the Loewy-length-one degenerations of the cyclic
+    quiver are allowed, and one vertex is its own cycle with or without its
+    dead loop: make_linear([1]) is the algebra make_cyclic(1, 1))."""
+    if alg.n == 1:
+        return dict.fromkeys(alg.vertices, alg.vertices[0])
     if alg.is_zero() or set(alg.next_down) != set(alg.vertices):
         raise NotCyclicConnected("quiver is not a cycle")
     v, seen = alg.vertices[0], set()
@@ -150,31 +154,34 @@ def _require_cyclic_connected(alg):
         v = alg.next_down[v]
     if len(seen) != alg.n:
         raise NotCyclicConnected("quiver is not a single cycle")
+    return alg.next_down
 
 
 def shift_killed(alg, killed):
     """Shift an idempotent one step along the cycle arrows (e_i -> e_{i-1},
-    reading indices around the cycle)."""
-    _require_cyclic_connected(alg)
-    return {alg.next_down[v] for v in killed}
+    reading indices around the cycle): the one statement of the shift."""
+    cycle = _cycle(alg)
+    if not cycle.keys() >= set(killed):
+        raise NotInDomain(f"killed set {sorted(killed)} has a vertex outside the quiver")
+    return {cycle[v] for v in killed}
 
 
 def lift_proper_to_tau_tilting(alg, pair):
     """From a proper pair with no projective summand to a tau-tilting module:
     adjoin the projectives at the shifted killed set."""
-    _require_cyclic_connected(alg)
+    shifted = shift_killed(alg, pair.killed)
     if not pair.killed:
         raise NotInDomain("pair is not proper")
     if pr_part(alg, pair.module):
         raise NotInDomain("module has a projective summand")
-    extra = [Indec(v, alg.loewy[v]) for v in shift_killed(alg, pair.killed)]
+    extra = [Indec(v, alg.loewy[v]) for v in shifted]
     return make_pair(alg, pair.module + tuple(extra))
 
 
 def drop_to_proper_part(alg, pair):
     """Inverse direction: strip the projective summands of a tau-tilting
     module, recomputing the killed set."""
-    _require_cyclic_connected(alg)
+    _cycle(alg)
     if pair.killed:
         raise NotTauTilting("pair has nonempty killed set")
     return make_pair(alg, np_part(alg, pair.module))

@@ -4,11 +4,12 @@ check by masks on the n-gon's arc table, the drop positions by a linear
 scan (and the sequence arcs anchored at them), membership in the
 restricted sequence model, the restricted triangulations by a DFS, the
 flips by a scan of every arc and the triangles fan by fan, with each fan's
-arcs re-based to offsets from its projective arc."""
+arcs re-based to offsets from its projective arc; and the signed model
+checked element by element against the enumeration and the mutations."""
 
 from operator import le
 
-from nakayama.errors import InvariantViolation, NotInDomain
+from nakayama.errors import InvariantViolation, NakayamaError, NotInDomain
 from nakayama.geometry import (
     Arc,
     SignedTriangulation,
@@ -16,9 +17,15 @@ from nakayama.geometry import (
     _arc_table,
     all_arcs,
     crossing,
+    enumerate_triangulations,
+    flip,
     length_caps,
     make_triangulation,
+    signed_to_stt,
+    stt_to_signed,
 )
+from nakayama.poset import mutations
+from nakayama.tautilt import enumerate_stt
 
 
 def _in_window(x, a, width, n):
@@ -163,6 +170,39 @@ def flip_scan(sx, arc):
     return SignedTriangulation(
         make_triangulation(n, rest + replacements), sx.sign
     )
+
+
+def signed_difference(alg, flips=True):
+    """The first failure of the signed model over alg as text, else None:
+    signed_to_stt must be a bijection from the signed triangulations onto
+    enumerate_stt, stt_to_signed must invert it, and (with flips) the flips
+    of each signed triangulation must map onto the mutations of its image.
+    An error raised at an element is that element's failure."""
+    images = {}
+    for x in enumerate_triangulations(alg.n):
+        for sign in (+1, -1):
+            sx = SignedTriangulation(x, sign)
+            try:
+                image = signed_to_stt(alg, sx)
+                if image in images:
+                    return f"{sx} and {images[image]} both map to {image}"
+                images[image] = sx
+                back = stt_to_signed(alg, image)
+                if back != sx:
+                    return f"{sx} maps to {image}, which maps back to {back}"
+                if flips:
+                    flipped = {signed_to_stt(alg, flip(sx, a)) for a in x.arcs}
+                    if flipped != set(mutations(alg, image)):
+                        return f"the flips of {sx} are not the mutations of {image}"
+            except NakayamaError as e:
+                return f"{sx}: {type(e).__name__}: {e}"
+    pairs = enumerate_stt(alg)
+    missed = [p for p in pairs if p not in images]
+    if missed:
+        return f"{missed[0]} is the image of no signed triangulation"
+    if len(images) != len(pairs):
+        return f"{len(images)} signed images, but enumerate_stt lists {len(pairs)} pairs"
+    return None
 
 
 def fan_arcs(x, i, j):

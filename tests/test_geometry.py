@@ -16,11 +16,18 @@ from model_oracles import (
     fan_arcs,
     flip_scan,
     make_triangulation_by_table,
+    signed_difference,
     triangles_by_fans,
 )
 
 from nakayama import geometry, modcat, tautilt
-from nakayama.algebra import NakayamaAlgebra, make_cyclic, make_linear, quotient_by_idempotent
+from nakayama.algebra import (
+    NakayamaAlgebra,
+    cyclic_algebra,
+    make_cyclic,
+    make_linear,
+    quotient_by_idempotent,
+)
 from nakayama.errors import (
     ArcNotPresent,
     ArcTooLong,
@@ -278,6 +285,35 @@ def test_make_triangulation_refuses_what_is_not_an_arc(n, arcs, message):
         make_triangulation(n, arcs)
 
 
+def test_a_bool_point_is_refused_whether_or_not_its_int_twin_was_accepted():
+    # the cache compares keys by equality, and True == 1
+    bad = [Arc(None, True), Arc(None, 2), Arc(2, 1)]
+    geometry._triangulation_on.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotInDomain, match=r"^<\*,True> is not an admissible arc for n = 3$"):
+            make_triangulation(3, bad)
+        assert make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)]) == X3
+
+
+def test_an_unhashable_point_is_refused_whether_or_not_an_arc_set_was_accepted():
+    geometry._triangulation_on.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotInDomain, match=r"^<\[1\],2> is not an admissible arc for n = 3$"):
+            make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc([1], 2)])
+        assert make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)]) == X3
+
+
+def test_arc_to_indec_refuses_a_bool_point_whether_or_not_its_int_twin_was_looked_up():
+    # the memo on the algebra compares arcs by equality, and True == 1
+    for twin_first in (False, True):
+        alg = make_cyclic(3, 3)
+        if twin_first:
+            assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
+        with pytest.raises(NotInDomain, match="outside the points 1..3"):
+            arc_to_indec(alg, Arc(None, True))
+        assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
+
+
 def test_arc_sets_are_checked_without_the_arc_table(monkeypatch):
     # the 60-gon's table would hold 3600 arcs after about 6.5 million
     # crossing tests; none of these paths may build it
@@ -422,6 +458,28 @@ def test_signed_requires_large_loewy():
     small = make_cyclic(3, 2)
     with pytest.raises(LoewyTooSmall):
         stt_to_signed(small, enumerate_stt(small)[0])
+
+
+def test_one_vertex_algebras_keep_their_signed_images():
+    # make_linear([1]) is make_cyclic(1, 1) without the dead loop; both keep
+    # the signed images they had before the - sheet read shift_killed
+    x = make_triangulation(1, [Arc(None, 1)])
+    for alg in (make_linear([1]), make_cyclic(1, 1)):
+        images = {sign: signed_to_stt(alg, SignedTriangulation(x, sign)) for sign in (+1, -1)}
+        assert images == {+1: SttPair((Indec(1, 1),), ()), -1: SttPair((), (1,))}
+        for sign, pair in images.items():
+            assert stt_to_signed(alg, pair) == SignedTriangulation(x, sign)
+        assert signed_difference(alg) is None
+
+
+def test_signed_model_on_the_cyclic_grid():
+    # each cyclic series with n <= 4 and every Loewy length in [n, n+3]:
+    # a bijection onto enumerate_stt, inverted by stt_to_signed, whose
+    # flips are mutations
+    grid = [ks for n in range(1, 5) for ks in valid_cyclic_series(n, n + 3) if min(ks) >= n]
+    assert len(grid) == 124
+    for ks in grid:
+        assert signed_difference(cyclic_algebra(ks)) is None, ks
 
 
 def test_flip_pop():

@@ -142,6 +142,23 @@ def test_shift_killed():
         shift_killed(two_cycles, {1})
 
 
+def test_one_vertex_is_its_own_cycle_with_or_without_its_dead_loop():
+    # make_linear([1]) is the algebra make_cyclic(1, 1): the shift, the lift
+    # and the drop treat them alike
+    for alg in (make_linear([1]), make_cyclic(1, 1)):
+        assert shift_killed(alg, {1}) == {1}
+        tau = SttPair((Indec(1, 1),), ())
+        assert lift_proper_to_tau_tilting(alg, SttPair((), (1,))) == tau
+        assert drop_to_proper_part(alg, tau) == SttPair((), (1,))
+
+
+def test_shift_killed_refuses_a_vertex_outside_the_quiver():
+    with pytest.raises(NotInDomain, match="outside the quiver"):
+        shift_killed(L33, {4})
+    with pytest.raises(NotInDomain, match="outside the quiver"):
+        lift_proper_to_tau_tilting(L33, SttPair((), (1, 4)))
+
+
 def test_lift_example():
     n = SttPair((Indec(2, 1),), (1, 3))
     m = lift_proper_to_tau_tilting(L33, n)
