@@ -273,13 +273,9 @@ def reject(alg, j):
 
 
 def components(alg):
-    """Connected components as standalone algebras, ordered by least label.
-    A connected algebra is its own component, so its per-algebra caches
-    are shared with it."""
-    comps = alg.arrow_orders()
-    if len(comps) == 1:
-        return [alg]
-    return [quotient_by_idempotent(alg, set(alg.vertices) - set(c)) for c in comps]
+    """Connected components as standalone algebras, ordered by least label:
+    each is the quotient by the other vertices."""
+    return [quotient_by_idempotent(alg, set(alg.vertices) - set(c)) for c in alg.arrow_orders()]
 
 
 def rejection_chain(alg, picks=None):

@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 
 from . import modcat, tautilt
-from .algebra import components, make_cyclic, make_gamma
+from .algebra import make_cyclic, make_gamma
 from .errors import InvariantViolation
 
 # rows r = 1..5, columns n = 1..5
@@ -92,14 +92,12 @@ def table_line(algebra, counts, expected, notes=()):
 
 
 def enumerated_counts(alg):
-    """(tau_tilt, proper, stt) from each component's maximal cliques, without
-    building pairs; only module nodes carry labels, so c.n of them kill none."""
-    tt = stt = 1
-    for c in components(alg):
-        cliques = modcat.maximal_cliques(*tautilt.compatibility_graph(c), c.n)
-        stt *= len(cliques)
-        tt *= sum(len(q) == c.n for q in cliques)
-    return (tt, stt - tt, stt)
+    """(tau_tilt, proper, stt) from the maximal cliques of the algebra's
+    compatibility graph, without building pairs; only module nodes carry
+    labels, so alg.n of them kill none."""
+    cliques = modcat.maximal_cliques(*tautilt.compatibility_graph(alg), alg.n)
+    tt = sum(len(q) == alg.n for q in cliques)
+    return (tt, len(cliques) - tt, len(cliques))
 
 
 def _chains(step, n):

@@ -22,6 +22,7 @@ from .algebra import standard_arrows
 from .errors import (
     ArcNotPresent,
     ArcTooLong,
+    InvalidModule,
     InvariantViolation,
     LoewyTooSmall,
     NotInDomain,
@@ -135,8 +136,6 @@ class Triangulation(NamedTuple):
 
     @staticmethod
     def from_json(data):
-        if type(data["n"]) is not int:
-            raise NotInDomain(f"triangulation needs an integer n, not {data['n']!r}")
         return make_triangulation(data["n"], [Arc.from_json(a) for a in data["arcs"]])
 
 
@@ -155,11 +154,13 @@ def admissible(a, n):
 
 def make_triangulation(n, arcs):
     """The triangulation on the given arcs, in canonical order; NotInDomain
-    unless they are n pairwise compatible admissible arcs, one projective.
-    Accepted tuples are cached, and the cache compares keys by equality, so
-    arcs that are not all typed_arc (or a non-int n) skip it."""
+    unless n is an int and they are n pairwise compatible admissible arcs,
+    one projective.  Accepted tuples are cached, and the cache compares
+    keys by equality, so arcs that are not all typed_arc skip it."""
+    if type(n) is not int:
+        raise NotInDomain(f"triangulation needs an integer n, not {n!r}")
     arcs = tuple(arcs)
-    if type(n) is int and all(map(typed_arc, arcs)):
+    if all(map(typed_arc, arcs)):
         return _triangulation_on(n, arcs)
     return _check_triangulation(n, arcs)
 
@@ -289,10 +290,13 @@ def arc_to_indec(alg, arc):
 
 
 def indec_to_arc(alg, m):
-    """Inverse of arc_to_indec on tau-rigid indecomposables."""
+    """Inverse of arc_to_indec on tau-rigid indecomposables; a module the
+    memo misses must be a typed_indec."""
     arcs = _arc_dictionary(alg)[1]
     arc = arcs.get(m)
     if arc is None:
+        if not modcat.typed_indec(m):
+            raise InvalidModule(f"{m!r} is not an Indec with integer top and length")
         if not modcat.is_tau_rigid_indec(alg, m):
             raise NotTauRigid(f"{m} is not tau-rigid")
         if m.length == alg.loewy[m.top]:

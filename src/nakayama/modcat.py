@@ -31,6 +31,13 @@ class Indec(NamedTuple):
         return Indec(top, length)
 
 
+def typed_indec(m):
+    """Whether m is an Indec with int top and length: the part of validity
+    that equality cannot see, as True == 1 and a plain tuple equals an
+    Indec, so it is asked before a module enters a store of modules."""
+    return type(m) is Indec and type(m.top) is int and type(m.length) is int
+
+
 def check_valid(alg, m):
     if m.top not in alg.loewy:
         raise InvalidModule(f"top {m.top} is not a vertex")
@@ -109,8 +116,12 @@ def maximal_cliques(nbr, nodes, labels, size):
     no label); nbr[p] masks the neighbours of node p, p itself excluded.
 
     Bron-Kerbosch with the Tomita pivot.  Every maximal clique must have
-    size members.
+    size members; on no nodes the one clique is the empty one.
     """
+    if not nodes:
+        if size:
+            raise InvariantViolation(f"the empty graph has no clique of {size} members")
+        return [()]
     base, found, chosen = len(labels), [], []
 
     def expand(cand, done, depth):
@@ -161,16 +172,17 @@ class BitIndex(dict):
     """Bit positions of the indecomposables of one algebra, filled lazily.
 
     A missing indecomposable gets the next free position on lookup, after
-    check_valid, so holding a position means being valid.  supp[p] is its
-    support as a mask over vertex_bit, bit i for alg.vertices[i].  Row p
-    of the pair table is filled on its own: tested[p] masks the positions q
-    that p has been tested against through pair_tau_rigid, compat[p] those
-    where the pair is tau-rigid; bit p of compat[p] is the indecomposable's
-    own tau-rigidity.  The relation is symmetric, so tilting_support fills
-    row p only at the positions from p on and asks for each unordered pair
-    once; a full-row fill asks for the pair again from row q, and
-    pair_tau_rigid's cache answers it.  graph holds the algebra's
-    compatibility graph once tautilt.compatibility_graph has built it.
+    typed_indec and check_valid, so holding a position means being valid.
+    supp[p] is its support as a mask over vertex_bit, bit i for
+    alg.vertices[i].  Row p of the pair table is filled on its own:
+    tested[p] masks the positions q that p has been tested against through
+    pair_tau_rigid, compat[p] those where the pair is tau-rigid; bit p of
+    compat[p] is the indecomposable's own tau-rigidity.  The relation is
+    symmetric, so tilting_support fills row p only at the positions from p
+    on and asks for each unordered pair once; a full-row fill asks for the
+    pair again from row q, and pair_tau_rigid's cache answers it.  graph
+    holds the algebra's compatibility graph once tautilt.compatibility_graph
+    has built it.
     """
 
     def __init__(self, alg):
@@ -185,6 +197,8 @@ class BitIndex(dict):
         self._vertex_tuples = {}
 
     def __missing__(self, m):
+        if not typed_indec(m):
+            raise InvalidModule(f"{m!r} is not an Indec with integer top and length")
         supp = 0  # one turn of the walk holds every factor
         for v in self.alg.factors(check_valid(self.alg, m).top, min(m.length, self.alg.n)):
             supp |= self.vertex_bit[v]

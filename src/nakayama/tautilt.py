@@ -105,7 +105,7 @@ def _clique_modules(alg, modules_only=False):
     nbr, nodes, labels = compatibility_graph(alg)
     if modules_only:
         nodes &= (1 << len(labels)) - 1
-    cliques = modcat.maximal_cliques(nbr, nodes, labels, alg.n) if nodes else [()]
+    cliques = modcat.maximal_cliques(nbr, nodes, labels, alg.n)
     count = dp_counts(alg)[0 if modules_only else 2]
     if len(cliques) != count:
         raise InvariantViolation(

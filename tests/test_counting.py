@@ -5,7 +5,7 @@ import math
 import pytest
 from module_oracles import cyclic_series_filter, linear_series_filter
 
-from nakayama import counting, tautilt
+from nakayama import algebra, counting, tautilt
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
@@ -104,6 +104,18 @@ def test_clique_counts_match_enumerate_stt():
         tt = sum(1 for p in pairs if not p.killed)
         assert enumerated_counts(alg) == (tt, len(pairs) - tt, len(pairs)), alg
     assert enumerated_counts(ZERO) == (1, 0, 1)
+
+
+def test_counts_build_no_component_algebra(monkeypatch):
+    # the two disconnected quotients and the zero algebra are counted on
+    # the graph of the whole algebra, the one that enumerate_stt searches
+    def fail(*args):
+        pytest.fail(f"an algebra built to count: {args}")
+
+    monkeypatch.setattr(algebra, "components", fail)
+    monkeypatch.setattr(algebra, "quotient_by_idempotent", fail)
+    fresh = [NakayamaAlgebra(a.vertices, a.next_down, a.loewy) for a in SPLIT_ALGEBRAS[-3:]]
+    assert [enumerated_counts(alg) for alg in fresh] == [(2, 8, 10), (2, 8, 10), (1, 0, 1)]
 
 
 def test_counts_build_no_pair(monkeypatch):

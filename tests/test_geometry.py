@@ -31,6 +31,7 @@ from nakayama.algebra import (
 from nakayama.errors import (
     ArcNotPresent,
     ArcTooLong,
+    InvalidModule,
     InvariantViolation,
     LoewyTooSmall,
     NotInDomain,
@@ -276,6 +277,10 @@ def test_make_triangulation_matches_table_oracle():
         (3, [Arc("a", 1)], "<a,1> is not an admissible arc for n = 3"),
         (3, [Arc(None, 1), Arc(True, 1)], "<True,1> is not an admissible arc for n = 3"),
         (3, [(None, 1)], "(None, 1) is not an admissible arc for n = 3"),
+        (3.0, [Arc(None, 1), Arc(None, 2), Arc(None, 3)], "triangulation needs an integer n, not 3.0"),
+        (True, [Arc(None, 1)], "triangulation needs an integer n, not True"),
+        ("3", [Arc(None, 1), Arc(None, 2), Arc(None, 3)], "triangulation needs an integer n, not '3'"),
+        (None, [Arc(None, 1)], "triangulation needs an integer n, not None"),
     ],
 )
 def test_make_triangulation_refuses_what_is_not_an_arc(n, arcs, message):
@@ -312,6 +317,19 @@ def test_arc_to_indec_refuses_a_bool_point_whether_or_not_its_int_twin_was_looke
         with pytest.raises(NotInDomain, match="outside the points 1..3"):
             arc_to_indec(alg, Arc(None, True))
         assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
+
+
+def test_indec_to_arc_refuses_a_bool_top_whether_or_not_its_int_twin_was_looked_up():
+    # the memo on the algebra finds modules by equality, and True == 1
+    for twin_first in (False, True):
+        alg = make_cyclic(3, 3)
+        if twin_first:
+            assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
+            assert str(indec_to_arc(alg, Indec(True, 3))) == "<*,1>"  # the memo answers
+        else:
+            with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
+                indec_to_arc(alg, Indec(True, 3))
+        assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
 
 
 def test_arc_sets_are_checked_without_the_arc_table(monkeypatch):

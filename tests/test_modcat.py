@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from module_oracles import (
     _tau_oracle,
@@ -31,7 +33,9 @@ from nakayama.modcat import (
     maximal_cliques,
     pair_tau_rigid,
     support,
+    typed_indec,
 )
+from nakayama.tautilt import enumerate_stt, is_support_tau_tilting
 from nakayama.verify import cyclic_algebra, valid_cyclic_series, valid_linear_series
 
 L33 = make_cyclic(3, 3)
@@ -336,6 +340,31 @@ def test_maximal_cliques_of_the_square():
 def test_maximal_clique_of_the_wrong_size_raises():
     with pytest.raises(InvariantViolation, match="has 2 members, not 3"):
         maximal_cliques(SQUARE, 0b1111, "abcd", 3)
+
+
+def test_maximal_cliques_of_the_empty_graph():
+    # the empty clique is the one maximal clique, and it has no members
+    assert maximal_cliques([], 0, (), 0) == [()]
+    with pytest.raises(InvariantViolation, match="no clique of 2 members"):
+        maximal_cliques([], 0, (), 2)
+
+
+def test_a_bool_top_never_enters_the_bit_index():
+    # the index finds modules by equality, and True == 1
+    def listing(alg):
+        return json.dumps([p.to_json() for p in enumerate_stt(alg)])
+
+    bad = [Indec(True, 2), Indec(2, 2)]
+    for listed_first in (False, True):
+        alg = make_cyclic(2, 2)
+        if listed_first:
+            listing(alg)
+            is_support_tau_tilting(alg, bad)  # Indec(1, 2) is indexed: the lookup hits
+        else:
+            with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
+                is_support_tau_tilting(alg, bad)
+        assert all(map(typed_indec, alg._bit_index.indecs))
+        assert listing(alg) == listing(make_cyclic(2, 2))
 
 
 def test_exchange_gives_the_other_completion():
