@@ -228,7 +228,8 @@ def build_parser():
 
     Every call returns the same parser, so callers must not change it.
     Reusing it is safe: parse_args fills a fresh Namespace on each call,
-    and no flag has a mutable default.
+    and no flag has a mutable default.  Its subcommands attribute maps each
+    subcommand name to that subcommand's parser, so cache_clear resets both.
     """
     p = argparse.ArgumentParser(prog="nakayama")
     sub = p.add_subparsers(dest="command", required=True)
@@ -276,7 +277,24 @@ def build_parser():
     pv.add_argument("--rejection", type=_positive, nargs=2, metavar=("N_MAX", "R_MAX"))
     pv.set_defaults(func=cmd_verify)
 
+    p.subcommands = sub.choices
     return p
+
+
+def _parse(argv):
+    """The namespace of argv.  A request that names a subcommand and leaves
+    no argument over is parsed by that subcommand's parser alone, as the
+    shared parser would hand it on; anything else (no argv, no subcommand
+    name first, an argument left over) goes to the shared parser, which
+    reports it."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 class _Whole:
@@ -317,9 +335,10 @@ def _error(message):
 
 def main(argv=None):
     try:
-        # NakayamaError from the argparse types (_int_list, _positive)
-        # passes through argparse and is reported like every other input error
-        args = build_parser().parse_args(argv)
+        # each request is parsed once, by the named subcommand's parser; a
+        # NakayamaError from the argparse types (_int_list, _positive) passes
+        # through argparse and is reported like every other input error
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code = args.func(args, _Whole(sys.stdout))
         sys.stdout.flush()
         return code

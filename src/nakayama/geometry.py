@@ -293,7 +293,10 @@ def indec_to_arc(alg, m):
     """Inverse of arc_to_indec on tau-rigid indecomposables; a module the
     memo misses must be a typed_indec."""
     arcs = _arc_dictionary(alg)[1]
-    arc = arcs.get(m)
+    try:
+        arc = arcs.get(m)
+    except TypeError:  # an unhashable part, refused as untyped below
+        arc = None
     if arc is None:
         if not modcat.typed_indec(m):
             raise InvalidModule(f"{m!r} is not an Indec with integer top and length")

@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 from . import modcat
 from .algebra import quotient_by_idempotent
-from .errors import InvariantViolation, NotCyclicConnected, NotInDomain, NotTauTilting
+from .errors import (
+    InvalidModule,
+    InvariantViolation,
+    NotCyclicConnected,
+    NotInDomain,
+    NotTauTilting,
+)
 from .modcat import Indec
 
 
@@ -59,7 +65,12 @@ def is_support_tau_tilting(alg, module):
     then BitIndex.tilting_support applies the criterion on the algebra's
     index, so only pairs it has not tested yet go to pair_tau_rigid.
     """
-    module = tuple(sorted(set(module)))
+    try:
+        module = tuple(sorted(set(module)))
+    except TypeError:  # a summand that cannot be hashed or ordered
+        raise InvalidModule(
+            f"{module!r} has a summand that is not an Indec with integer top and length"
+        ) from None
     index = modcat.bit_index(alg)
     supp = index.tilting_support(index.encode(module))
     return None if supp is None else SttPair(module, index.vertices(~supp))
@@ -143,18 +154,26 @@ def _cycle(alg):
     """The ambient successor map of alg, once its edges form one cycle
     through every vertex (the Loewy-length-one degenerations of the cyclic
     quiver are allowed, and one vertex is its own cycle with or without its
-    dead loop: make_linear([1]) is the algebra make_cyclic(1, 1))."""
+    dead loop: make_linear([1]) is the algebra make_cyclic(1, 1)).  The
+    algebra is immutable, so the map is kept on it once it passes; an
+    algebra that fails keeps nothing and raises again on every call."""
+    cycle = alg.__dict__.get("_cycle")
+    if cycle is not None:
+        return cycle
     if alg.n == 1:
-        return dict.fromkeys(alg.vertices, alg.vertices[0])
-    if alg.is_zero() or set(alg.next_down) != set(alg.vertices):
+        cycle = dict.fromkeys(alg.vertices, alg.vertices[0])
+    elif alg.is_zero() or set(alg.next_down) != set(alg.vertices):
         raise NotCyclicConnected("quiver is not a cycle")
-    v, seen = alg.vertices[0], set()
-    while v not in seen:
-        seen.add(v)
-        v = alg.next_down[v]
-    if len(seen) != alg.n:
-        raise NotCyclicConnected("quiver is not a single cycle")
-    return alg.next_down
+    else:
+        v, seen = alg.vertices[0], set()
+        while v not in seen:
+            seen.add(v)
+            v = alg.next_down[v]
+        if len(seen) != alg.n:
+            raise NotCyclicConnected("quiver is not a single cycle")
+        cycle = alg.next_down
+    alg.__dict__["_cycle"] = cycle
+    return cycle
 
 
 def shift_killed(alg, killed):

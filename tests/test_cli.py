@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from nakayama import cli
 from nakayama.cli import main
+from nakayama.errors import NakayamaError
 from nakayama.geometry import Triangulation, enumerate_triangulations, triangulation_dot
 
 
@@ -609,7 +611,7 @@ GOOD_TRANSLATE = [
 ]
 
 
-def test_reused_parser_is_stateless():
+def test_reused_parser_is_stateless(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     argvs = [GOOD_TRANSLATE, *(argv for argv, _ in BAD_INPUT[:4]), ["--help"], GOOD_TRANSLATE]
     reused = [call(argv) for argv in argvs]
@@ -619,6 +621,69 @@ def test_reused_parser_is_stateless():
         cli.build_parser.cache_clear()
         fresh.append(call(argv))
     assert reused == fresh
+    # the subcommand map goes with the parser: after cache_clear a request
+    # reaches the new parser's subcommand parser, not one kept from before
+    old = cli.build_parser()
+    cli.build_parser.cache_clear()
+    new = cli.build_parser()
+    assert new is not old and new.subcommands.keys() == old.subcommands.keys()
+    translate, seen = new.subcommands["translate"], []
+    parse = translate.parse_known_args
+    monkeypatch.setattr(translate, "parse_known_args", lambda args: seen.append(args) or parse(args))
+    assert call(GOOD_TRANSLATE) == reused[0] and seen == [GOOD_TRANSLATE[1:]]
+
+
+def test_a_named_subcommand_is_parsed_by_its_own_parser_alone(monkeypatch):
+    monkeypatch.setattr(cli.build_parser(), "parse_args", None)  # any use of it fails
+    code, out, err = call(GOOD_TRANSLATE)
+    assert code == 0 and out and not err
+
+
+def shared_call(argv):
+    """call(argv) with argv parsed by the shared parser as a whole, the
+    reference for main's own parsing."""
+    with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
+        return call(argv)
+
+
+COUNT_3 = ["count", "--cyclic", "3", "--r", "3"]
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--cyclic", "3", "count"],  # a flag before the name
+    [*COUNT_3, "extra"],  # a leftover positional
+    [*COUNT_3, "--bogus"],
+    ["count", "--cyc", "3", "--r", "3"],
+    ["count", "--cyclic=3", "--r", "3"],
+    ["count", "--", "--cyclic", "3"],
+    [*COUNT_3, "--"],
+    ["translate", "-h"],
+    [*COUNT_3, "-h", "extra"],
+    ["hasse", "--cyclic", "3", "--r", "3", "--picks", "1,x"],  # _int_list refuses
+    ["triangulate", "--n", "0"],  # _positive refuses
+    ["count", "count"],
+    GOOD_TRANSLATE,
+]
+
+
+def parsed(parse, argv):
+    """The attributes of the namespace that parse gives argv, or the exit
+    code or the message of the NakayamaError it raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as e:
+            return e.code
+        except NakayamaError as e:
+            return str(e)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS)
+def test_main_parses_as_the_shared_parser_does(argv):
+    assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
+    assert call(argv) == shared_call(argv)
 
 
 # -- the exit-code contract on drawn argument lists ---------------------------
@@ -745,3 +810,10 @@ def test_any_argument_list_keeps_the_exit_code_contract(argv):
     if code == 2 and not err.startswith("usage:"):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv_lists)
+def test_any_argument_list_is_parsed_as_the_shared_parser_parses_it(argv):
+    assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
+    assert call(argv) == shared_call(argv)

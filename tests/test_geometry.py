@@ -332,6 +332,14 @@ def test_indec_to_arc_refuses_a_bool_top_whether_or_not_its_int_twin_was_looked_
         assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
 
 
+def test_indec_to_arc_refuses_an_unhashable_top():
+    alg = make_cyclic(3, 3)
+    for _ in range(2):
+        with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
+            indec_to_arc(alg, Indec([1], 3))
+    assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
+
+
 def test_arc_sets_are_checked_without_the_arc_table(monkeypatch):
     # the 60-gon's table would hold 3600 arcs after about 6.5 million
     # crossing tests; none of these paths may build it

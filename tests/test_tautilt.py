@@ -142,6 +142,28 @@ def test_shift_killed():
         shift_killed(two_cycles, {1})
 
 
+def test_the_cycle_is_kept_on_an_algebra_that_is_one_cycle():
+    alg = make_cyclic(5, 5)
+    assert "_cycle" not in alg.__dict__
+    assert shift_killed(alg, {1, 3}) == {5, 2}
+    kept = alg.__dict__["_cycle"]
+    assert shift_killed(alg, {2}) == {1} and alg.__dict__["_cycle"] is kept
+    # one that is not keeps nothing and is refused on every call
+    linear = make_linear([1, 2])
+    for _ in range(2):
+        with pytest.raises(NotCyclicConnected):
+            shift_killed(linear, {1})
+        assert "_cycle" not in linear.__dict__
+
+
+def test_an_unhashable_or_unorderable_summand_is_an_invalid_module():
+    alg = make_cyclic(2, 2)
+    for module in ([Indec([1], 2)], [Indec(1, 2), Indec("a", 2)]):
+        with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
+            is_support_tau_tilting(alg, module)
+    assert is_support_tau_tilting(alg, [Indec(1, 2), Indec(2, 2)]).module == (Indec(1, 2), Indec(2, 2))
+
+
 def test_one_vertex_is_its_own_cycle_with_or_without_its_dead_loop():
     # make_linear([1]) is the algebra make_cyclic(1, 1): the shift, the lift
     # and the drop treat them alike
