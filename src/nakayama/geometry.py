@@ -78,7 +78,8 @@ def _arc_key(a):
 
 
 def all_arcs(n):
-    """All admissible arcs, projective first, canonically ordered."""
+    """All admissible arcs: the projective arcs by point, then the inner
+    arcs by start and length (not canonical order; _arc_table sorts them)."""
     arcs = [Arc(None, j) for j in range(1, n + 1)]
     for i in range(1, n + 1):
         for t in range(2, n + 1):
@@ -139,38 +140,36 @@ class Triangulation(NamedTuple):
         return make_triangulation(data["n"], [Arc.from_json(a) for a in data["arcs"]])
 
 
-def typed_arc(a):
-    """Whether a is an Arc on int points (i is None when projective): the
-    part of admissibility that equality cannot see, as True == 1 and a plain
-    tuple equals an Arc, so it is asked before any cache or memo of arcs."""
-    return type(a) is Arc and type(a.j) is int and (a.i is None or type(a.i) is int)
-
-
 def admissible(a, n):
-    """Whether a is a typed_arc on points in 1..n (j alone when projective)
-    and not a boundary edge, the inner arc of length 1."""
-    return typed_arc(a) and 0 < a.j <= n and (a.i is None or 0 < a.i <= n and a.length(n) > 1)
+    """Whether a is an Arc on int points in 1..n (i is None when projective)
+    that is not a boundary edge, the inner arc of length 1: the one test of
+    what an arc is.  Equality cannot see the types, as True == 1 and a plain
+    tuple equals an Arc, so every cache or memo of arcs asks it first."""
+    if type(a) is not Arc:
+        return False
+    i, j = a
+    return type(j) is int and 0 < j <= n and (
+        i is None or type(i) is int and 0 < i <= n and (j - i - 1) % n != 0)
 
 
 def make_triangulation(n, arcs):
     """The triangulation on the given arcs, in canonical order; NotInDomain
     unless n is an int and they are n pairwise compatible admissible arcs,
-    one projective.  Accepted tuples are cached, and the cache compares
-    keys by equality, so arcs that are not all typed_arc skip it."""
+    one projective.  Every arc is checked admissible, in input order, on
+    every call; only then does the cache of accepted tuples see them."""
     if type(n) is not int:
         raise NotInDomain(f"triangulation needs an integer n, not {n!r}")
     arcs = tuple(arcs)
-    if all(map(typed_arc, arcs)):
-        return _triangulation_on(n, arcs)
-    return _check_triangulation(n, arcs)
-
-
-def _check_triangulation(n, arcs):
-    """make_triangulation on these arcs alone: admissible in input order,
-    then crossing per pair of distinct arcs in canonical order."""
     for a in arcs:
         if not admissible(a, n):
             raise NotInDomain(f"{a} is not an admissible arc for n = {n}")
+    return _triangulation_on(n, arcs)
+
+
+@lru_cache(maxsize=2048)  # kept for all Kupisch series of n
+def _triangulation_on(n, arcs):
+    """make_triangulation on admissible arcs: crossing per pair of distinct
+    arcs in canonical order, then the count and the projective arc."""
     out = sorted(set(arcs), key=_arc_key)
     for x, a in enumerate(out):
         for b in out[x + 1:]:
@@ -181,10 +180,6 @@ def _check_triangulation(n, arcs):
     if not (out and out[0].is_projective):
         raise NotInDomain("triangulation must contain a projective arc")
     return Triangulation(n, tuple(out))
-
-
-# Accepted typed tuples, kept for all Kupisch series of n; an equal tuple hits them.
-_triangulation_on = lru_cache(maxsize=2048)(_check_triangulation)
 
 
 class SignedTriangulation(NamedTuple):
@@ -272,12 +267,13 @@ def _arc_dictionary(alg):
 
 def arc_to_indec(alg, arc):
     """Projective arcs give projectives; an inner arc of length t with
-    terminal j gives the module with top j and length t - 1."""
+    terminal j gives the module with top j and length t - 1.  The arc is
+    checked admissible before the memo."""
     modules = _arc_dictionary(alg)[0]
-    m = modules.get(arc) if typed_arc(arc) else None
+    if not admissible(arc, alg.n):
+        raise NotInDomain(f"{arc} is a boundary edge or has an end outside the points 1..{alg.n}")
+    m = modules.get(arc)
     if m is None:
-        if not admissible(arc, alg.n):
-            raise NotInDomain(f"{arc} is a boundary edge or has an end outside the points 1..{alg.n}")
         if arc.is_projective:
             m = Indec(arc.j, alg.loewy[arc.j])
         else:
@@ -290,16 +286,13 @@ def arc_to_indec(alg, arc):
 
 
 def indec_to_arc(alg, m):
-    """Inverse of arc_to_indec on tau-rigid indecomposables; a module the
-    memo misses must be a typed_indec."""
+    """Inverse of arc_to_indec on tau-rigid indecomposables, each a
+    modcat.typed_indec, checked before the memo."""
     arcs = _arc_dictionary(alg)[1]
-    try:
-        arc = arcs.get(m)
-    except TypeError:  # an unhashable part, refused as untyped below
-        arc = None
+    if not modcat.typed_indec(m):
+        raise InvalidModule(f"{m!r} is not an Indec with integer top and length")
+    arc = arcs.get(m)
     if arc is None:
-        if not modcat.typed_indec(m):
-            raise InvalidModule(f"{m!r} is not an Indec with integer top and length")
         if not modcat.is_tau_rigid_indec(alg, m):
             raise NotTauRigid(f"{m} is not tau-rigid")
         if m.length == alg.loewy[m.top]:

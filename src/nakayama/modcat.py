@@ -34,15 +34,25 @@ class Indec(NamedTuple):
 def typed_indec(m):
     """Whether m is an Indec with int top and length: the part of validity
     that equality cannot see, as True == 1 and a plain tuple equals an
-    Indec, so it is asked before a module enters a store of modules."""
+    Indec.  geometry.indec_to_arc asks it on every call, before its memo;
+    BitIndex asks it on a miss, before a module enters the index."""
     return type(m) is Indec and type(m.top) is int and type(m.length) is int
 
 
+def untyped_summand(module):
+    """The InvalidModule for a module with a summand that cannot be hashed
+    or ordered, raised in place of the TypeError that met it."""
+    return InvalidModule(f"{module!r} has a summand that is not an Indec with integer top and length")
+
+
 def check_valid(alg, m):
-    if m.top not in alg.loewy:
-        raise InvalidModule(f"top {m.top} is not a vertex")
-    if not 1 <= m.length <= alg.loewy[m.top]:
-        raise InvalidModule(f"length {m.length} not in [1, loewy({m.top})]")
+    try:
+        if m.top not in alg.loewy:
+            raise InvalidModule(f"top {m.top} is not a vertex")
+        if not 1 <= m.length <= alg.loewy[m.top]:
+            raise InvalidModule(f"length {m.length} not in [1, loewy({m.top})]")
+    except TypeError:  # a top that cannot be hashed or a length that cannot be compared
+        raise InvalidModule(f"{m!r} is not an Indec with integer top and length") from None
     return m
 
 
@@ -65,8 +75,11 @@ def is_tau_rigid_indec(alg, m):
 def pair_tau_rigid(alg, x, y):
     """Whether x + y is tau-rigid (both rigid, no Hom into the other's tau)."""
     cache = alg.__dict__.get("_pair_rigid") or alg.__dict__.setdefault("_pair_rigid", {})
-    key = (x, y) if x <= y else (y, x)
-    out = cache.get(key)
+    try:
+        key = (x, y) if x <= y else (y, x)
+        out = cache.get(key)
+    except TypeError:  # a part that cannot be ordered or hashed
+        raise untyped_summand((x, y)) from None
     if out is None:
         out = cache[key] = _pair_tau_rigid(alg, x, y)
     return out
@@ -269,8 +282,11 @@ def support(alg, module):
     """Set of vertices occurring as composition factors."""
     index = bit_index(alg)
     mask = 0
-    for s in module:
-        mask |= index.supp[index[s]]
+    try:
+        for s in module:
+            mask |= index.supp[index[s]]
+    except TypeError:  # a summand that cannot be hashed
+        raise untyped_summand(module) from None
     return set(index.vertices(mask))
 
 

@@ -36,7 +36,10 @@ def geq(alg, m, n):
     same top, no greater length.  The summands of n up to the first that
     is not a factor are checked to be modules of alg (InvalidModule).
     """
-    reach = _longest(m.module)
+    try:
+        reach = _longest(m.module)
+    except TypeError:  # a summand that cannot be hashed or compared
+        raise modcat.untyped_summand(m.module) from None
     for s in n.module:
         if modcat.check_valid(alg, s).length > reach.get(s.top, 0):
             return False

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from . import modcat
 from .algebra import quotient_by_idempotent
 from .errors import (
-    InvalidModule,
     InvariantViolation,
     NotCyclicConnected,
     NotInDomain,
@@ -52,7 +51,10 @@ class SttPair(NamedTuple):
 def make_pair(alg, module):
     """Pair with the killed set recomputed from the support (unique by
     sincerity over the quotient)."""
-    module = tuple(sorted(module))
+    try:
+        module = tuple(sorted(module))
+    except TypeError:  # a summand that cannot be ordered
+        raise modcat.untyped_summand(module) from None
     supp = modcat.support(alg, module)
     killed = tuple(v for v in alg.vertices if v not in supp)
     return SttPair(module, killed)
@@ -68,9 +70,7 @@ def is_support_tau_tilting(alg, module):
     try:
         module = tuple(sorted(set(module)))
     except TypeError:  # a summand that cannot be hashed or ordered
-        raise InvalidModule(
-            f"{module!r} has a summand that is not an Indec with integer top and length"
-        ) from None
+        raise modcat.untyped_summand(module) from None
     index = modcat.bit_index(alg)
     supp = index.tilting_support(index.encode(module))
     return None if supp is None else SttPair(module, index.vertices(~supp))

@@ -291,13 +291,14 @@ def test_make_triangulation_refuses_what_is_not_an_arc(n, arcs, message):
 
 
 def test_a_bool_point_is_refused_whether_or_not_its_int_twin_was_accepted():
-    # the cache compares keys by equality, and True == 1
-    bad = [Arc(None, True), Arc(None, 2), Arc(2, 1)]
-    geometry._triangulation_on.cache_clear()
-    for _ in range(2):
-        with pytest.raises(NotInDomain, match=r"^<\*,True> is not an admissible arc for n = 3$"):
-            make_triangulation(3, bad)
-        assert make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)]) == X3
+    # the cache compares keys by equality, True == 1 and a plain tuple equals an Arc
+    for bad, first in (([Arc(None, True), Arc(None, 2), Arc(2, 1)], "<*,True>"),
+                       ([(None, 1), (None, 2), (2, 1)], "(None, 1)")):
+        geometry._triangulation_on.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NotInDomain, match=f"^{re.escape(first)} is not an admissible arc for n = 3$"):
+                make_triangulation(3, bad)
+            assert make_triangulation(3, [Arc(None, 1), Arc(None, 2), Arc(2, 1)]) == X3
 
 
 def test_an_unhashable_point_is_refused_whether_or_not_an_arc_set_was_accepted():
@@ -309,35 +310,39 @@ def test_an_unhashable_point_is_refused_whether_or_not_an_arc_set_was_accepted()
 
 
 def test_arc_to_indec_refuses_a_bool_point_whether_or_not_its_int_twin_was_looked_up():
-    # the memo on the algebra compares arcs by equality, and True == 1
-    for twin_first in (False, True):
-        alg = make_cyclic(3, 3)
-        if twin_first:
+    # the memo on the algebra compares arcs by equality, True == 1 and a
+    # plain tuple equals an Arc; an unhashable point cannot reach it
+    for bad in (Arc(None, True), (None, 1), Arc([1], 2)):
+        for twin_first in (False, True):
+            alg = make_cyclic(3, 3)
+            if twin_first:
+                assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
+            message = f"^{re.escape(str(bad))} is a boundary edge or has an end outside the points 1..3$"
+            with pytest.raises(NotInDomain, match=message):
+                arc_to_indec(alg, bad)
             assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
-        with pytest.raises(NotInDomain, match="outside the points 1..3"):
-            arc_to_indec(alg, Arc(None, True))
-        assert arc_to_indec(alg, Arc(None, 1)) == Indec(1, 3)
 
 
 def test_indec_to_arc_refuses_a_bool_top_whether_or_not_its_int_twin_was_looked_up():
-    # the memo on the algebra finds modules by equality, and True == 1
-    for twin_first in (False, True):
-        alg = make_cyclic(3, 3)
-        if twin_first:
+    # the memo on the algebra finds modules by equality, True == 1 and a
+    # plain tuple equals an Indec
+    for bad in (Indec(True, 3), (1, 3)):
+        for twin_first in (False, True):
+            alg = make_cyclic(3, 3)
+            if twin_first:
+                assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
+            message = f"^{re.escape(repr(bad))} is not an Indec with integer top and length$"
+            with pytest.raises(InvalidModule, match=message):
+                indec_to_arc(alg, bad)
             assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
-            assert str(indec_to_arc(alg, Indec(True, 3))) == "<*,1>"  # the memo answers
-        else:
-            with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
-                indec_to_arc(alg, Indec(True, 3))
-        assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
 
 
 def test_indec_to_arc_refuses_an_unhashable_top():
     alg = make_cyclic(3, 3)
-    for _ in range(2):
+    for _ in range(2):  # on a cold memo, then after Indec(1, 3) was looked up
         with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
             indec_to_arc(alg, Indec([1], 3))
-    assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
+        assert str(indec_to_arc(alg, Indec(1, 3))) == "<*,1>"
 
 
 def test_arc_sets_are_checked_without_the_arc_table(monkeypatch):

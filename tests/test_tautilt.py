@@ -12,7 +12,7 @@ from module_oracles import (
     support_oracle,
 )
 
-from nakayama import modcat, tautilt
+from nakayama import modcat, poset, tautilt
 from nakayama.algebra import (
     ZERO,
     NakayamaAlgebra,
@@ -158,9 +158,24 @@ def test_the_cycle_is_kept_on_an_algebra_that_is_one_cycle():
 
 def test_an_unhashable_or_unorderable_summand_is_an_invalid_module():
     alg = make_cyclic(2, 2)
-    for module in ([Indec([1], 2)], [Indec(1, 2), Indec("a", 2)]):
+    good, bad = SttPair((Indec(1, 2), Indec(2, 2)), ()), SttPair((Indec([1], 2),), ())
+    for entry, *args in (
+        (is_support_tau_tilting, [Indec([1], 2)]),
+        (is_support_tau_tilting, [Indec(1, 2), Indec("a", 2)]),
+        (modcat.check_valid, Indec([1], 2)),
+        (modcat.check_valid, Indec(1, "a")),
+        (modcat.comp_factors, Indec([1], 2)),
+        (modcat.is_projective, Indec([1], 2)),
+        (pair_tau_rigid, Indec("a", 2), Indec(1, 1)),
+        (modcat.is_tau_rigid_indec, Indec([1], 2)),
+        (support, [Indec([1], 2)]),
+        (make_pair, [Indec([1], 2)]),
+        (make_pair, [Indec(1, 2), Indec("a", 2)]),
+        (poset.geq, good, bad),
+        (poset.geq, bad, good),
+    ):
         with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
-            is_support_tau_tilting(alg, module)
+            entry(alg, *args)
     assert is_support_tau_tilting(alg, [Indec(1, 2), Indec(2, 2)]).module == (Indec(1, 2), Indec(2, 2))
 
 
