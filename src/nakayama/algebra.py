@@ -217,7 +217,7 @@ def socle_vertex_of_projective(alg, j):
 
 def clamps(alg):
     """The reduction rule, per vertex: j -> m for each j whose P_j is longer
-    than the cycle of m vertices through j (modcat._pair_tau_rigid's guard)."""
+    than the cycle of m vertices through j (modcat._rigid_row's guard)."""
     return {j: size for j, (size, _, _) in alg._components.items() if 0 < size < alg.loewy[j]}
 
 

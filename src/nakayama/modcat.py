@@ -35,7 +35,8 @@ def typed_indec(m):
     """Whether m is an Indec with int top and length: the part of validity
     that equality cannot see, as True == 1 and a plain tuple equals an
     Indec.  geometry.indec_to_arc asks it on every call, before its memo;
-    BitIndex asks it on a miss, before a module enters the index."""
+    BitIndex and pair_tau_rigid ask it on a miss, before a module enters
+    their store."""
     return type(m) is Indec and type(m.top) is int and type(m.length) is int
 
 
@@ -46,13 +47,13 @@ def untyped_summand(module):
 
 
 def check_valid(alg, m):
-    try:
-        if m.top not in alg.loewy:
-            raise InvalidModule(f"top {m.top} is not a vertex")
-        if not 1 <= m.length <= alg.loewy[m.top]:
-            raise InvalidModule(f"length {m.length} not in [1, loewy({m.top})]")
-    except TypeError:  # a top that cannot be hashed or a length that cannot be compared
-        raise InvalidModule(f"{m!r} is not an Indec with integer top and length") from None
+    top, length = m.top, m.length
+    if type(top) is not int or type(length) is not int:  # True == 1 and 2.0 == 2
+        raise InvalidModule(f"{m!r} is not an Indec with integer top and length")
+    if not 1 <= length <= alg.loewy.get(top, 0):
+        if top not in alg.loewy:
+            raise InvalidModule(f"top {top} is not a vertex")
+        raise InvalidModule(f"length {length} not in [1, loewy({top})]")
     return m
 
 
@@ -73,45 +74,72 @@ def is_tau_rigid_indec(alg, m):
 
 
 def pair_tau_rigid(alg, x, y):
-    """Whether x + y is tau-rigid (both rigid, no Hom into the other's tau)."""
+    """Whether x + y is tau-rigid (both rigid, no Hom into the other's tau).
+
+    Answered from the algebra's BitIndex when both parts are indexed and
+    the pair is tested, else from the algebra's _pair_rigid cache, else,
+    for two typed_indec parts, by a one-element _rigid_row, kept in the
+    cache under the unordered pair."""
     cache = alg.__dict__.get("_pair_rigid") or alg.__dict__.setdefault("_pair_rigid", {})
+    index = alg.__dict__.get("_bit_index")
     try:
+        if index is not None:
+            p, q = index.get(x), index.get(y)
+            if p is not None and q is not None and index.tested[p] >> q & 1:
+                return index.compat[p] >> q & 1 == 1
         key = (x, y) if x <= y else (y, x)
         out = cache.get(key)
     except TypeError:  # a part that cannot be ordered or hashed
         raise untyped_summand((x, y)) from None
     if out is None:
-        out = cache[key] = _pair_tau_rigid(alg, x, y)
+        if not (typed_indec(x) and typed_indec(y)):  # only typed modules enter the cache
+            raise untyped_summand((x, y))
+        out = cache[key] = _rigid_row(alg, x, (y,)) == 1
     return out
 
 
-def _pair_tau_rigid(alg, x, y):
-    """pair_tau_rigid uncached: both rigid (the guard, the one per-module
-    statement: a non-projective on a cycle of size vertices, 0 on a path, is
-    shorter than it; Adachi-Iyama-Reiten), and no Hom(a, tau b) either way;
-    for b not projective it is nonzero when top(a) is a step d in [len b -
-    len a, len b) below top(tau b) on the universal cover of the arrow walk
-    (least lift past the lower end)."""
-    (top_x, len_x), (top_y, len_y) = x, y
-    loewy_x, loewy_y = alg.loewy.get(top_x, 0), alg.loewy.get(top_y, 0)
-    if not (1 <= len_x <= loewy_x and 1 <= len_y <= loewy_y):
+def _rigid_row(alg, x, ys):
+    """The mask whose bit i says whether x + ys[i] is tau-rigid: the one
+    statement of the pair rule.  Both parts are rigid (the guard, the one
+    per-module statement: a non-projective on a cycle of size vertices, 0
+    on a path, is shorter than it; Adachi-Iyama-Reiten), and no Hom(a, tau
+    b) either way; for b not projective it is nonzero when top(a) is a step
+    d in [len b - len a, len b) below top(tau b) on the universal cover of
+    the arrow walk (least lift past the lower end).  A part outside its
+    range goes to check_valid, which raises InvalidModule naming it."""
+    loewy, components = alg.loewy, alg._components
+    top_x, len_x = x
+    loewy_x = loewy.get(top_x, 0)
+    if not 1 <= len_x <= loewy_x:
         check_valid(alg, x)
-        check_valid(alg, y)
-    size, walk, pos_x = alg._components[top_x]
-    size_y, walk_y, pos_y = alg._components[top_y]
-    if size and size <= len_x < loewy_x or size_y and size_y <= len_y < loewy_y:
-        return False
-    if walk is not walk_y:
-        return True
-    for a, b, d, loewy_b in ((len_x, len_y, pos_x - pos_y - 1, loewy_y),
-                             (len_y, len_x, pos_y - pos_x - 1, loewy_x)):
-        if b < loewy_b:
-            lo = b - a if b > a else 0
-            if size:
-                d = lo + (d - lo) % size
-            if lo <= d < b:
-                return False
-    return True
+    size, walk, pos_x = components[top_x]
+    rigid_x = not (size and size <= len_x < loewy_x)
+    row = 0
+    for i, y in enumerate(ys):
+        top_y, len_y = y
+        loewy_y = loewy.get(top_y, 0)
+        if not 1 <= len_y <= loewy_y:
+            check_valid(alg, y)
+        size_y, walk_y, pos_y = components[top_y]
+        if not rigid_x or size_y and size_y <= len_y < loewy_y:
+            continue
+        if walk_y is walk:  # one component, so size_y is size
+            if len_y < loewy_y:  # Hom(x, tau y)
+                lo = len_y - len_x if len_y > len_x else 0
+                d = pos_x - pos_y - 1
+                if size:
+                    d = lo + (d - lo) % size
+                if lo <= d < len_y:
+                    continue
+            if len_x < loewy_x:  # Hom(y, tau x)
+                lo = len_x - len_y if len_x > len_y else 0
+                d = pos_y - pos_x - 1
+                if size:
+                    d = lo + (d - lo) % size
+                if lo <= d < len_x:
+                    continue
+        row |= 1 << i
+    return row
 
 
 def bits(mask):
@@ -187,15 +215,13 @@ class BitIndex(dict):
     A missing indecomposable gets the next free position on lookup, after
     typed_indec and check_valid, so holding a position means being valid.
     supp[p] is its support as a mask over vertex_bit, bit i for
-    alg.vertices[i].  Row p of the pair table is filled on its own:
-    tested[p] masks the positions q that p has been tested against through
-    pair_tau_rigid, compat[p] those where the pair is tau-rigid; bit p of
-    compat[p] is the indecomposable's own tau-rigidity.  The relation is
-    symmetric, so tilting_support fills row p only at the positions from p
-    on and asks for each unordered pair once; a full-row fill asks for the
-    pair again from row q, and pair_tau_rigid's cache answers it.  graph
-    holds the algebra's compatibility graph once tautilt.compatibility_graph
-    has built it.
+    alg.vertices[i].  The pair table is symmetric: tested[p] masks the
+    positions q that p has been tested against, compat[p] those where
+    the pair is tau-rigid, and bit q of row p equals bit p of row q; bit p
+    of compat[p] is the indecomposable's own tau-rigidity.  test fills a
+    row with one _rigid_row call and writes each result into both rows,
+    so each unordered pair is computed once.  graph holds the algebra's
+    compatibility graph once tautilt.compatibility_graph has built it.
     """
 
     def __init__(self, alg):
@@ -223,18 +249,23 @@ class BitIndex(dict):
         return p
 
     def test(self, p, mask):
-        """Fill row p for the positions of mask it has not been tested
-        against yet, and return compat[p]."""
-        row, todo = self.compat[p], mask & ~self.tested[p]
-        self.tested[p] |= todo
-        alg, x, indecs = self.alg, self.indecs[p], self.indecs
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            if pair_tau_rigid(alg, x, indecs[low.bit_length() - 1]):
-                row |= low
-        self.compat[p] = row
-        return row
+        """Fill row p, and the mirror bit in each other row, for the
+        positions of mask it has not been tested against yet, and return
+        compat[p]."""
+        todo = mask & ~self.tested[p]
+        if todo:
+            qs = list(bits(todo))
+            row = _rigid_row(self.alg, self.indecs[p], [self.indecs[q] for q in qs])
+            tested, compat, bit, got = self.tested, self.compat, 1 << p, 0
+            for q in qs:
+                tested[q] |= bit
+                if row & 1:
+                    got |= 1 << q
+                    compat[q] |= bit
+                row >>= 1
+            tested[p] |= todo
+            compat[p] |= got
+        return self.compat[p]
 
     def encode(self, module):
         """The summand mask of module: the bits of its summands."""
@@ -250,14 +281,14 @@ class BitIndex(dict):
     def tilting_support(self, mask):
         """The support of a summand mask if its module is support
         tau-tilting (pairwise tau-rigid, as many summands as support
-        vertices), else None."""
-        supp, rest = 0, mask
+        vertices), else None.  A row it needs is filled once, against
+        every position the index holds."""
+        supp, rest, supp_of, compat = 0, mask, self.supp, self.compat
         while rest:
             p = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            supp |= self.supp[p]
-            upper = mask >> p << p
-            if upper & ~self.compat[p] and upper & ~self.test(p, upper):
+            supp |= supp_of[p]
+            if mask & ~compat[p] and mask & ~self.test(p, (1 << len(self.indecs)) - 1):
                 return None
         return supp if supp.bit_count() == mask.bit_count() else None
 

@@ -63,17 +63,25 @@ def make_pair(alg, module):
 def is_support_tau_tilting(alg, module):
     """The pair if the module is support tau-tilting, else None.
 
-    Every summand is checked to be a module of alg before anything else;
-    then BitIndex.tilting_support applies the criterion on the algebra's
-    index, so only pairs it has not tested yet go to pair_tau_rigid.
+    Every summand is looked up in the algebra's index before anything
+    else, which checks a new one to be a module of alg; then
+    BitIndex.tilting_support applies the criterion to their positions, so
+    only pairs it has not tested yet are computed.  The pair holds the
+    index's stored summands, not the caller's objects, which may equal
+    them without being typed (True == 1).
     """
-    try:
-        module = tuple(sorted(set(module)))
-    except TypeError:  # a summand that cannot be hashed or ordered
-        raise modcat.untyped_summand(module) from None
     index = modcat.bit_index(alg)
-    supp = index.tilting_support(index.encode(module))
-    return None if supp is None else SttPair(module, index.vertices(~supp))
+    try:
+        positions = set(map(index.__getitem__, module))
+    except TypeError:  # a summand that cannot be hashed
+        raise modcat.untyped_summand(module) from None
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    supp = index.tilting_support(mask)
+    if supp is None:
+        return None
+    return SttPair(tuple(sorted(map(index.indecs.__getitem__, positions))), index.vertices(~supp))
 
 
 def compatibility_graph(alg):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from module_oracles import (
@@ -24,8 +25,11 @@ from nakayama.algebra import (
 )
 from nakayama.errors import InvalidModule, InvariantViolation
 from nakayama.modcat import (
+    BitIndex,
     Indec,
+    _rigid_row,
     all_tau_rigid_indecs,
+    bits,
     comp_factors,
     exchange,
     is_projective,
@@ -287,6 +291,44 @@ def test_pair_test_matches_public_primitives():
     assert (len(algs), count) == (3486, 100517)
 
 
+def test_rigid_row_matches_the_oracle_in_any_order():
+    # the pair rule a row at a time: every x against every module of the
+    # algebra, in the given, the reversed and a seeded shuffled order
+    rng = random.Random(1)
+    count = 0
+    for alg in _pair_test_algebras():
+        ms = all_indecs(alg)
+        for x in ms:
+            want = {y: pair_tau_rigid_oracle(alg, x, y) for y in ms}
+            for ys in (ms, ms[::-1], rng.sample(ms, len(ms))):
+                assert _rigid_row(alg, x, ys) == sum(want[y] << i for i, y in enumerate(ys)), (alg, x)
+            count += len(ms)
+    assert count == 100517
+
+
+def _pairs(rows):
+    return {(p, q) for p, row in enumerate(rows) for q in bits(row)}
+
+
+def test_bit_index_rows_are_symmetric_and_match_the_oracle_in_any_fill_order():
+    # modules indexed in a seeded order, rows filled at seeded masks and
+    # then in full in a seeded order: after either phase the table is
+    # symmetric, and every tested pair holds the oracle's answer
+    rng = random.Random(2)
+    for alg in _pair_test_algebras():
+        ms = all_indecs(alg)
+        index = BitIndex(alg)
+        index.encode(rng.sample(ms, len(ms)))
+        for phase in (lambda: rng.getrandbits(len(ms)), lambda: (1 << len(ms)) - 1):
+            for p in rng.sample(range(len(ms)), len(ms)):
+                index.test(p, phase())
+            tested, compat = _pairs(index.tested), _pairs(index.compat)
+            assert tested == {(q, p) for p, q in tested} and compat <= tested, alg
+            want = {(p, q) for p, q in tested if pair_tau_rigid_oracle(alg, index.indecs[p], index.indecs[q])}
+            assert compat == want, alg
+        assert len(tested) == len(ms) ** 2, alg
+
+
 def test_factors_socles_and_quotient_clamps_match_the_next_down_walk():
     # the slices of the component table's walk, repeated round a cycle,
     # against next_down
@@ -359,7 +401,9 @@ def test_a_bool_top_never_enters_the_bit_index():
         alg = make_cyclic(2, 2)
         if listed_first:
             listing(alg)
-            is_support_tau_tilting(alg, bad)  # Indec(1, 2) is indexed: the lookup hits
+            pair = is_support_tau_tilting(alg, bad)  # Indec(1, 2) is indexed: the lookup hits
+            assert all(map(typed_indec, pair.module))  # the stored summand, not the caller's
+            assert json.dumps(pair.to_json()).startswith('{"summands": [{"top": 1, "len": 2}')
         else:
             with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
                 is_support_tau_tilting(alg, bad)

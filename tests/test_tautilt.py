@@ -179,6 +179,25 @@ def test_an_unhashable_or_unorderable_summand_is_an_invalid_module():
     assert is_support_tau_tilting(alg, [Indec(1, 2), Indec(2, 2)]).module == (Indec(1, 2), Indec(2, 2))
 
 
+def test_a_non_int_top_or_length_is_an_invalid_module():
+    # True == 1 and 2.0 == 2, so only a type test refuses them: check_valid's,
+    # also where it is the only guard, and pair_tau_rigid's before its cache
+    alg = make_cyclic(2, 2)
+    good = SttPair((Indec(1, 2), Indec(2, 2)), ())
+    for entry, *args in (
+        (modcat.check_valid, Indec(1, 2.0)),
+        (modcat.check_valid, Indec(True, 2)),
+        (modcat.is_projective, Indec(1, 2.0)),
+        (modcat.comp_factors, Indec(True, 2)),
+        (poset.geq, good, SttPair((Indec(True, 1.5),), ())),
+        (pair_tau_rigid, Indec(1, 1.5), Indec(2, 1)),
+        (pair_tau_rigid, Indec(2, 1), Indec(1, None)),
+    ):
+        with pytest.raises(InvalidModule, match="not an Indec with integer top and length"):
+            entry(alg, *args)
+    assert alg.__dict__["_pair_rigid"] == {}
+
+
 def test_one_vertex_is_its_own_cycle_with_or_without_its_dead_loop():
     # make_linear([1]) is the algebra make_cyclic(1, 1): the shift, the lift
     # and the drop treat them alike
@@ -426,36 +445,36 @@ def test_bit_index_matches_pairwise_oracle(alg):
             assert support(filling, module) == support_oracle(alg, module)
 
 
-def test_cold_compatibility_graph_asks_every_ordered_pair_once(monkeypatch):
-    # the benchmark counts pair_tau_rigid calls and cache hits: on a cold
-    # cyclic(4,4) the graph asks each of the r^2 ordered pairs of its r = 16
-    # tau-rigid indecomposables once, and the cache keeps one entry per
-    # unordered pair, r(r+1)/2 of them
-    calls, real = [], modcat.pair_tau_rigid
+def _count_pairs(monkeypatch):
+    """Patch the pair rule to record each pair it computes, unordered."""
+    calls, real = [], modcat._rigid_row
 
-    def counted(alg, x, y):
-        calls.append((x, y))
-        return real(alg, x, y)
+    def counted(alg, x, ys):
+        calls.extend(frozenset((x, y)) for y in ys)
+        return real(alg, x, ys)
 
-    monkeypatch.setattr(modcat, "pair_tau_rigid", counted)
+    monkeypatch.setattr(modcat, "_rigid_row", counted)
+    return calls
+
+
+def test_cold_compatibility_graph_computes_each_unordered_pair_once(monkeypatch):
+    # on a cold cyclic(4,4) the graph computes each of the r(r+1)/2 = 136
+    # unordered pairs of its r = 16 tau-rigid indecomposables once, the
+    # diagonal included, and asks pair_tau_rigid nothing
+    calls = _count_pairs(monkeypatch)
     alg = make_cyclic(4, 4)
     rigid = all_tau_rigid_indecs(alg)
     tautilt.compatibility_graph(alg)
-    assert (len(rigid), len(calls), len(alg.__dict__["_pair_rigid"])) == (16, 256, 136)
-    assert sorted(calls) == sorted(itertools.product(rigid, rigid))
+    assert (len(rigid), len(calls), len(set(calls))) == (16, 136, 136)
+    assert set(calls) == {frozenset(pair) for pair in itertools.product(rigid, rigid)}
+    assert "_pair_rigid" not in alg.__dict__
 
 
-def test_cold_support_check_asks_for_each_unordered_pair_once(monkeypatch):
+def test_cold_support_check_computes_each_unordered_pair_once(monkeypatch):
     # every tau-rigid part of a support tau-tilting module: k distinct
-    # summands make k(k+1)/2 pair tests on a cold index, none of them a
-    # mirror of another, and none on a warm one
-    calls, real = [], modcat.pair_tau_rigid
-
-    def counted(alg, x, y):
-        calls.append(frozenset((x, y)))
-        return real(alg, x, y)
-
-    monkeypatch.setattr(modcat, "pair_tau_rigid", counted)
+    # summands make k(k+1)/2 pair computations on a cold index, none of
+    # them a mirror of another, and none on a warm one
+    calls = _count_pairs(monkeypatch)
     for alg in INDEX_ALGEBRAS:
         warm = _fresh(alg)
         tautilt.compatibility_graph(warm)
@@ -601,7 +620,7 @@ def test_rigid_set_larger_than_its_support_raises(monkeypatch):
     # with every pair declared rigid, the nine tau-rigid indecomposables
     # form one clique that supports every vertex: a maximal clique of
     # nine members on three vertices
-    monkeypatch.setattr(modcat, "pair_tau_rigid", lambda alg, x, y: True)
+    monkeypatch.setattr(modcat, "_rigid_row", lambda alg, x, ys: (1 << len(ys)) - 1)
     with pytest.raises(InvariantViolation):
         enumerate_stt(make_cyclic(3, 3))
 
@@ -609,7 +628,7 @@ def test_rigid_set_larger_than_its_support_raises(monkeypatch):
 def test_maximal_pair_with_too_few_members_raises(monkeypatch):
     # with no pair declared rigid, (1,2) alone leaves only vertex 2 to
     # kill: a maximal clique of two members on three vertices
-    monkeypatch.setattr(modcat, "pair_tau_rigid", lambda alg, x, y: False)
+    monkeypatch.setattr(modcat, "_rigid_row", lambda alg, x, ys: 0)
     with pytest.raises(InvariantViolation, match="has 2 members, not 3"):
         enumerate_stt(make_cyclic(3, 3))
 
